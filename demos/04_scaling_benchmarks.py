@@ -54,7 +54,8 @@ if len(frac_pts) >= 2:
 # Switching-rate check: is the measured below-threshold rate at d=9 small
 # enough for a slow fallback decoder to absorb, given a user budget?
 d9 = [r for r in records if r.d == 9 and r.p == 0.003 and r.method == "extra"]
-chk = switch_check(d9, threshold=0.05, epsilon_max_db=cfg.epsilon_max_db)
+chk = switch_check(d9, threshold=0.05, epsilon_max_db=cfg.epsilon_max_db,
+                   attempted=cfg.samples)
 print(f"\nswitch check at d=9, p=0.003: rate={chk.measured_rate:.4f} "
       f"wilson=[{chk.wilson_low:.4f}, {chk.wilson_high:.4f}] -> {chk.verdict}")
 

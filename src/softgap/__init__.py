@@ -50,6 +50,7 @@ from .softout import (
     MultiGapReport,
     bounded_cluster_gap,
     cluster_gap,
+    cluster_gaps,
     contract,
     extra_cluster_gap,
     extra_cluster_gap_cg,
@@ -66,6 +67,7 @@ from .harness import (
     SwitchCheck,
     aggregate,
     emit,
+    parse_csv_metadata,
     parse_records_csv,
     records_to_csv,
     records_to_json,

@@ -7,7 +7,8 @@ import sys
 from .graphs import build_phenomenological, save_graph
 from .fitting import fit_power_law, fit_exponential
 from .harness import (SweepConfig, run_sweep, run_consistency, switch_check,
-                      aggregate, emit, parse_records_csv, METHODS)
+                      aggregate, emit, parse_csv_metadata, parse_records_csv,
+                      METHODS)
 
 
 def _int_list(text):
@@ -43,6 +44,17 @@ def _config_from(args) -> SweepConfig:
                        rounds=args.rounds, epsilon_max_db=args.epsilon_max_db,
                        methods=methods,
                        skip_empty_syndromes=not args.keep_empty)
+
+
+def _sweep_size(path):
+    """(samples_per_cell, cells) as a sweep wrote them into its CSV; empty
+    samples it skipped leave no record, so the records cannot tell."""
+    metadata = parse_csv_metadata(path)
+    try:
+        return int(metadata["samples_per_cell"]), int(metadata["cells"])
+    except KeyError as missing:
+        raise SystemExit(f"{path}: no '# {missing.args[0]}=' line; "
+                         "write it with `softgap sweep --format csv`") from None
 
 
 def main(argv=None) -> int:
@@ -95,12 +107,13 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         cfg = _config_from(args)
         records = list(run_sweep(cfg, workers=args.workers))
-        metadata = {"samples_per_cell": cfg.samples, "master_seed": cfg.master_seed,
+        metadata = {"samples_per_cell": cfg.samples,
+                    "cells": len(cfg.distances) * len(cfg.probs),
+                    "master_seed": cfg.master_seed,
                     "epsilon_max_db": cfg.epsilon_max_db,
                     "skip_empty_syndromes": cfg.skip_empty_syndromes}
-        emit(records, args.format, args.out,
-             metadata=metadata if args.format != "csv" else None,
-             samples_per_cell=cfg.samples, epsilon_max_db=cfg.epsilon_max_db)
+        emit(records, args.format, args.out, metadata=metadata,
+             epsilon_max_db=cfg.epsilon_max_db)
         print(f"wrote {len(records)} records to {args.out}")
         return 0
 
@@ -122,7 +135,7 @@ def main(argv=None) -> int:
 
     if args.command == "fit":
         records = parse_records_csv(args.infile)
-        samples = max(r.sample for r in records) + 1
+        samples, _ = _sweep_size(args.infile)
         rows = [r for r in aggregate(records, samples, args.epsilon_max_db)
                 if r.method == args.method]
         results = {}
@@ -142,9 +155,10 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "switch-check":
-        records = [r for r in parse_records_csv(args.infile)]
-        chk = switch_check(records, args.threshold,
-                           epsilon_max_db=args.epsilon_max_db, method=args.method)
+        samples, cells = _sweep_size(args.infile)
+        chk = switch_check(parse_records_csv(args.infile), args.threshold,
+                           epsilon_max_db=args.epsilon_max_db, method=args.method,
+                           attempted=samples * cells)
         print(f"measured_rate={chk.measured_rate!r} threshold={chk.user_threshold!r} "
               f"wilson=[{chk.wilson_low:.3g}, {chk.wilson_high:.3g}] "
               f"n={chk.n} verdict={chk.verdict}")

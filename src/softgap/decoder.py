@@ -28,8 +28,6 @@ class ClusterState:
 
     Boundary nodes are covered from the start as their own passive
     zero-radius clusters; a cluster that reaches one becomes inactive.
-    ``edge_coverage2(i)`` reports edge i's covered half-lengths from each
-    endpoint's side in h-units (divide by 2 for scaled weight units).
     """
 
     def __init__(self, graph: DecodingGraph, events=frozenset()):
@@ -49,11 +47,6 @@ class ClusterState:
         for b in graph.boundaries:
             self.covered[b] = True
 
-    def edge_coverage2(self, eidx: int):
-        if self.cov2_u is None:
-            return (0, 0)
-        return (self.cov2_u[eidx], self.cov2_v[eidx])
-
     def find(self, x: int) -> int:
         parent = self.parent
         root = x
@@ -62,9 +55,6 @@ class ClusterState:
         while parent[x] != root:       # path compression
             parent[x], x = root, parent[x]
         return root
-
-    def cluster_of(self, x: int) -> int:
-        return self.find(x)
 
     def clusters(self) -> dict:
         """Map root -> sorted covered members, one entry per cluster.
@@ -328,10 +318,12 @@ def max_growth_radius(cs: ClusterState):
 
 
 def nodes_in_clusters(cs: ClusterState) -> int:
-    """Number of detector nodes absorbed into any cluster."""
-    is_boundary = cs.graph.is_boundary
-    return sum(1 for x in range(cs.graph.num_nodes)
-               if cs.covered[x] and not is_boundary[x])
+    """Number of detector nodes absorbed into any cluster.
+
+    Boundary nodes are covered from the start, so they are the covered
+    nodes that are not detectors.
+    """
+    return cs.covered.count(True) - len(cs.graph.boundaries)
 
 
 def peel(g: DecodingGraph, cs: ClusterState, s: Syndrome) -> frozenset:

@@ -6,6 +6,7 @@ Edge weights are log-likelihood weights ln((1-p)/p) stored as scaled
 integers so that every comparison downstream is exact.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -150,6 +151,36 @@ class DecodingGraph:
                       [e.v for e in self.edges],
                       [e.weight for e in self.edges])
             object.__setattr__(self, "_edge_arrays", cached)
+        return cached
+
+    def bare_distances(self):
+        """Memoized shortest distances from the first boundary, plus their
+        ascending (distance * num_nodes + node) keys.
+
+        The keys order nodes by (distance, node id), the order in which a
+        Dijkstra search from that boundary settles them when every edge
+        weight is positive.
+        """
+        cached = getattr(self, "_bare_distances", None)
+        if cached is None:
+            n = self.num_nodes
+            dist = [None] * n
+            start = self.boundaries[0]
+            dist[start] = 0
+            heap = [(0, start)]
+            neighbors = self.neighbors
+            while heap:
+                d, x = heapq.heappop(heap)
+                if d > dist[x]:
+                    continue
+                for y, w, _ in neighbors[x]:
+                    nd = d + w
+                    old = dist[y]
+                    if old is None or nd < old:
+                        dist[y] = nd
+                        heapq.heappush(heap, (nd, y))
+            cached = (dist, sorted(d * n + x for x, d in enumerate(dist)))
+            object.__setattr__(self, "_bare_distances", cached)
         return cached
 
     @property

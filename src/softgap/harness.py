@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
 from .sampling import SeedSpec, sample_syndrome, Syndrome
 from .decoder import decode, nodes_in_clusters
-from .softout import (contract, cluster_gap, bounded_cluster_gap,
+from .softout import (contract, cluster_gaps, grow_clusters,
                       extra_cluster_gap, extra_cluster_gap_cg)
 
 METHODS = ("cluster", "bounded", "extra", "extra_cg")
@@ -92,23 +92,26 @@ def evaluate_sample(graph: DecodingGraph, events, eps_scaled: int, methods):
 
     Returns (nodes_in_clusters, max_growth2, results) where results holds one
     (value_scaled, visited, extra, cg_invoked) tuple per requested method, in
-    order.  Pure function of its arguments, so results for identical
-    syndromes can be reused.
+    order.  ``cluster`` and ``bounded`` come from one search, ``extra`` and
+    ``extra_cg`` from one growth pass.  Pure function of its arguments, so
+    results for identical syndromes can be reused.
     """
     cs = decode(graph, Syndrome(frozenset(events)))
     view = contract(graph, cs)
-    out = []
-    for m in methods:
-        if m == "cluster":
-            r = cluster_gap(view)
-        elif m == "bounded":
-            r = bounded_cluster_gap(view, eps_scaled)
-        elif m == "extra":
-            r = extra_cluster_gap(graph, cs, eps_scaled, view=view)
-        else:
-            r = extra_cluster_gap_cg(graph, cs, eps_scaled, view=view)
-        out.append((r.value, r.visited_nodes, r.extra_nodes, r.cluster_graph_invoked))
-    return nodes_in_clusters(cs), cs.radius2_log, tuple(out)
+    gaps = {}
+    if "cluster" in methods or "bounded" in methods:
+        gaps["cluster"], gaps["bounded"] = cluster_gaps(view, eps_scaled)
+    if "extra" in methods or "extra_cg" in methods:
+        growth = grow_clusters(view, eps_scaled)
+        if "extra" in methods:
+            gaps["extra"] = extra_cluster_gap(graph, cs, eps_scaled, view=view,
+                                              growth=growth)
+        if "extra_cg" in methods:
+            gaps["extra_cg"] = extra_cluster_gap_cg(graph, cs, eps_scaled,
+                                                    view=view, growth=growth)
+    out = tuple((r.value, r.visited_nodes, r.extra_nodes, r.cluster_graph_invoked)
+                for r in map(gaps.__getitem__, methods))
+    return nodes_in_clusters(cs), cs.radius2_log, out
 
 
 # Per-process caches for worker tasks: graphs by cell geometry and
@@ -345,18 +348,24 @@ def wilson_interval(k: int, n: int, z: float = 1.96):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def switch_check(records, threshold: float,
-                 epsilon_max_db: float = 20.0, method: str | None = None) -> SwitchCheck:
+def switch_check(records, threshold: float, epsilon_max_db: float = 20.0,
+                 method: str | None = None,
+                 attempted: int | None = None) -> SwitchCheck:
     """Compare the measured below-threshold rate against a budget.
 
-    The rate is the fraction of records with a defined gap at most
+    The rate is the fraction of samples with a defined gap at most
     ``epsilon_max_db``; pass it the rate budget above which a slow fallback
-    decoder could no longer keep up.
+    decoder could no longer keep up.  ``attempted`` is the denominator: the
+    samples attempted for the checked method (samples per cell times
+    cells), which counts the empty samples a sweep skipped.  Without it
+    every sample must have a record.
     """
     rows = [r for r in records if method is None or r.method == method]
     if not rows:
         raise ValueError("no records to check")
-    n = len(rows)
+    n = len(rows) if attempted is None else attempted
+    if n < len(rows):
+        raise ValueError(f"{len(rows)} records but only {n} samples attempted")
     k = sum(1 for r in rows
             if r.defined and r.gap_db is not None and r.gap_db <= epsilon_max_db)
     rate = k / n
@@ -393,13 +402,16 @@ def records_to_csv(records, metadata: dict | None = None) -> str:
     return buf.getvalue()
 
 
+def _csv_text(text_or_path) -> str:
+    if "\n" in str(text_or_path):
+        return text_or_path
+    with open(text_or_path, "r", encoding="utf-8") as f:
+        return f.read()
+
+
 def parse_records_csv(text_or_path) -> list:
     """Inverse of records_to_csv; accepts a path or CSV text."""
-    if "\n" in str(text_or_path):
-        text = text_or_path
-    else:
-        with open(text_or_path, "r", encoding="utf-8") as f:
-            text = f.read()
+    text = _csv_text(text_or_path)
     records = []
     header_seen = False
     for line in text.splitlines():
@@ -420,6 +432,19 @@ def parse_records_csv(text_or_path) -> list:
     if not header_seen:
         raise ValueError("missing CSV header")
     return records
+
+
+def parse_csv_metadata(text_or_path) -> dict:
+    """The ``# key=value`` lines records_to_csv writes before the header,
+    as a dict of strings; accepts a path or CSV text."""
+    metadata = {}
+    for line in _csv_text(text_or_path).splitlines():
+        if not line.startswith("#"):
+            break
+        key, sep, value = line[1:].strip().partition("=")
+        if sep:
+            metadata[key] = value
+    return metadata
 
 
 def records_to_json(records, metadata: dict | None = None) -> str:
@@ -496,7 +521,10 @@ def emit(records, fmt: str, path, metadata: dict | None = None,
         text = records_to_json(records, metadata)
     elif fmt == "svg-plot":
         if samples_per_cell is None:
-            samples_per_cell = max((r.sample for r in records), default=0) + 1
+            if not metadata or "samples_per_cell" not in metadata:
+                raise ValueError("svg-plot needs samples_per_cell, as an argument "
+                                 "or in the metadata")
+            samples_per_cell = int(metadata["samples_per_cell"])
         rows = aggregate(records, samples_per_cell, epsilon_max_db)
         series = {}
         for row in rows:

@@ -5,8 +5,8 @@ in which every cluster is condensed to a single node and intra-cluster edges
 drop to weight zero:
 
 * ``cluster_gap``            -- exact shortest b1..b2 distance on the quotient.
-* ``bounded_cluster_gap``    -- same search, terminated early once the popped
-                                distance exceeds a threshold.
+* ``bounded_cluster_gap``    -- the same distance when it is at most a
+                                threshold, undefined beyond it.
 * ``extra_cluster_gap``      -- smallest additional-growth budget at which
                                 simultaneously grown clusters and boundaries
                                 connect b1 to b2 (bottleneck connectivity).
@@ -15,6 +15,16 @@ drop to weight zero:
                                 the exact quotient distance whenever it is
                                 within the threshold.
 
+``cluster_gaps`` computes the first two from one search.  It does not start
+each search anew: the bare graph's distances from b1 are computed once per
+graph, and per sample only the decreases that the clusters cause are
+propagated.
+The reported ``visited_nodes`` is still the number of parts a plain Dijkstra
+search from b1 settles, rebuilt from the final distances, so for
+``cluster`` it measures the paper's cost model while the wall time no longer
+scales with it.  ``grow_clusters`` runs the growth that both extra
+estimators read; pass its result through ``growth=`` to grow once.
+
 All values are scaled integers; every comparison is exact.  During extra
 growth each covered node remembers its nearest originating cluster, so a
 collision between merged super-sets is attributed to the correct original
@@ -22,7 +32,9 @@ pair.
 """
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .decoder import ClusterState
 from .graphs import DecodingGraph
@@ -33,9 +45,16 @@ class GapResult:
     """One soft-output value plus instrumentation counters.
 
     ``value`` is a scaled integer weight, or None when the estimator found no
-    answer within its budget.  ``visited_nodes`` counts settled Dijkstra pops
-    (cluster/bounded kinds); ``extra_nodes`` counts nodes newly covered by
-    extra growth (extra kinds).
+    answer within its budget.  ``extra_nodes`` counts nodes newly covered by
+    extra growth (extra kinds).  ``visited_nodes`` (cluster/bounded kinds)
+    is the exact number of parts a plain Dijkstra search from b1 settles,
+    popping in (distance, part id) order: the parts with (distance, part id)
+    <= (gap, b2's part), or, for an undefined bounded gap, the parts within
+    the threshold.  It is rebuilt from final distances, not counted during a
+    search.  When b1 and b2 share a part it is 1.  Where a zero-weight edge
+    joins two parts, a heap search may settle the parts at the gap's
+    distance in another order; this count depends on distances and ids
+    alone.
     """
     kind: str
     value: int | None
@@ -64,9 +83,6 @@ class ContractedView:
         self.sources = sources            # tuple of part ids that grow
         self.boundary_parts = tuple(rep[b] for b in graph.boundaries)
 
-    def part_nodes(self, part):
-        return self.members.get(part, (part,))
-
     @classmethod
     def from_partition(cls, graph: DecodingGraph, groups) -> "ContractedView":
         """Contract an explicit list of clusters (test and tooling path)."""
@@ -74,17 +90,19 @@ class ContractedView:
 
 
 def contract(g: DecodingGraph, cs: ClusterState) -> ContractedView:
-    """Build the contracted view of ``g`` under the clusters in ``cs``."""
-    rep = [0] * g.num_nodes
+    """Build the contracted view of ``g`` under the clusters in ``cs``.
+
+    Only covered nodes can belong to a cluster, so only they are visited;
+    every other node is its own part.
+    """
+    rep = list(range(g.num_nodes))
     members = {}
     source_set = set()
     find = cs.find
-    covered = cs.covered
-    for x in range(g.num_nodes):
+    for x in compress(range(g.num_nodes), cs.covered):
         r = find(x)
         rep[x] = r
-        if covered[x]:
-            source_set.add(r)
+        source_set.add(r)
         if r != x:
             members.setdefault(r, [r]).append(x)
     for lst in members.values():
@@ -92,70 +110,104 @@ def contract(g: DecodingGraph, cs: ClusterState) -> ContractedView:
     return ContractedView(g, rep, members, tuple(sorted(source_set)))
 
 
-def _dijkstra(view: ContractedView, start_part: int, target_part: int,
-              bound: int | None = None):
-    """Shortest-path search over the contracted view from one part.
+def cluster_gaps(view: ContractedView, eps_max: int):
+    """The cluster gap and the bounded cluster gap at threshold ``eps_max``
+    (scaled), from one search.  Returns (cluster, bounded) GapResults.
 
-    Returns (distance or None, settled_count).  With ``bound`` set, the
-    search stops as soon as a popped distance exceeds it; the terminating
-    pop is not settled.  Ties pop lowest part id first.
+    The search starts from the bare graph's memoized distances from b1.
+    Contraction can only shorten paths, so each multi-node part starts at
+    its nearest member's bare distance and only decreases are propagated,
+    in Dijkstra order from those parts.  Unlowered bare detectors already
+    satisfy every edge, so the search touches the parts whose distance the
+    clusters lower, and stops once it pops a distance beyond b2's.
+    ``visited_nodes`` is then counted from the bare (distance, node) keys by
+    one bisection, corrected for the nodes inside clusters and the lowered
+    detectors.
     """
-    if start_part == target_part:
-        return 0, 1
+    if eps_max < 0:
+        raise ValueError("eps_max must be >= 0")
+    b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
+    if b1 == b2:
+        return (GapResult("cluster", 0, visited_nodes=1),
+                GapResult("bounded", 0, visited_nodes=1))
     graph = view.graph
+    n = graph.num_nodes
+    bare, bare_keys = graph.bare_distances()
     rep = view.rep
     members = view.members
     neighbors = graph.neighbors
-    n = graph.num_nodes
-    dist = [None] * n                   # part ids are node ids
-    settled = [False] * n
-    dist[start_part] = 0
-    visited = 0
-    heap = [(0, start_part)]
+
+    # Every part starts at its bare distance, a multi-node part at that of
+    # its nearest member; ``lowered`` records the parts the search lowers.
+    dist = bare[:]
+    heap = []                                     # keys order (distance, part)
+    for x, lst in members.items():
+        d = min(map(bare.__getitem__, lst))
+        dist[x] = d
+        heap.append(d * n + x)
+    heapq.heapify(heap)
+    lowered = []
+    gap = dist[b2]
+    stop = (gap + 1) * n                          # first key beyond the gap
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
-        d, x = pop(heap)
-        if settled[x]:
+        key = pop(heap)
+        if key >= stop:
+            break
+        d, x = divmod(key, n)
+        if d > dist[x]:
             continue
-        if bound is not None and d > bound:
-            return None, visited
-        settled[x] = True
-        visited += 1
-        if x == target_part:
-            return d, visited
         for node in members.get(x, (x,)):
             for other, w, _ in neighbors[node]:
                 y = rep[other]
-                if y == x or settled[y]:
+                if y == x:
                     continue
                 nd = d + w
-                old = dist[y]
-                if old is None or nd < old:
+                if nd < dist[y]:
                     dist[y] = nd
-                    push(heap, (nd, y))
-    return None, visited
+                    push(heap, nd * n + y)
+                    lowered.append(y)
+                    if y == b2:
+                        gap = nd
+                        stop = (gap + 1) * n
+
+    # Parts with key <= limit, from the bare keys: drop the bare keys of the
+    # nodes in changed parts, add those parts' own keys.
+    changed = set(lowered).union(members)
+    replaced = [bare[x] * n + x for x in changed if x not in members]
+    for lst in members.values():
+        replaced.extend(bare[x] * n + x for x in lst)
+    current = [dist[x] * n + x for x in changed]
+
+    def settled(limit):
+        return (bisect_right(bare_keys, limit)
+                - sum(1 for k in replaced if k <= limit)
+                + sum(1 for k in current if k <= limit))
+
+    visited = settled(gap * n + b2)
+    cluster = GapResult("cluster", gap, visited_nodes=visited)
+    if gap <= eps_max:
+        bounded = GapResult("bounded", gap, visited_nodes=visited)
+    else:
+        bounded = GapResult("bounded", None,
+                            visited_nodes=settled(eps_max * n + n - 1))
+    return cluster, bounded
 
 
 def cluster_gap(view: ContractedView) -> GapResult:
     """Exact shortest distance between the first two boundaries on the
     contracted graph.  Always defined on a connected graph."""
-    b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
-    value, visited = _dijkstra(view, b1, b2, bound=None)
-    return GapResult("cluster", value, visited_nodes=visited)
+    return cluster_gaps(view, 0)[0]
 
 
 def bounded_cluster_gap(view: ContractedView, eps_max: int) -> GapResult:
     """Cluster gap with early stopping at threshold ``eps_max`` (scaled).
 
     Exactly equals the cluster gap whenever that is <= eps_max; undefined
-    otherwise, having settled only nodes within the threshold.
+    otherwise, having settled only the parts within the threshold.
     """
-    if eps_max < 0:
-        raise ValueError("eps_max must be >= 0")
-    b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
-    value, visited = _dijkstra(view, b1, b2, bound=eps_max)
-    return GapResult("bounded", value, visited_nodes=visited)
+    return cluster_gaps(view, eps_max)[1]
 
 
 class Growth:
@@ -167,6 +219,8 @@ class Growth:
     ``collisions``: (epsilon, edge_index, origin_a, origin_b) sorted events;
     epsilon is the exact budget at which the two origins' regions meet
     through that edge (covered length of both sides plus the edge weight).
+    ``origin``: per part, the source whose ball reached it first (None for
+    parts beyond half the budget).
     """
 
     def __init__(self, settled, collisions, origin):
@@ -182,7 +236,7 @@ def grow_clusters(view: ContractedView, eps_max: int,
     Multi-source bounded search with origin tracking: each covered part
     records the source whose ball reached it first, and every inter-origin
     edge whose two sides are both covered yields a collision event at the
-    exact combined distance.
+    exact combined distance.  A part beyond the radius is never queued.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
@@ -210,8 +264,6 @@ def grow_clusters(view: ContractedView, eps_max: int,
         d, x = heapq.heappop(heap)
         if is_settled[x]:
             continue
-        if 2 * d > eps_max:
-            break
         is_settled[x] = True
         settled.append((x, d))
         ox = origin[x]
@@ -229,6 +281,8 @@ def grow_clusters(view: ContractedView, eps_max: int,
                             collisions.append((eps_c, eidx, a, b))
                     continue
                 nd = d + w
+                if 2 * nd > eps_max:        # beyond the radius: never covered
+                    continue
                 old = dist[y]
                 if old is None or nd < old:
                     dist[y] = nd
@@ -276,7 +330,8 @@ def _count_new_nodes(view: ContractedView, settled, eps_threshold):
 
 
 def extra_cluster_gap(g: DecodingGraph, cs: ClusterState, eps_max: int,
-                      view: ContractedView | None = None) -> GapResult:
+                      view: ContractedView | None = None,
+                      growth: Growth | None = None) -> GapResult:
     """Smallest growth budget epsilon <= eps_max at which simultaneous
     growth of the clusters and boundaries connects the first two boundaries.
 
@@ -284,13 +339,15 @@ def extra_cluster_gap(g: DecodingGraph, cs: ClusterState, eps_max: int,
     boundaries over the contracted graph, capped at eps_max; undefined when
     no connection forms within the budget.  Growth stops at the connection
     instant, so ``extra_nodes`` counts exactly the nodes covered by then.
+    ``growth``, when given, must be ``grow_clusters(view, eps_max)``.
     """
     if view is None:
         view = contract(g, cs)
     b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
     if b1 == b2:
         return GapResult("extra", 0, extra_nodes=0)
-    growth = grow_clusters(view, eps_max)
+    if growth is None:
+        growth = grow_clusters(view, eps_max)
     uf = _PartUnion()
     value = None
     for eps_c, _, a, b in growth.collisions:
@@ -306,7 +363,8 @@ def extra_cluster_gap(g: DecodingGraph, cs: ClusterState, eps_max: int,
 
 
 def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
-                         view: ContractedView | None = None) -> GapResult:
+                         view: ContractedView | None = None,
+                         growth: Growth | None = None) -> GapResult:
     """Extra-cluster gap refined through the graph of grown clusters.
 
     The growth pass runs to the full budget; if the boundaries end in one
@@ -316,12 +374,13 @@ def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
     distance to the nearest original cluster/boundary, so the covered region
     is reconstructed from the growth labels alone.  The result can exceed
     eps_max, but equals the plain cluster gap whenever that is within the
-    budget.
+    budget.  ``growth``, when given, must be ``grow_clusters(view, eps_max)``.
     """
     if view is None:
         view = contract(g, cs)
     b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
-    growth = grow_clusters(view, eps_max)
+    if growth is None:
+        growth = grow_clusters(view, eps_max)
     extra = _count_new_nodes(view, growth.settled, eps_max)
     if b1 != b2:
         uf = _PartUnion()

@@ -55,6 +55,26 @@ def oracle_cluster_gap(graph, cs):
     return bellman_ford(parts, qedges, b1)[b2]
 
 
+def oracle_visited(graph, cs, bound=None):
+    """Parts a Dijkstra search from b1 settles, popping in (distance, part
+    id) order, from the Bellman-Ford part distances.
+
+    Those with (distance, part id) <= (gap, b2's part); with ``bound`` set
+    and the gap beyond it, those with distance <= bound.  One when b1 and
+    b2 share a part.
+    """
+    rep = rep_map(graph, cs)
+    parts = set(rep)
+    b1, b2 = rep[graph.boundaries[0]], rep[graph.boundaries[1]]
+    if b1 == b2:
+        return 1
+    dist = bellman_ford(parts, quotient_edges(graph, rep), b1)
+    gap = dist[b2]
+    if bound is not None and gap > bound:
+        return sum(1 for x in parts if dist[x] is not None and dist[x] <= bound)
+    return sum(1 for x in parts if dist[x] is not None and (dist[x], x) <= (gap, b2))
+
+
 def oracle_all_paths_gap(graph, cs, max_nodes=12):
     """Exhaustive simple-path minimum for very small graphs."""
     rep = rep_map(graph, cs)
@@ -194,4 +214,46 @@ def random_clusters(rng: random.Random, graph, max_clusters=6, max_size=8):
                     group.append(y)
                     frontier.append(y)
         groups.append(group)
+    return groups
+
+
+def random_rough_graph(rng: random.Random, max_nodes=40):
+    """Random connected graph with the cases the phenomenological graphs
+    lack: zero-weight edges, parallel edges and two to five boundaries.
+
+    Weights are small multiples of one unit, so equal distances (ties)
+    are common.
+    """
+    n = rng.randrange(6, max_nodes + 1)
+    unit = 1_000_000
+    edges = []
+    for x in range(1, n):               # random spanning tree
+        y = rng.randrange(x)
+        edges.append(Edge(y, x, rng.choice((0, 0, 1, 2, 3)) * unit))
+    for _ in range(rng.randrange(n)):
+        if rng.random() < 0.3:          # parallel copy of an existing edge
+            e = rng.choice(edges)
+            edges.append(Edge(e.u, e.v, rng.choice((0, 1, 2)) * unit))
+        else:
+            x, y = rng.sample(range(n), 2)
+            edges.append(Edge(min(x, y), max(x, y), rng.choice((0, 1, 2, 3)) * unit))
+    boundaries = rng.sample(range(n), rng.randrange(2, 6))
+    return DecodingGraph(n, boundaries, edges)
+
+
+def random_groups(rng: random.Random, graph, max_groups=4, max_size=6):
+    """Random disjoint node sets, not necessarily connected, for
+    ``ClusterState.from_partition``; one in three swallows the first
+    boundary."""
+    free = list(range(graph.num_nodes))
+    rng.shuffle(free)
+    groups = []
+    for _ in range(rng.randrange(0, max_groups + 1)):
+        size = rng.randrange(1, max_size + 1)
+        group, free = free[:size], free[size:]
+        if group:
+            groups.append(group)
+    b1 = graph.boundaries[0]
+    if groups and rng.random() < 1 / 3 and b1 in free:
+        groups[0].append(b1)
     return groups

@@ -4,17 +4,19 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy statistical
 criteria size their grids exactly as pinned below; the full module is sized
 for roughly ten minutes on a two-core laptop.
 
-Criterion 3 measures visited nodes at p = 0.1%, d in {5,7,9,11}
-(``reference_sweep``).  Criterion 4 measures the fraction of samples with a
-gap at or below 20 dB at p = 2%, d in {3,5,7,9} (``threshold_sweep``), and
-reads ``reference_sweep`` only to check why p = 0.1% cannot serve.  Under
-the uniform phenomenological noise used here one bare edge at p = 0.1%
-weighs ln(999) = 6.91 natural units, above the 20 dB budget of
-2 ln(10) = 4.61, so a gap at or below 20 dB can only be 0: one decoder
-cluster must already join both boundaries.  That event is far too rare to
-resolve with 10^4 samples, and every fraction at p = 0.1% is exactly 0.
-At p = 2% one bare edge weighs ln(49) = 3.89, so one hop fits the budget
-and two do not, and the fraction is resolved at every distance.
+Criterion 3 measures visited nodes and criterion 4 the fraction of samples
+with a gap at or below 20 dB, both at p = 2%, d in {3,5,7,9}
+(``threshold_sweep``).  Both read ``reference_sweep`` (p = 0.1%,
+d in {5,7,9,11}) only to check why p = 0.1% cannot serve.  Under the
+uniform phenomenological noise used here one bare edge at p = 0.1% weighs
+ln(999) = 6.91 natural units, above the 20 dB budget of 2 ln(10) = 4.61.
+So a gap at or below 20 dB can only be 0: one decoder cluster must already
+join both boundaries.  That event is far too rare to resolve with 10^4
+samples, and every fraction at p = 0.1% is exactly 0.  For the same reason
+every bounded search there stops after settling b1 alone, so its visited
+count is 1 at every d and says nothing about scaling.  At p = 2% one bare
+edge weighs ln(49) = 3.89, so one hop fits the budget and two do not, and
+both quantities are resolved at every distance.
 """
 
 import math
@@ -58,8 +60,8 @@ def _report(name, detail=""):
 
 @pytest.fixture(scope="module")
 def reference_sweep():
-    """Shared sweep for the visited-node and threshold-fraction criteria:
-    p = 0.1%, d in {5,7,9,11}, 10^4 samples per cell."""
+    """Sweep at p = 0.1%, d in {5,7,9,11}, 10^4 samples per cell, where
+    criteria 3 and 4 check why that operating point is degenerate."""
     cfg = SweepConfig(distances=(5, 7, 9, 11), probs=(0.001,), samples=10_000,
                       master_seed=20260808, methods=("cluster", "bounded", "extra"),
                       skip_empty_syndromes=True)
@@ -69,11 +71,12 @@ def reference_sweep():
 
 @pytest.fixture(scope="module")
 def threshold_sweep():
-    """Sweep for the threshold-fraction criterion: p = 2%, d in {3,5,7,9},
-    10^4 samples per cell.  One bare hop (3.89 natural units) fits the
-    20 dB budget and two do not, so the fraction is resolved at every d."""
+    """Sweep for the visited-node and threshold-fraction criteria: p = 2%,
+    d in {3,5,7,9}, 10^4 samples per cell.  One bare hop (3.89 natural
+    units) fits the 20 dB budget and two do not, so the bounded search and
+    the fraction are resolved at every d."""
     cfg = SweepConfig(distances=(3, 5, 7, 9), probs=(0.02,), samples=10_000,
-                      master_seed=20260808, methods=("cluster", "extra"),
+                      master_seed=20260808, methods=("cluster", "bounded", "extra"),
                       skip_empty_syndromes=True)
     records = list(run_sweep(cfg, workers=WORKERS))
     return cfg, aggregate(records, cfg.samples, cfg.epsilon_max_db)
@@ -111,10 +114,20 @@ def test_criterion_2_oracle_equivalence():
     _report("2 oracle-equivalence", "(1000 random graphs)")
 
 
-def test_criterion_3_early_stopping_benefit(reference_sweep):
-    # At p = 0.1%: bounded search settles strictly fewer nodes than the full
-    # search at every distance, and its fitted power-law exponent is smaller.
-    cfg, _, rows = reference_sweep
+def test_criterion_3_early_stopping_benefit(reference_sweep, threshold_sweep):
+    # Bounded search settles strictly fewer nodes than the full search at
+    # every distance, and its fitted power-law exponent is smaller.
+    #
+    # It is measured at p = 2%, not at p = 0.1%.  At p = 0.1% one bare edge
+    # already costs more than the 20 dB budget, so every bounded search
+    # settles b1 alone; the next assert keeps that under test.
+    _, ref_records, _ = reference_sweep
+    ref_bounded = [r for r in ref_records if r.method == "bounded"]
+    assert ref_bounded
+    assert all(r.visited_nodes == 1 for r in ref_bounded), \
+        [(r.d, r.sample, r.visited_nodes) for r in ref_bounded if r.visited_nodes != 1]
+
+    cfg, rows = threshold_sweep
     mean_full = {r.d: r.mean_visited for r in rows if r.method == "cluster"}
     mean_bounded = {r.d: r.mean_visited for r in rows if r.method == "bounded"}
     for d in cfg.distances:
@@ -123,7 +136,7 @@ def test_criterion_3_early_stopping_benefit(reference_sweep):
     fit_bounded = fit_power_law(sorted(mean_bounded.items()), d_min=7)
     assert fit_bounded.B < fit_full.B
     _report("3 early-stopping-benefit",
-            f"(exponents: bounded {fit_bounded.B:.2f} < full {fit_full.B:.2f})")
+            f"(p = 2%, exponents: bounded {fit_bounded.B:.2f} < full {fit_full.B:.2f})")
 
 
 def test_criterion_4_threshold_fraction_decay(reference_sweep, threshold_sweep):

@@ -1,14 +1,21 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from softgap import harness, softout
+from softgap.graphs import build_phenomenological, db_to_scaled
+from softgap.sampling import SeedSpec, sample_syndrome
 from softgap.harness import (
     CSV_HEADER,
+    METHODS,
     ConfigError,
     SweepConfig,
     SweepRecord,
     aggregate,
     emit,
+    parse_csv_metadata,
     parse_records_csv,
     records_to_csv,
     run_consistency,
@@ -81,6 +88,46 @@ class TestRunSweep:
             assert (r.gap_db is not None) == r.defined
 
 
+class TestPinnedOutput:
+    # sha256 of records_to_csv for d in {5, 9} x p in {0.1%, 1%}, 300
+    # samples per cell, seed 1, all four methods, empty samples skipped.
+    # Any change to a value or counter of any method changes it.
+    SWEEP_CSV_SHA256 = "684c240028611b30013cc78817443537cceaebdd62588c3860c9640f73eda42a"
+
+    def test_sweep_csv_bytes(self):
+        cfg = SweepConfig(distances=(5, 9), probs=(0.001, 0.01), samples=300,
+                          master_seed=1)
+        text = records_to_csv(run_sweep(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_CSV_SHA256
+
+    def test_one_search_and_one_growth_per_sample(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("cluster_gaps", "grow_clusters"):
+            wrapper = counted(name, getattr(softout, name))
+            monkeypatch.setattr(softout, name, wrapper)
+            if hasattr(harness, name):
+                monkeypatch.setattr(harness, name, wrapper)
+        g = build_phenomenological(5, 5, 0.02)
+        eps = db_to_scaled(20.0)
+        evaluated = 0
+        for idx in range(60):
+            events = sample_syndrome(g, SeedSpec(3, idx)).events
+            if not events:
+                continue
+            calls.clear()
+            harness.evaluate_sample(g, events, eps, METHODS)
+            assert calls == {"cluster_gaps": 1, "grow_clusters": 1}
+            evaluated += 1
+        assert evaluated >= 30
+
+
 class TestEmit:
     def test_csv_header_exact(self):
         assert CSV_HEADER == ("d,p,sample,method,defined,gap_db,visited_nodes,"
@@ -114,6 +161,14 @@ class TestEmit:
         assert text.startswith("<svg")
         # one polyline per probability value
         assert text.count("<polyline") == 2
+
+    def test_svg_plot_reads_samples_per_cell_from_metadata(self, tmp_path):
+        records = list(run_sweep(small_cfg(methods=("cluster",))))
+        path = tmp_path / "chart.svg"
+        emit(records, "svg-plot", path, metadata={"samples_per_cell": 40})
+        assert path.read_text().count("<polyline") == 2
+        with pytest.raises(ValueError):
+            emit(records, "svg-plot", path)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -192,6 +247,19 @@ class TestSwitchCheck:
         assert chk.measured_rate == 0.0
         assert chk.verdict == "pass"
 
+    def test_skipped_empty_samples_count(self):
+        # d = 5, p = 0.1%: most samples are empty, and the sweep skips them
+        base = dict(distances=(5,), probs=(0.001,), samples=2000, master_seed=3,
+                    methods=("cluster",))
+        kept = list(run_sweep(SweepConfig(**base)))
+        full = list(run_sweep(SweepConfig(**base, skip_empty_syndromes=False)))
+        assert len(kept) < 2000 // 5
+        chk = switch_check(kept, 0.05, epsilon_max_db=100.0, method="cluster",
+                           attempted=2000)
+        assert chk == switch_check(full, 0.05, epsilon_max_db=100.0, method="cluster")
+        assert chk.n == 2000
+        assert 0 < chk.measured_rate < 0.05 and chk.verdict == "pass"
+
     def test_wilson_interval_brackets_rate(self):
         chk = switch_check(self._records([True] * 20 + [False] * 80), 0.5)
         assert chk.wilson_low <= chk.measured_rate <= chk.wilson_high
@@ -232,6 +300,31 @@ class TestCli:
         code = main(["switch-check", "--threshold", "1.0", "--in", str(out),
                      "--method", "extra_cg"])
         assert code == 0
+
+    def test_csv_carries_sweep_size(self, tmp_path, capsys):
+        # the p = 1e-7 cell is all empty, so it leaves no record at all
+        from softgap.cli import main
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--distances", "5", "--probs", "0.001,1e-7",
+                     "--samples", "300", "--seed", "3", "--methods", "cluster",
+                     "--out", str(out)]) == 0
+        meta = parse_csv_metadata(str(out))
+        assert (meta["samples_per_cell"], meta["cells"]) == ("300", "2")
+        records = parse_records_csv(str(out))
+        assert 0 < len(records) < 300
+        assert {r.p for r in records} == {0.001}
+        capsys.readouterr()
+        assert main(["switch-check", "--threshold", "1.0", "--in", str(out),
+                     "--method", "cluster"]) == 0
+        assert " n=600 " in capsys.readouterr().out
+
+    def test_fit_needs_samples_per_cell(self, tmp_path):
+        from softgap.cli import main
+        bare = tmp_path / "bare.csv"
+        bare.write_text(records_to_csv(run_sweep(small_cfg(samples=5))))
+        with pytest.raises(SystemExit):
+            main(["fit", "--model", "power", "--dmin", "3", "--in", str(bare),
+                  "--out", str(tmp_path / "fit.json")])
 
     def test_consistency_cli(self, tmp_path):
         from softgap.cli import main

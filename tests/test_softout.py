@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from softgap.softout import (
     ContractedView,
     bounded_cluster_gap,
     cluster_gap,
+    cluster_gaps,
     contract,
     extra_cluster_gap,
     extra_cluster_gap_cg,
@@ -27,8 +29,11 @@ from oracles import (
     oracle_all_paths_gap,
     oracle_bottleneck_gap,
     oracle_cluster_gap,
+    oracle_visited,
     random_clusters,
     random_graph,
+    random_groups,
+    random_rough_graph,
 )
 
 EPS20 = db_to_scaled(20.0)
@@ -118,6 +123,71 @@ class TestBoundedClusterGap:
         r = bounded_cluster_gap(contract(g, cs), 0)
         assert r.value is None
         assert r.visited_nodes == 1
+
+
+def _connected(graph, group):
+    inside = set(group)
+    seen = {group[0]}
+    stack = [group[0]]
+    while stack:
+        x = stack.pop()
+        for y, _, _ in graph.neighbors[x]:
+            if y in inside and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(inside)
+
+
+class TestVisitedNodes:
+    """``visited_nodes`` of the cluster and bounded gaps against the
+    Bellman-Ford (distance, part id) oracle."""
+
+    BUDGETS = (0, nat(1), nat(2.5), EPS20)
+
+    def _check(self, g, cs):
+        view = contract(g, cs)
+        expected = oracle_visited(g, cs)
+        for eps in self.BUDGETS:
+            full, bounded = cluster_gaps(view, eps)
+            assert full.visited_nodes == expected
+            assert bounded.visited_nodes == oracle_visited(g, cs, eps)
+            assert cluster_gap(view) == full
+            assert bounded_cluster_gap(view, eps) == bounded
+
+    def test_matches_oracle_on_random_graphs(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            g = random_graph(rng, max_nodes=80)
+            self._check(g, ClusterState.from_partition(g, random_clusters(rng, g)))
+
+    def test_matches_oracle_on_rough_graphs(self):
+        rng = random.Random(777)
+        seen = Counter()
+        for _ in range(1500):
+            g = random_rough_graph(rng)
+            groups = random_groups(rng, g)
+            cs = ClusterState.from_partition(g, groups)
+            self._check(g, cs)
+            view = contract(g, cs)
+            seen["zero-weight edge between parts"] += any(
+                e.weight == 0 and view.rep[e.u] != view.rep[e.v] for e in g.edges)
+            seen["parallel edges"] += len({(e.u, e.v) for e in g.edges}) < g.num_edges
+            seen["more than two boundaries"] += len(g.boundaries) > 2
+            seen["disconnected group"] += any(not _connected(g, gr) for gr in groups)
+            seen["b1 inside a cluster"] += view.boundary_parts[0] in view.members
+        assert len(seen) == 5 and min(seen.values()) >= 100, seen
+
+    def test_tie_at_gap_counts_lower_part_ids_only(self):
+        # b1 = 0, b2 = 1.  Detectors 3 and 5 are at the gap's distance with
+        # ids above b2's, so they are not counted, although b2 is reached
+        # only through 5 (a zero-weight edge).
+        edges = [Edge(0, 5, nat(1)), Edge(1, 5, 0), Edge(0, 3, nat(1)),
+                 Edge(3, 4, nat(5)), Edge(2, 4, nat(5))]
+        g = DecodingGraph(6, (0, 1), edges)
+        cs = ClusterState(g)
+        r = cluster_gap(contract(g, cs))
+        assert r.value == nat(1)
+        assert r.visited_nodes == oracle_visited(g, cs) == 2
 
 
 class TestExtraClusterGap:
