@@ -36,9 +36,9 @@ print(f"\n20 dB = {db_to_nat(20.0):.6f} natural units"
 g = build_phenomenological(d=5, rounds=5, p=0.001)
 print(f"\nd=5, rounds=5: {g.num_detectors} detectors,"
       f" {g.num_edges} edges, boundaries {g.boundaries}")
-print("max detector degree:", max(len(g.adjacency[x]) for x in g.detector_ids()))
+print("max detector degree:", max(len(g.neighbors[x]) for x in g.detector_ids()))
 print("detectors adjacent to each boundary:",
-      len(g.adjacency[g.boundaries[0]]), "per side")
+      len(g.neighbors[g.boundaries[0]]), "per side")
 
 # Graphs round trip through a line-oriented text format, so externally
 # generated graphs (e.g. circuit-level ones) can be supplied as files.

@@ -47,13 +47,13 @@ from .softout import (
     ContractedView,
     GapResult,
     Growth,
-    MultiGapReport,
     bounded_cluster_gap,
     cluster_gap,
     cluster_gaps,
     contract,
     extra_cluster_gap,
     extra_cluster_gap_cg,
+    extra_gaps,
     grow_clusters,
     multi_boundary_extra_gap,
 )

@@ -46,15 +46,19 @@ def _config_from(args) -> SweepConfig:
                        skip_empty_syndromes=not args.keep_empty)
 
 
-def _sweep_size(path):
-    """(samples_per_cell, cells) as a sweep wrote them into its CSV; empty
-    samples it skipped leave no record, so the records cannot tell."""
-    metadata = parse_csv_metadata(path)
+def _read_sweep_csv(path):
+    """The records of a sweep CSV and its (samples_per_cell, cells), as the
+    sweep wrote them; empty samples it skipped leave no record, so the
+    records cannot tell."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    metadata = parse_csv_metadata(text)
     try:
-        return int(metadata["samples_per_cell"]), int(metadata["cells"])
+        size = int(metadata["samples_per_cell"]), int(metadata["cells"])
     except KeyError as missing:
         raise SystemExit(f"{path}: no '# {missing.args[0]}=' line; "
                          "write it with `softgap sweep --format csv`") from None
+    return parse_records_csv(text), size
 
 
 def main(argv=None) -> int:
@@ -134,8 +138,7 @@ def main(argv=None) -> int:
         return 0 if total == 0 else 1
 
     if args.command == "fit":
-        records = parse_records_csv(args.infile)
-        samples, _ = _sweep_size(args.infile)
+        records, (samples, _) = _read_sweep_csv(args.infile)
         rows = [r for r in aggregate(records, samples, args.epsilon_max_db)
                 if r.method == args.method]
         results = {}
@@ -155,8 +158,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "switch-check":
-        samples, cells = _sweep_size(args.infile)
-        chk = switch_check(parse_records_csv(args.infile), args.threshold,
+        records, (samples, cells) = _read_sweep_csv(args.infile)
+        chk = switch_check(records, args.threshold,
                            epsilon_max_db=args.epsilon_max_db, method=args.method,
                            attempted=samples * cells)
         print(f"measured_rate={chk.measured_rate!r} threshold={chk.user_threshold!r} "

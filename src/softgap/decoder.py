@@ -7,13 +7,18 @@ to the next collision or node-coverage instant, computed exactly.
 
 Internal units: edge coverage and growth radii are tracked in "h-units"
 (1 h-unit = 1/2 scaled weight unit), so a frontier meeting in the middle of
-an edge stays on an integer grid.  The rare event instants that fall off the
-half-integer grid (possible after pause/resume interleavings) promote to
-exact rationals, never floats, so event ordering is always exact.
+an edge stays on an integer grid.  With integer edge weights (which
+``DecodingGraph`` enforces) every event instant is an integer clock value,
+so event ordering is exact: each seed starts at clock 0, a node is
+absorbed when one growing side alone covers an edge of even h-length 2w,
+and two clusters merge when their two sides sum to 2w.  So all side
+coverages of a cluster share one parity, which for every active cluster is
+the clock's, and the remaining h-length of an edge grown from both sides is
+even.  An odd remainder would break that argument and raises
+InvariantViolationError.
 """
 
 import heapq
-from fractions import Fraction
 
 from .graphs import DecodingGraph
 from .sampling import Syndrome
@@ -107,14 +112,6 @@ def _union_meta(cs: ClusterState, ra: int, rb: int) -> int:
     return ra
 
 
-def _half(value):
-    """Exact value/2: stays int when even, promotes to Fraction when not."""
-    if isinstance(value, int):
-        q, m = divmod(value, 2)
-        return q if m == 0 else Fraction(value, 2)
-    return value / 2
-
-
 def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     """Grow clusters around the detection events until all are neutral.
 
@@ -169,7 +166,10 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
         rem = w2[eidx] - cu - cv
         if rate == 1:
             return clock + rem
-        return clock + _half(rem)
+        if rem & 1:
+            raise InvariantViolationError(
+                f"edge {eidx} has odd remaining coverage {rem} between two growing sides")
+        return clock + (rem >> 1)
 
     def push(eidx):
         nonlocal op_count

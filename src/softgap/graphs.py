@@ -79,8 +79,9 @@ class DecodingGraph:
     """Immutable decoding graph: detectors plus ordered boundary nodes.
 
     Nodes are 0-based ids; boundary ids are listed in ``boundaries``.
-    ``adjacency[n]`` lists incident edge indices, and ``neighbors[n]`` holds
-    precomputed (other_node, weight, edge_index) triples for search loops.
+    ``neighbors[n]`` holds the (other_node, weight, edge_index) triple of
+    every edge incident to n, and ``edge_arrays()`` the same edges as flat
+    per-edge lists.  Weights are non-negative integers.
     """
 
     def __init__(self, num_nodes: int, boundaries, edges,
@@ -108,6 +109,9 @@ class DecodingGraph:
                 raise InvalidParameterError(f"edge {i} references node outside graph")
             if e.u == e.v:
                 raise InvalidParameterError(f"edge {i} is a self-loop")
+            if not isinstance(e.weight, int):
+                raise InvalidParameterError(
+                    f"edge {i} ({e.u},{e.v}) has non-integer weight {e.weight!r}")
             if e.weight < 0:
                 raise InvalidParameterError(f"edge {i} has negative weight")
             if e.prob is not None and e.prob > 0 and e.weight != weight_from_prob(e.prob):
@@ -116,14 +120,10 @@ class DecodingGraph:
             checked.append(e)
         self.edges = tuple(checked)
 
-        adjacency = [[] for _ in range(num_nodes)]
         neighbors = [[] for _ in range(num_nodes)]
         for i, e in enumerate(self.edges):
-            adjacency[e.u].append(i)
-            adjacency[e.v].append(i)
             neighbors[e.u].append((e.v, e.weight, i))
             neighbors[e.v].append((e.u, e.weight, i))
-        self.adjacency = tuple(tuple(a) for a in adjacency)
         self.neighbors = tuple(tuple(n) for n in neighbors)
 
         self._check_connected()
@@ -131,17 +131,6 @@ class DecodingGraph:
     @property
     def num_detectors(self) -> int:
         return self.num_nodes - len(self.boundaries)
-
-    def edge_probs(self):
-        """Per-edge probabilities as a list (None entries for weight-only edges).
-
-        Memoized; the graph is immutable after construction.
-        """
-        cached = getattr(self, "_edge_probs", None)
-        if cached is None:
-            cached = [e.prob for e in self.edges]
-            object.__setattr__(self, "_edge_probs", cached)
-        return cached
 
     def edge_arrays(self):
         """Memoized flat (endpoint_u, endpoint_v, weight) edge arrays."""

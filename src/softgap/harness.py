@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, asdict
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
 from .sampling import SeedSpec, sample_syndrome, Syndrome
 from .decoder import decode, nodes_in_clusters
-from .softout import (contract, cluster_gaps, grow_clusters,
-                      extra_cluster_gap, extra_cluster_gap_cg)
+from .softout import contract, cluster_gaps, extra_gaps
 
 METHODS = ("cluster", "bounded", "extra", "extra_cg")
 
@@ -102,13 +101,7 @@ def evaluate_sample(graph: DecodingGraph, events, eps_scaled: int, methods):
     if "cluster" in methods or "bounded" in methods:
         gaps["cluster"], gaps["bounded"] = cluster_gaps(view, eps_scaled)
     if "extra" in methods or "extra_cg" in methods:
-        growth = grow_clusters(view, eps_scaled)
-        if "extra" in methods:
-            gaps["extra"] = extra_cluster_gap(graph, cs, eps_scaled, view=view,
-                                              growth=growth)
-        if "extra_cg" in methods:
-            gaps["extra_cg"] = extra_cluster_gap_cg(graph, cs, eps_scaled,
-                                                    view=view, growth=growth)
+        gaps["extra"], gaps["extra_cg"] = extra_gaps(view, eps_scaled)
     out = tuple((r.value, r.visited_nodes, r.extra_nodes, r.cluster_graph_invoked)
                 for r in map(gaps.__getitem__, methods))
     return nodes_in_clusters(cs), cs.radius2_log, out
@@ -402,16 +395,8 @@ def records_to_csv(records, metadata: dict | None = None) -> str:
     return buf.getvalue()
 
 
-def _csv_text(text_or_path) -> str:
-    if "\n" in str(text_or_path):
-        return text_or_path
-    with open(text_or_path, "r", encoding="utf-8") as f:
-        return f.read()
-
-
-def parse_records_csv(text_or_path) -> list:
-    """Inverse of records_to_csv; accepts a path or CSV text."""
-    text = _csv_text(text_or_path)
+def parse_records_csv(text: str) -> list:
+    """Inverse of records_to_csv: the records in CSV text."""
     records = []
     header_seen = False
     for line in text.splitlines():
@@ -434,11 +419,11 @@ def parse_records_csv(text_or_path) -> list:
     return records
 
 
-def parse_csv_metadata(text_or_path) -> dict:
+def parse_csv_metadata(text: str) -> dict:
     """The ``# key=value`` lines records_to_csv writes before the header,
-    as a dict of strings; accepts a path or CSV text."""
+    as a dict of strings."""
     metadata = {}
-    for line in _csv_text(text_or_path).splitlines():
+    for line in text.splitlines():
         if not line.startswith("#"):
             break
         key, sep, value = line[1:].strip().partition("=")

@@ -49,7 +49,7 @@ class Syndrome:
 def _prob_array(g: DecodingGraph) -> np.ndarray:
     arr = getattr(g, "_prob_array", None)
     if arr is None:
-        raw = g.edge_probs()
+        raw = [e.prob for e in g.edges]
         for i, p in enumerate(raw):
             if p is None:
                 e = g.edges[i]

@@ -15,15 +15,17 @@ drop to weight zero:
                                 the exact quotient distance whenever it is
                                 within the threshold.
 
-``cluster_gaps`` computes the first two from one search.  It does not start
-each search anew: the bare graph's distances from b1 are computed once per
-graph, and per sample only the decreases that the clusters cause are
-propagated.
+They come in two families, each computed once per sample.  ``cluster_gaps``
+returns the first two from one search.  It does not start each search anew:
+the bare graph's distances from b1 are computed once per graph, and per
+sample only the decreases that the clusters cause are propagated.
 The reported ``visited_nodes`` is still the number of parts a plain Dijkstra
 search from b1 settles, rebuilt from the final distances, so for
 ``cluster`` it measures the paper's cost model while the wall time no longer
-scales with it.  ``grow_clusters`` runs the growth that both extra
-estimators read; pass its result through ``growth=`` to grow once.
+scales with it.  ``extra_gaps`` returns the last two from one
+``grow_clusters`` pass and one replay of its collisions;
+``multi_boundary_extra_gap`` reads the same growth for every boundary pair.
+The four single estimators are thin wrappers over the two families.
 
 All values are scaled integers; every comparison is exact.  During extra
 growth each covered node remembers its nearest originating cluster, so a
@@ -34,7 +36,7 @@ pair.
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations, compress
 
 from .decoder import ClusterState
 from .graphs import DecodingGraph
@@ -82,11 +84,6 @@ class ContractedView:
         self.members = members            # part id -> list of nodes (multi-node parts only)
         self.sources = sources            # tuple of part ids that grow
         self.boundary_parts = tuple(rep[b] for b in graph.boundaries)
-
-    @classmethod
-    def from_partition(cls, graph: DecodingGraph, groups) -> "ContractedView":
-        """Contract an explicit list of clusters (test and tooling path)."""
-        return contract(graph, ClusterState.from_partition(graph, groups))
 
 
 def contract(g: DecodingGraph, cs: ClusterState) -> ContractedView:
@@ -219,18 +216,14 @@ class Growth:
     ``collisions``: (epsilon, edge_index, origin_a, origin_b) sorted events;
     epsilon is the exact budget at which the two origins' regions meet
     through that edge (covered length of both sides plus the edge weight).
-    ``origin``: per part, the source whose ball reached it first (None for
-    parts beyond half the budget).
     """
 
-    def __init__(self, settled, collisions, origin):
+    def __init__(self, settled, collisions):
         self.settled = settled
         self.collisions = collisions
-        self.origin = origin
 
 
-def grow_clusters(view: ContractedView, eps_max: int,
-                  sources=None) -> Growth:
+def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     """Grow all source parts simultaneously up to radius eps_max/2.
 
     Multi-source bounded search with origin tracking: each covered part
@@ -240,21 +233,18 @@ def grow_clusters(view: ContractedView, eps_max: int,
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
-    graph = view.graph
     rep = view.rep
     members = view.members
-    neighbors = graph.neighbors
-    if sources is None:
-        sources = view.sources
+    neighbors = view.graph.neighbors
 
-    n = graph.num_nodes
+    n = view.graph.num_nodes
     dist = [None] * n
     origin = [None] * n
     is_settled = [False] * n
     settled = []
     collisions = []
     heap = []
-    for srt in sorted(sources):
+    for srt in view.sources:
         dist[srt] = 0
         origin[srt] = srt
         heap.append((0, srt))
@@ -290,7 +280,7 @@ def grow_clusters(view: ContractedView, eps_max: int,
                     heapq.heappush(heap, (nd, y))
 
     collisions.sort()
-    return Growth(settled, collisions, origin)
+    return Growth(settled, collisions)
 
 
 class _PartUnion:
@@ -317,87 +307,68 @@ class _PartUnion:
             self.parent[rb] = ra
 
 
-def _count_new_nodes(view: ContractedView, settled, eps_threshold):
-    """Nodes newly covered by growth: settled non-source parts within
-    radius eps_threshold/2 (source parts were covered before growth)."""
+def _new_node_radii(view: ContractedView, settled):
+    """Twice the distance of each part the growth newly covered, ascending.
+
+    Sources were covered before growth, and every other part is one bare
+    detector, so ``bisect_right(radii, t)`` nodes are newly covered within
+    radius t/2.
+    """
     sources = set(view.sources)
-    count = 0
-    for part, d in settled:
-        if 2 * d > eps_threshold or part in sources:
-            continue
-        count += len(view.members[part]) if part in view.members else 1
-    return count
+    return [2 * d for part, d in settled if part not in sources]
 
 
-def extra_cluster_gap(g: DecodingGraph, cs: ClusterState, eps_max: int,
-                      view: ContractedView | None = None,
-                      growth: Growth | None = None) -> GapResult:
-    """Smallest growth budget epsilon <= eps_max at which simultaneous
-    growth of the clusters and boundaries connects the first two boundaries.
+def _extra_results(growth: Growth, radii, pairs):
+    """Plain extra-cluster gaps for (part, part) pairs, from one replay of
+    the collisions through one union-find that stops once every pair has
+    joined.
 
-    Equals the bottleneck (minimax consecutive-hop) distance between the two
-    boundaries over the contracted graph, capped at eps_max; undefined when
-    no connection forms within the budget.  Growth stops at the connection
-    instant, so ``extra_nodes`` counts exactly the nodes covered by then.
-    ``growth``, when given, must be ``grow_clusters(view, eps_max)``.
+    A pair's value is the budget of the first collision after which both
+    parts share a merged set, None when that never happens within the
+    budget.  Its ``extra_nodes`` counts the nodes newly covered by that
+    instant, or within the growth radius when undefined.  A pair the
+    decoder already joined needs no growth: value 0, no extra nodes.
     """
-    if view is None:
-        view = contract(g, cs)
-    b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
-    if b1 == b2:
-        return GapResult("extra", 0, extra_nodes=0)
-    if growth is None:
-        growth = grow_clusters(view, eps_max)
+    values = [0 if a == b else None for a, b in pairs]
+    waiting = [i for i, (a, b) in enumerate(pairs) if a != b]
     uf = _PartUnion()
-    value = None
+    find = uf.find
     for eps_c, _, a, b in growth.collisions:
-        uf.union(a, b)
-        if uf.find(b1) == uf.find(b2):
-            value = eps_c
+        if not waiting:
             break
-    if value is None:
-        extra = _count_new_nodes(view, growth.settled, eps_max)
-    else:
-        extra = _count_new_nodes(view, growth.settled, value)
-    return GapResult("extra", value, extra_nodes=extra)
+        uf.union(a, b)
+        still = []
+        for i in waiting:
+            if find(pairs[i][0]) == find(pairs[i][1]):
+                values[i] = eps_c
+            else:
+                still.append(i)
+        waiting = still
+    results = []
+    for (a, b), v in zip(pairs, values):
+        if a == b:
+            nodes = 0
+        elif v is None:
+            nodes = len(radii)
+        else:
+            nodes = bisect_right(radii, v)
+        results.append(GapResult("extra", v, extra_nodes=nodes))
+    return results
 
 
-def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
-                         view: ContractedView | None = None,
-                         growth: Growth | None = None) -> GapResult:
-    """Extra-cluster gap refined through the graph of grown clusters.
+def _covered_distance(view: ContractedView, growth: Growth, eps_max: int):
+    """Exact b1..b2 distance over the region the growth covered.
 
-    The growth pass runs to the full budget; if the boundaries end in one
-    merged set, the estimator returns the exact shortest b1..b2 distance over
-    the region the growth covered.  An edge of the contracted graph is fully
-    covered exactly when d(u) + w + d(v) <= eps_max, d being the recorded
-    distance to the nearest original cluster/boundary, so the covered region
-    is reconstructed from the growth labels alone.  The result can exceed
-    eps_max, but equals the plain cluster gap whenever that is within the
-    budget.  ``growth``, when given, must be ``grow_clusters(view, eps_max)``.
+    An edge of the contracted graph is fully covered exactly when
+    d(u) + w + d(v) <= eps_max, d being the recorded distance to the
+    nearest original cluster/boundary, so the covered region is rebuilt
+    from the growth labels alone.
     """
-    if view is None:
-        view = contract(g, cs)
     b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
-    if growth is None:
-        growth = grow_clusters(view, eps_max)
-    extra = _count_new_nodes(view, growth.settled, eps_max)
-    if b1 != b2:
-        uf = _PartUnion()
-        for _, _, a, b in growth.collisions:
-            uf.union(a, b)
-        if uf.find(b1) != uf.find(b2):
-            return GapResult("extra_cg", None, extra_nodes=extra,
-                             cluster_graph_invoked=False)
-    if b1 == b2:
-        return GapResult("extra_cg", 0, extra_nodes=extra,
-                         cluster_graph_invoked=True)
-
-    # Adjacency restricted to fully covered edges of the contracted graph.
     label = dict(growth.settled)
     rep = view.rep
     adj = {}
-    for e in g.edges:
+    for e in view.graph.edges:
         a, b = rep[e.u], rep[e.v]
         if a == b:
             continue
@@ -411,15 +382,13 @@ def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
     dist = {b1: 0}
     done = set()
     heap = [(0, b1)]
-    value = None
     while heap:
         d, x = heapq.heappop(heap)
         if x in done:
             continue
         done.add(x)
         if x == b2:
-            value = d
-            break
+            return d
         for y, w in adj.get(x, ()):
             if y in done:
                 continue
@@ -427,76 +396,63 @@ def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
             if y not in dist or nd < dist[y]:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
-    if value is None:
-        raise RuntimeError("growth reported a connection the covered region lacks")
-    return GapResult("extra_cg", value, extra_nodes=extra,
-                     cluster_graph_invoked=True)
+    raise RuntimeError("growth reported a connection the covered region lacks")
 
 
-class MultiGapReport:
-    """Mapping from boundary pair (b_i, b_j) to GapResult, plus the number
-    of growth passes spent producing it (always 1)."""
+def extra_gaps(view: ContractedView, eps_max: int):
+    """The extra-cluster gap and its refinement through the graph of grown
+    clusters at budget ``eps_max`` (scaled), from one growth pass and one
+    replay of its collisions.  Returns (extra, extra_cg) GapResults.
 
-    def __init__(self, pairs: dict, growth_passes: int):
-        self.pairs = dict(pairs)
-        self.growth_passes = growth_passes
+    ``extra`` is the smallest budget at which simultaneous growth of the
+    clusters and boundaries connects b1 to b2: the bottleneck (minimax
+    consecutive-hop) distance between them over the contracted graph,
+    undefined beyond the budget.  Union-find only merges, so b1 and b2 end
+    in one set exactly when ``extra`` is defined; only then does
+    ``extra_cg`` search the covered region for the exact b1..b2 distance.
+    That can exceed eps_max, but equals the cluster gap whenever the
+    cluster gap is within the budget.  Its ``extra_nodes`` counts every
+    node the growth covered.
+    """
+    b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
+    growth = grow_clusters(view, eps_max)
+    radii = _new_node_radii(view, growth.settled)
+    extra, = _extra_results(growth, radii, [(b1, b2)])
+    if extra.value is None:
+        return extra, GapResult("extra_cg", None, extra_nodes=len(radii))
+    return extra, GapResult("extra_cg", _covered_distance(view, growth, eps_max),
+                            extra_nodes=len(radii), cluster_graph_invoked=True)
 
-    def __getitem__(self, key):
-        return self.pairs[key]
 
-    def __iter__(self):
-        return iter(self.pairs)
+def extra_cluster_gap(g: DecodingGraph, cs: ClusterState, eps_max: int,
+                      view: ContractedView | None = None) -> GapResult:
+    """Smallest growth budget epsilon <= eps_max at which simultaneous
+    growth of the clusters and boundaries connects the first two
+    boundaries; undefined when no connection forms within the budget.
+    ``extra_nodes`` counts the nodes covered by the connection instant."""
+    return extra_gaps(contract(g, cs) if view is None else view, eps_max)[0]
 
-    def __len__(self):
-        return len(self.pairs)
 
-    def items(self):
-        return self.pairs.items()
+def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
+                         view: ContractedView | None = None) -> GapResult:
+    """Extra-cluster gap refined through the graph of grown clusters: the
+    exact b1..b2 distance over the covered region whenever the growth
+    connects the boundaries, undefined otherwise."""
+    return extra_gaps(contract(g, cs) if view is None else view, eps_max)[1]
 
 
 def multi_boundary_extra_gap(g: DecodingGraph, cs: ClusterState,
-                             eps_max: int) -> MultiGapReport:
-    """Extra-cluster gaps for every pair among M boundaries from a single
-    growth pass.
+                             eps_max: int) -> dict:
+    """Extra-cluster gaps for every pair among M boundaries from one growth
+    pass and one replay of its collisions.
 
-    All clusters and all boundaries grow together once; a pair's value is
-    the first epsilon at which the two boundaries share a merged set
-    (undefined if that never happens within the budget).
+    Returns {(b_i, b_j): GapResult} for i < j in boundary order.  Each pair
+    follows the rule of ``extra_cluster_gap``, including value 0 and no
+    extra nodes for a pair the decoder already joined.
     """
     view = contract(g, cs)
     growth = grow_clusters(view, eps_max)
-    uf = _PartUnion()
-    values = {}
-    unresolved = {}
-    nb = len(g.boundaries)
-    pair_keys = []
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            key = (g.boundaries[i], g.boundaries[j])
-            pair_keys.append(key)
-            pi, pj = view.rep[g.boundaries[i]], view.rep[g.boundaries[j]]
-            if pi == pj:
-                values[key] = 0
-            else:
-                unresolved[key] = (pi, pj)
-
-    for eps_c, _, a, b in growth.collisions:
-        if not unresolved:
-            break
-        uf.union(a, b)
-        resolved_now = [key for key, (pa, pb) in unresolved.items()
-                        if uf.find(pa) == uf.find(pb)]
-        for key in resolved_now:
-            values[key] = eps_c
-            del unresolved[key]
-
-    results = {}
-    for key in pair_keys:
-        if key in values:
-            eps_v = values[key]
-            extra = _count_new_nodes(view, growth.settled, eps_v)
-            results[key] = GapResult("extra", eps_v, extra_nodes=extra)
-        else:
-            extra = _count_new_nodes(view, growth.settled, eps_max)
-            results[key] = GapResult("extra", None, extra_nodes=extra)
-    return MultiGapReport(results, growth_passes=1)
+    radii = _new_node_radii(view, growth.settled)
+    pairs = list(combinations(view.boundary_parts, 2))
+    results = _extra_results(growth, radii, pairs)
+    return dict(zip(combinations(g.boundaries, 2), results))

@@ -2,6 +2,7 @@ import heapq
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from softgap.graphs import DecodingGraph, Edge, build_phenomenological
 from softgap.sampling import ErrorPattern, SeedSpec, Syndrome, sample_syndrome, syndrome_of
@@ -184,7 +185,7 @@ class TestDecodeInvariants:
         for idx in range(100):
             cs = decode(g, sample_syndrome(g, SeedSpec(8, idx)))
             n = max(2, nodes_in_clusters(cs) + len(g.boundaries))
-            degree_bound = max(len(a) for a in g.adjacency)
+            degree_bound = max(len(a) for a in g.neighbors)
             budget = 40 * degree_bound * n * math.log2(n)
             assert cs.op_count <= budget
 
@@ -234,3 +235,40 @@ class TestGrowthRadius:
         closed_ball = {x for x, dx in dist.items()
                        if dx <= radius and not g.is_boundary[x]}
         assert interior <= covered <= closed_ball
+
+
+@st.composite
+def weighted_syndromes(draw):
+    """A small connected graph with integer weights 0..7 (odd ones
+    included), two or three boundaries and a random detection-event set."""
+    n = draw(st.integers(5, 14))
+    edges = [(draw(st.integers(0, x - 1)), x, draw(st.integers(0, 7)))
+             for x in range(1, n)]
+    for _ in range(draw(st.integers(0, n))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        edges.append((u, v, draw(st.integers(0, 7))))
+    boundaries = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3,
+                               unique=True))
+    detectors = [x for x in range(n) if x not in boundaries]
+    events = draw(st.sets(st.sampled_from(detectors)))
+    return n, boundaries, edges, events
+
+
+class TestIntegerClock:
+    # Every event instant is an integer: a rate-2 remainder is always even.
+    # The example forces a pause and a resume: events 0 and 1 meet after
+    # one h-unit and pause (even parity), event 2 reaches them at clock 9,
+    # and the odd merged cluster resumes towards a boundary.
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @example((5, [3, 4], [(0, 1, 1), (1, 2, 5), (0, 3, 100), (2, 4, 100)],
+              {0, 1, 2}))
+    @given(weighted_syndromes())
+    def test_integer_weights_decode_on_the_integer_grid(self, case):
+        n, boundaries, edges, events = case
+        g = DecodingGraph(n, boundaries, [Edge(u, v, w) for u, v, w in edges])
+        s = Syndrome(frozenset(events))
+        cs = decode(g, s)
+        assert type(cs.radius2_log) is int
+        corr = peel(g, cs, s)
+        assert syndrome_of(g, ErrorPattern(corr)).events == s.events

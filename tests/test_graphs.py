@@ -85,7 +85,7 @@ class TestPhenomenologicalBuilder:
         assert g.num_detectors == 8
         assert len(g.boundaries) == 2
         for x in g.detector_ids():
-            assert len(g.adjacency[x]) <= 6
+            assert len(g.neighbors[x]) <= 6
 
     def test_d3_shortest_crossing_is_three_edges(self):
         g = build_phenomenological(3, 1, 0.001)
@@ -103,11 +103,11 @@ class TestPhenomenologicalBuilder:
         g = build_phenomenological(d, rounds, 0.001)
         assert g.num_detectors == (d * d - 1) // 2 * (rounds + 1)
         for x in g.detector_ids():
-            assert len(g.adjacency[x]) <= 6
+            assert len(g.neighbors[x]) <= 6
         b1, b2 = g.boundaries
         per_boundary = (d + 1) // 2 * (rounds + 1)
-        assert len(g.adjacency[b1]) == per_boundary
-        assert len(g.adjacency[b2]) == per_boundary
+        assert len(g.neighbors[b1]) == per_boundary
+        assert len(g.neighbors[b2]) == per_boundary
 
     def test_deterministic_construction(self, tmp_path):
         g1 = build_phenomenological(5, 3, 0.004)
@@ -222,3 +222,8 @@ class TestGraphValidation:
     def test_rejects_inconsistent_prob_weight(self):
         with pytest.raises(InvalidParameterError):
             DecodingGraph(2, (0, 1), [Edge(0, 1, 123, prob=0.01)])
+
+    def test_rejects_non_integer_weight(self):
+        # a float weight would make every distance and radius a float
+        with pytest.raises(InvalidParameterError, match=r"edge 1 \(1,2\).*2\.5"):
+            DecodingGraph(3, (0, 2), [Edge(0, 1, 1), Edge(1, 2, 2.5)])

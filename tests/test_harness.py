@@ -109,7 +109,8 @@ class TestPinnedOutput:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("cluster_gaps", "grow_clusters"):
+        names = ("cluster_gaps", "extra_gaps", "grow_clusters", "_extra_results")
+        for name in names:
             wrapper = counted(name, getattr(softout, name))
             monkeypatch.setattr(softout, name, wrapper)
             if hasattr(harness, name):
@@ -123,7 +124,7 @@ class TestPinnedOutput:
                 continue
             calls.clear()
             harness.evaluate_sample(g, events, eps, METHODS)
-            assert calls == {"cluster_gaps": 1, "grow_clusters": 1}
+            assert calls == dict.fromkeys(names, 1)
             evaluated += 1
         assert evaluated >= 30
 
@@ -144,6 +145,11 @@ class TestEmit:
         parsed = parse_records_csv(text)
         assert parsed == records
         assert records_to_csv(parsed) == text
+
+    def test_parse_header_only_text(self):
+        # text, never a path: a header alone is a CSV with no records
+        assert parse_records_csv(CSV_HEADER) == []
+        assert parse_csv_metadata(CSV_HEADER) == {}
 
     def test_json_emission(self, tmp_path):
         records = list(run_sweep(small_cfg(samples=10)))
@@ -281,7 +287,7 @@ class TestCli:
         assert main(["sweep", "--distances", "3", "--probs", "0.01",
                      "--samples", "25", "--seed", "5", "--keep-empty",
                      "--out", str(out)]) == 0
-        records = parse_records_csv(str(out))
+        records = parse_records_csv(out.read_text())
         assert len(records) == 25 * 4
 
     def test_fit_and_switch_check(self, tmp_path):
@@ -308,9 +314,9 @@ class TestCli:
         assert main(["sweep", "--distances", "5", "--probs", "0.001,1e-7",
                      "--samples", "300", "--seed", "3", "--methods", "cluster",
                      "--out", str(out)]) == 0
-        meta = parse_csv_metadata(str(out))
+        meta = parse_csv_metadata(out.read_text())
         assert (meta["samples_per_cell"], meta["cells"]) == ("300", "2")
-        records = parse_records_csv(str(out))
+        records = parse_records_csv(out.read_text())
         assert 0 < len(records) < 300
         assert {r.p for r in records} == {0.001}
         capsys.readouterr()

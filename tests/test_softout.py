@@ -13,14 +13,15 @@ from softgap.graphs import (
 )
 from softgap.sampling import SeedSpec, sample_syndrome
 from softgap.decoder import ClusterState, decode
+from softgap import softout
 from softgap.softout import (
-    ContractedView,
     bounded_cluster_gap,
     cluster_gap,
     cluster_gaps,
     contract,
     extra_cluster_gap,
     extra_cluster_gap_cg,
+    extra_gaps,
     grow_clusters,
     multi_boundary_extra_gap,
 )
@@ -304,20 +305,62 @@ class TestCrossEstimatorProperties:
                 assert g_c <= g_cg
 
 
+def count_growths(monkeypatch):
+    """Counter of the grow_clusters calls made through the softout module."""
+    calls = Counter()
+    grow = softout.grow_clusters
+
+    def counted(*args):
+        calls["grow_clusters"] += 1
+        return grow(*args)
+
+    monkeypatch.setattr(softout, "grow_clusters", counted)
+    return calls
+
+
 class TestMultiBoundary:
-    def test_two_boundaries_consistent_with_single_pair(self):
+    def test_two_boundaries_consistent_with_single_pair(self, monkeypatch):
+        calls = count_growths(monkeypatch)
         rng = random.Random(909)
         for _ in range(80):
             g = random_graph(rng, max_nodes=50)
             cs = ClusterState.from_partition(g, random_clusters(rng, g))
             single = extra_cluster_gap(g, cs, EPS20)
+            calls.clear()
             report = multi_boundary_extra_gap(g, cs, EPS20)
-            assert len(report) == 1
-            assert report[tuple(g.boundaries)].value == single.value
-            assert report.growth_passes == 1
+            assert calls["grow_clusters"] == 1
+            assert report == {tuple(g.boundaries): single}
 
-    def test_eight_boundaries_single_pass(self):
+    def test_every_pair_equals_single_pair_on_rough_graphs(self):
+        # pair (b_i, b_j) of the multi-boundary report must equal the
+        # single-pair estimator on the same graph with b_i, b_j listed
+        # first: every boundary grows in both, so the growth is the same.
+        rng = random.Random(2718)
+        seen = Counter()
+        for _ in range(400):
+            g = random_rough_graph(rng)
+            groups = random_groups(rng, g)
+            cs = ClusterState.from_partition(g, groups)
+            report = multi_boundary_extra_gap(g, cs, EPS20)
+            view = contract(g, cs)
+            # zero-distance growth, which a joined pair must not count
+            zero_grown = any(d == 0 and part not in view.sources
+                             for part, d in grow_clusters(view, EPS20).settled)
+            for (a, b), result in report.items():
+                rest = [x for x in g.boundaries if x not in (a, b)]
+                g_ab = DecodingGraph(g.num_nodes, [a, b, *rest], g.edges)
+                cs_ab = ClusterState.from_partition(g_ab, groups)
+                assert result == extra_cluster_gap(g_ab, cs_ab, EPS20)
+                joined = view.rep[a] == view.rep[b]
+                seen["joined by the decoder"] += joined
+                seen["joined, zero-distance parts grown"] += joined and zero_grown
+                seen["joined by growth at budget 0"] += \
+                    not joined and result.value == 0
+        assert len(seen) == 3 and min(seen.values()) >= 100, seen
+
+    def test_eight_boundaries_single_pass(self, monkeypatch):
         # ring of 8 boundaries, neighbors bridged by one detector each
+        calls = count_growths(monkeypatch)
         edges = []
         hop = nat(1.5)
         for i in range(8):
@@ -328,22 +371,23 @@ class TestMultiBoundary:
         cs = ClusterState(g)
         report = multi_boundary_extra_gap(g, cs, EPS20)
         assert len(report) == 28
-        assert report.growth_passes == 1
+        assert calls["grow_clusters"] == 1
         # adjacent pair: one bridge of 3 nat; all pairs connect transitively
         first_pair = (0, 1)
         assert report[first_pair].value == nat(3)
         for key in report:
             assert report[key].value == nat(3)
 
-    def test_star_with_unreachable_pairs(self):
+    def test_star_with_unreachable_pairs(self, monkeypatch):
         # four boundaries, each 6 nat from a central detector: pairwise
         # bottleneck 12 nat > 20 dB budget, so every pair stays undefined
+        calls = count_growths(monkeypatch)
         edges = [Edge(b, 4, nat(6)) for b in range(4)]
         g = DecodingGraph(5, (0, 1, 2, 3), edges)
         cs = ClusterState(g)
         report = multi_boundary_extra_gap(g, cs, EPS20)
         assert len(report) == 6
-        assert report.growth_passes == 1
+        assert calls["grow_clusters"] == 1
         for key in report:
             assert report[key].value is None
 
@@ -355,16 +399,49 @@ class TestMultiBoundary:
         assert report[(0, 1)].value == 0
         assert report[(2, 3)].value is None
 
+    def test_joined_pair_counts_no_extra_nodes(self):
+        # b1 = 0 and b2 = 1 share a cluster; detector 3 hangs off it by a
+        # zero-weight edge, so growth covers it at distance 0.  The joined
+        # pair needs no growth: 0 extra nodes, as the single-pair estimator.
+        edges = [Edge(0, 2, nat(1)), Edge(2, 1, nat(1)), Edge(2, 3, 0)]
+        g = DecodingGraph(4, (0, 1), edges)
+        cs = ClusterState.from_partition(g, [[0, 2, 1]])
+        assert grow_clusters(contract(g, cs), EPS20).settled[-1] == (3, 0)
+        report = multi_boundary_extra_gap(g, cs, EPS20)
+        assert report[(0, 1)] == extra_cluster_gap(g, cs, EPS20)
+        assert report[(0, 1)].extra_nodes == 0
+
+
+class TestExtraGaps:
+    def test_one_growth_for_both_estimators(self, monkeypatch):
+        calls = count_growths(monkeypatch)
+        g, cs = overshoot_chain()
+        extra, extra_cg = extra_gaps(contract(g, cs), EPS20)
+        assert calls["grow_clusters"] == 1
+        assert (extra.value, extra_cg.value) == (nat(2), nat(6))
+        assert extra == extra_cluster_gap(g, cs, EPS20)
+        assert extra_cg == extra_cluster_gap_cg(g, cs, EPS20)
+
+    def test_rules_on_rough_graphs(self):
+        rng = random.Random(1618)
+        for _ in range(400):
+            g = random_rough_graph(rng)
+            cs = ClusterState.from_partition(g, random_groups(rng, g))
+            view = contract(g, cs)
+            g_c = cluster_gap(view).value
+            for eps in (0, nat(1), nat(2.5), EPS20):
+                extra, extra_cg = extra_gaps(view, eps)
+                assert extra.value == oracle_bottleneck_gap(g, cs, eps)
+                assert extra_cg.defined == extra.defined
+                assert extra_cg.cluster_graph_invoked == extra.defined
+                if g_c <= eps:
+                    assert extra_cg.value == g_c
+                if extra_cg.defined:
+                    assert extra_cg.value >= g_c
+                assert extra.extra_nodes <= extra_cg.extra_nodes
+
 
 class TestContractedView:
-    def test_from_partition_matches_contract(self):
-        g = build_phenomenological(3, 2, 0.01)
-        groups = [[0, 1], [4, 5]]
-        v1 = ContractedView.from_partition(g, groups)
-        v2 = contract(g, ClusterState.from_partition(g, groups))
-        assert v1.rep == v2.rep
-        assert v1.sources == v2.sources
-
     def test_sources_exclude_bare_detectors(self):
         g = build_phenomenological(3, 1, 0.001)
         cs = ClusterState.from_partition(g, [[0, 1]])
