@@ -16,6 +16,15 @@ coverages of a cluster share one parity, which for every active cluster is
 the clock's, and the remaining h-length of an edge grown from both sides is
 even.  An odd remainder would break that argument and raises
 InvariantViolationError.
+
+Cluster labels are flat: ``parent[x]`` is the root of every covered node
+(uncovered nodes are their own roots), and ``members`` maps each root to
+its covered nodes.  A union moves the losing root's members to the
+winner and relabels them.  The root rule is union by rank with the lower id
+winning ties, so a relabelled node's cluster rank strictly rises, and rank
+is at most log2 of the cluster size: each node is relabelled at most
+log2(n) times, O(n log n) in all.  Every label lookup is then one list
+read, and the contraction reads the labels instead of rebuilding them.
 """
 
 import heapq
@@ -33,6 +42,8 @@ class ClusterState:
 
     Boundary nodes are covered from the start as their own passive
     zero-radius clusters; a cluster that reaches one becomes inactive.
+    ``parent[x]`` is the root of every covered node and ``members`` maps
+    each root to its covered nodes, in no particular order.
     """
 
     def __init__(self, graph: DecodingGraph, events=frozenset()):
@@ -44,6 +55,7 @@ class ClusterState:
         self.covered = [False] * n
         self.parity = [0] * n          # valid at cluster roots
         self.touches_boundary = list(graph.is_boundary)
+        self.members = {}              # root -> covered nodes of its cluster
         self.cov2_u = None             # per-edge coverage from the u side, h-units
         self.cov2_v = None
         self.radius2_log = 0           # max growth radius ever used, h-units
@@ -51,26 +63,19 @@ class ClusterState:
         self.op_count = 0              # event-queue operations, for complexity checks
         for b in graph.boundaries:
             self.covered[b] = True
+            self.members[b] = [b]
 
     def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:       # path compression
-            parent[x], x = root, parent[x]
-        return root
+        return self.parent[x]
 
     def clusters(self) -> dict:
-        """Map root -> sorted covered members, one entry per cluster.
+        """Map root -> sorted covered members, one entry per cluster,
+        ordered by smallest member.
 
         Includes boundary nodes' clusters (possibly still singletons).
         """
-        out = {}
-        for x in range(self.graph.num_nodes):
-            if self.covered[x]:
-                out.setdefault(self.find(x), []).append(x)
-        return out
+        parent = self.parent
+        return {parent[lst[0]]: lst for lst in sorted(map(sorted, self.members.values()))}
 
     @classmethod
     def from_partition(cls, graph: DecodingGraph, groups) -> "ClusterState":
@@ -82,6 +87,7 @@ class ClusterState:
         passive clusters.
         """
         cs = cls(graph)
+        parent = cs.parent
         for group in groups:
             members = sorted(set(group))
             if not members:
@@ -89,15 +95,18 @@ class ClusterState:
             for x in members:
                 if not (0 <= x < graph.num_nodes):
                     raise ValueError(f"cluster member {x} out of range")
-                cs.covered[x] = True
+                if not cs.covered[x]:
+                    cs.covered[x] = True
+                    cs.members[x] = [x]
             head = members[0]
             for x in members[1:]:
-                _union_meta(cs, cs.find(head), cs.find(x))
+                _union_meta(cs, parent[head], parent[x])
         return cs
 
 
 def _union_meta(cs: ClusterState, ra: int, rb: int) -> int:
-    """Union by rank (lower root id wins ties); merges root metadata."""
+    """Union by rank (lower root id wins ties); merges root metadata and
+    relabels the loser's members."""
     if ra == rb:
         return ra
     if cs.rank[ra] < cs.rank[rb]:
@@ -106,7 +115,11 @@ def _union_meta(cs: ClusterState, ra: int, rb: int) -> int:
         if rb < ra:
             ra, rb = rb, ra
         cs.rank[ra] += 1
-    cs.parent[rb] = ra
+    moved = cs.members.pop(rb)
+    parent = cs.parent
+    for x in moved:
+        parent[x] = ra
+    cs.members[ra].extend(moved)
     cs.parity[ra] = (cs.parity[ra] + cs.parity[rb]) % 2
     cs.touches_boundary[ra] = cs.touches_boundary[ra] or cs.touches_boundary[rb]
     return ra
@@ -129,7 +142,8 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     covered = cs.covered
     parity = cs.parity
     touches = cs.touches_boundary
-    find = cs.find
+    parent = cs.parent                 # flat: the root of every covered node
+    members = cs.members
 
     active = [False] * g.num_nodes     # valid at roots
     radius2 = [0] * g.num_nodes        # banked growth radius per root, h-units
@@ -155,9 +169,8 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     def predict(eidx):
         if closed[eidx]:
             return None
-        u, v = e_u[eidx], e_v[eidx]
-        grow_u = covered[u] and active[find(u)]
-        grow_v = covered[v] and active[find(v)]
+        grow_u = active[parent[e_u[eidx]]]     # uncovered nodes are never active
+        grow_v = active[parent[e_v[eidx]]]
         rate = grow_u + grow_v
         if rate == 0:
             return None
@@ -218,6 +231,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     # Seed: one active cluster per detection event.
     for x in sorted(cs.events):
         covered[x] = True
+        members[x] = [x]
         parity[x] = 1
         active[x] = True
         lst = []
@@ -245,8 +259,8 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
 
         clock = t_pred
         u, v = e_u[eidx], e_v[eidx]
-        grow_u = covered[u] and active[find(u)]
-        grow_v = covered[v] and active[find(v)]
+        grow_u = active[parent[u]]
+        grow_v = active[parent[v]]
         cu = cov2u[eidx] + (clock - t_u[eidx]) if grow_u else cov2u[eidx]
         cv = cov2v[eidx] + (clock - t_v[eidx]) if grow_v else cov2v[eidx]
         if cu + cv != w2[eidx]:
@@ -257,7 +271,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
         closed[eidx] = True
 
         if covered[u] and covered[v]:
-            ru, rv = find(u), find(v)
+            ru, rv = parent[u], parent[v]
             if ru == rv:
                 continue                      # internal cycle edge
             cur_ru = current_radius(ru)
@@ -278,11 +292,12 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
             frontier[winner] = fa
             cs.forest.append(eidx)
         else:
-            x, r = (u, find(v)) if not covered[u] else (v, find(u))
+            x, r = (u, parent[v]) if not covered[u] else (v, parent[u])
             was_active = active[r]
             cur = radius2[r]
             cur_anchor = anchor_t[r]
             covered[x] = True
+            members[x] = [x]
             winner = _union_meta(cs, r, x)
             active[winner] = was_active
             radius2[winner] = cur

@@ -27,6 +27,11 @@ scales with it.  ``extra_gaps`` returns the last two from one
 ``multi_boundary_extra_gap`` reads the same growth for every boundary pair.
 The four single estimators are thin wrappers over the two families.
 
+``contract`` rebuilds no labels: the decoder's are flat (``cs.parent[x]``
+is the cluster root of every covered node and ``cs.members`` lists each
+cluster's nodes), so it copies them.  The covered-region search of
+``extra_cg`` walks only the edges of the parts the growth settled.
+
 All values are scaled integers; every comparison is exact.  During extra
 growth each covered node remembers its nearest originating cluster, so a
 collision between merged super-sets is attributed to the correct original
@@ -36,7 +41,7 @@ pair.
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 from .decoder import ClusterState
 from .graphs import DecodingGraph
@@ -89,22 +94,12 @@ class ContractedView:
 def contract(g: DecodingGraph, cs: ClusterState) -> ContractedView:
     """Build the contracted view of ``g`` under the clusters in ``cs``.
 
-    Only covered nodes can belong to a cluster, so only they are visited;
-    every other node is its own part.
+    The decoder keeps flat labels, so the part of every node is already
+    ``cs.parent``: the cluster root of a covered node, the node itself
+    otherwise.  Every cluster root is a source.
     """
-    rep = list(range(g.num_nodes))
-    members = {}
-    source_set = set()
-    find = cs.find
-    for x in compress(range(g.num_nodes), cs.covered):
-        r = find(x)
-        rep[x] = r
-        source_set.add(r)
-        if r != x:
-            members.setdefault(r, [r]).append(x)
-    for lst in members.values():
-        lst.sort()
-    return ContractedView(g, rep, members, tuple(sorted(source_set)))
+    members = {r: sorted(lst) for r, lst in cs.members.items() if len(lst) > 1}
+    return ContractedView(g, cs.parent[:], members, tuple(sorted(cs.members)))
 
 
 def cluster_gaps(view: ContractedView, eps_max: int):
@@ -361,23 +356,14 @@ def _covered_distance(view: ContractedView, growth: Growth, eps_max: int):
 
     An edge of the contracted graph is fully covered exactly when
     d(u) + w + d(v) <= eps_max, d being the recorded distance to the
-    nearest original cluster/boundary, so the covered region is rebuilt
-    from the growth labels alone.
+    nearest original cluster/boundary, so the search walks only the
+    incident edges of settled parts and keeps those the labels cover.
     """
     b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
     label = dict(growth.settled)
     rep = view.rep
-    adj = {}
-    for e in view.graph.edges:
-        a, b = rep[e.u], rep[e.v]
-        if a == b:
-            continue
-        da = label.get(a)
-        db = label.get(b)
-        if da is None or db is None or da + e.weight + db > eps_max:
-            continue
-        adj.setdefault(a, []).append((b, e.weight))
-        adj.setdefault(b, []).append((a, e.weight))
+    members = view.members
+    neighbors = view.graph.neighbors
 
     dist = {b1: 0}
     done = set()
@@ -389,13 +375,19 @@ def _covered_distance(view: ContractedView, growth: Growth, eps_max: int):
         done.add(x)
         if x == b2:
             return d
-        for y, w in adj.get(x, ()):
-            if y in done:
-                continue
-            nd = d + w
-            if y not in dist or nd < dist[y]:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
+        room = eps_max - label[x]
+        for node in members.get(x, (x,)):
+            for other, w, _ in neighbors[node]:
+                y = rep[other]
+                if y == x or y in done:
+                    continue
+                dy = label.get(y)
+                if dy is None or w + dy > room:
+                    continue
+                nd = d + w
+                if y not in dist or nd < dist[y]:
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
     raise RuntimeError("growth reported a connection the covered region lacks")
 
 

@@ -3,11 +3,15 @@
 Everything here deliberately avoids the library's search code: shortest
 paths come from plain Bellman-Ford relaxation (or exhaustive path
 enumeration on tiny graphs), bottleneck connectivity from threshold
-enumeration over all-pairs part distances, and syndromes from a direct
-parity recount.
+enumeration over all-pairs part distances, syndromes from a direct
+parity recount, each sample's random stream from a freshly built Philox,
+cluster roots from a tree union-find with path compression, and the
+contraction from a scan over every node.
 """
 
 import random
+
+import numpy as np
 
 from softgap.graphs import DecodingGraph, Edge
 
@@ -24,6 +28,61 @@ def quotient_edges(graph, rep):
 
 def rep_map(graph, cs):
     return [cs.find(x) for x in range(graph.num_nodes)]
+
+
+def oracle_contract(graph, cs):
+    """(rep, members, sources) of the contraction, from ``cs.find`` over
+    every node: members only for multi-node parts, sorted; sources are
+    the sorted parts of the covered nodes."""
+    rep = rep_map(graph, cs)
+    members = {}
+    for x in range(graph.num_nodes):
+        if cs.covered[x]:
+            members.setdefault(rep[x], []).append(x)
+    sources = tuple(sorted(members))
+    return rep, {r: lst for r, lst in members.items() if len(lst) > 1}, sources
+
+
+def oracle_partition_roots(graph, groups):
+    """Node -> root after ``ClusterState.from_partition(graph, groups)``,
+    from a parent-pointer union-find with path compression and the same
+    root rule: union by rank, the lower id winning ties; each group's
+    smallest node is joined with each of its other nodes in ascending
+    order."""
+    parent = list(range(graph.num_nodes))
+    rank = [0] * graph.num_nodes
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for group in groups:
+        nodes = sorted(set(group))
+        for x in nodes[1:]:
+            ra, rb = find(nodes[0]), find(x)
+            if ra == rb:
+                continue
+            if rank[ra] < rank[rb] or (rank[ra] == rank[rb] and rb < ra):
+                ra, rb = rb, ra
+            if rank[ra] == rank[rb]:
+                rank[ra] += 1
+            parent[rb] = ra
+    return [find(x) for x in range(graph.num_nodes)]
+
+
+def oracle_flipped_edges(graph, master_seed, sample_index):
+    """Edges flipped in one sample, drawn from a Philox built for that
+    sample alone: keyed by the 64-bit master seed, counter at
+    ``sample_index << 128``."""
+    bits = np.random.Philox(key=master_seed & (2**64 - 1),
+                            counter=sample_index << 128)
+    draws = np.random.Generator(bits).random(graph.num_edges)
+    probs = np.array([e.prob for e in graph.edges])
+    return frozenset(int(i) for i in np.flatnonzero(draws < probs))
 
 
 def bellman_ford(parts, qedges, source):
@@ -118,6 +177,26 @@ def oracle_part_distances(graph, cs):
             if other > srt and dist[other] is not None:
                 table[(srt, other)] = dist[other]
     return sources, table
+
+
+def oracle_covered_gap(graph, cs, eps_max):
+    """Shortest b1..b2 distance over the region that simultaneous growth of
+    every grown part covers at budget ``eps_max``: the parts within
+    eps_max/2 of their nearest grown part, joined by the edges with
+    d(a) + w + d(b) <= eps_max.  None when that region does not join them.
+    """
+    rep = rep_map(graph, cs)
+    parts = set(rep)
+    qedges = quotient_edges(graph, rep)
+    label = {}
+    for srt in {rep[x] for x in range(graph.num_nodes) if cs.covered[x]}:
+        for part, d in bellman_ford(parts, qedges, srt).items():
+            if d is not None and 2 * d <= eps_max and d < label.get(part, d + 1):
+                label[part] = d
+    covered = [(a, b, w) for a, b, w in qedges
+               if a in label and b in label and label[a] + w + label[b] <= eps_max]
+    b1, b2 = rep[graph.boundaries[0]], rep[graph.boundaries[1]]
+    return bellman_ford(set(label), covered, b1)[b2]
 
 
 def oracle_bottleneck_gap(graph, cs, eps_max):

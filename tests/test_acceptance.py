@@ -51,6 +51,8 @@ from softgap.harness import SweepConfig, aggregate, records_to_csv, run_consiste
 
 from oracles import oracle_bottleneck_gap, oracle_cluster_gap, random_clusters, random_graph
 
+pytestmark = pytest.mark.slow
+
 WORKERS = 2
 EPS20 = db_to_scaled(20.0)
 

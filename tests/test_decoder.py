@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from softgap.graphs import DecodingGraph, Edge, build_phenomenological
 from softgap.sampling import ErrorPattern, SeedSpec, Syndrome, sample_syndrome, syndrome_of
 from softgap.decoder import (
+    ClusterState,
     InvariantViolationError,
     decode,
     max_growth_radius,
@@ -14,7 +15,15 @@ from softgap.decoder import (
     peel,
 )
 
-from oracles import oracle_syndrome
+from softgap.softout import contract
+
+from oracles import (
+    oracle_contract,
+    oracle_partition_roots,
+    oracle_syndrome,
+    random_groups,
+    random_rough_graph,
+)
 
 
 def interior_edge(g):
@@ -272,3 +281,52 @@ class TestIntegerClock:
         assert type(cs.radius2_log) is int
         corr = peel(g, cs, s)
         assert syndrome_of(g, ErrorPattern(corr)).events == s.events
+
+
+def assert_flat_labels(g, cs):
+    """``parent`` maps every covered node to its root, ``members``
+    partitions the covered nodes by root, and the contraction reads both."""
+    covered = [x for x in range(g.num_nodes) if cs.covered[x]]
+    for x in range(g.num_nodes):
+        r = cs.parent[x]
+        assert cs.parent[r] == r
+        assert (r in cs.members) == cs.covered[x]
+        if not cs.covered[x]:
+            assert r == x
+    assert sorted(x for lst in cs.members.values() for x in lst) == covered
+    for r, lst in cs.members.items():
+        assert all(cs.parent[x] == r for x in lst)
+    view = contract(g, cs)
+    assert (view.rep, view.members, view.sources) == oracle_contract(g, cs)
+
+
+class TestFlatLabels:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_decode_and_partition_keep_flat_labels(self, rnd):
+        g = random_rough_graph(rnd)
+        events = frozenset(x for x in range(g.num_nodes)
+                           if not g.is_boundary[x] and rnd.random() < 0.3)
+        assert_flat_labels(g, decode(g, Syndrome(events)))
+        groups = random_groups(rnd, g)
+        cs = ClusterState.from_partition(g, groups)
+        assert_flat_labels(g, cs)
+        assert cs.parent == oracle_partition_roots(g, groups)
+
+    def test_overlapping_groups_merge(self):
+        g = build_phenomenological(3, 1, 0.001)
+        groups = [[0, 1], [2, 3], [1, 2], [g.boundaries[1], 3]]
+        cs = ClusterState.from_partition(g, groups)
+        assert_flat_labels(g, cs)
+        assert cs.parent == oracle_partition_roots(g, groups)
+        assert len({cs.parent[x] for x in (0, 1, 2, 3, g.boundaries[1])}) == 1
+
+    def test_clusters_read_members(self):
+        g = build_phenomenological(5, 5, 0.03)
+        for idx in range(50):
+            cs = decode(g, sample_syndrome(g, SeedSpec(12, idx)))
+            scan = {}
+            for x in range(g.num_nodes):
+                if cs.covered[x]:
+                    scan.setdefault(cs.parent[x], []).append(x)
+            assert list(cs.clusters().items()) == list(scan.items())

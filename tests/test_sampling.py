@@ -11,7 +11,7 @@ from softgap.sampling import (
     syndrome_of,
 )
 
-from oracles import oracle_syndrome
+from oracles import oracle_flipped_edges, oracle_syndrome
 
 
 def chain_graph(probs):
@@ -51,6 +51,35 @@ class TestSampleErrors:
         g = DecodingGraph(2, (0, 1), [Edge(0, 1, 5)])
         with pytest.raises(MissingProbabilityError):
             sample_errors(g, SeedSpec(0, 0))
+
+
+class TestStream:
+    def test_matches_a_fresh_philox_per_sample(self):
+        # Philox makes four draws per counter step and no edge count here is
+        # a multiple of 4, so a buffer or carry left from the previous
+        # sample would shift the next one's draws; p = 0.5 shows the shift.
+        graphs = [chain_graph([0.5] * m) for m in (1, 2, 3, 5, 7)]
+        graphs += [build_phenomenological(3, 2, 0.3), build_phenomenological(5, 1, 0.1)]
+        assert all(g.num_edges % 4 for g in graphs)
+        rng = random.Random(4099)
+        indices = [0, 1, 2, 3, 2**64 - 1, 2**64, 2**64 + 1, 2**127, 2**128 - 1]
+        indices += [rng.randrange(2**64) for _ in range(60)]
+        indices += [rng.randrange(2**64, 2**128) for _ in range(60)]
+        seeds = (7, 2**63 + 11, 7 + 2**64, -1)        # 7 + 2**64 keys like 7
+        for i, idx in enumerate(indices):
+            for j, seed in enumerate(seeds):
+                g = graphs[(i + j) % len(graphs)]
+                got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
+                assert got == oracle_flipped_edges(g, seed, idx), (seed, idx, g.num_edges)
+
+    def test_rejects_index_outside_the_counter(self):
+        g = chain_graph([0.5])
+        for idx in (-1, 2**128):
+            with pytest.raises(ValueError):
+                oracle_flipped_edges(g, 1, idx)
+            with pytest.raises(ValueError):
+                sample_errors(g, SeedSpec(1, idx))
+        assert sample_errors(g, SeedSpec(1, 5)).flipped_edges == oracle_flipped_edges(g, 1, 5)
 
 
 class TestSyndromeOf:

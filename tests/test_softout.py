@@ -30,6 +30,7 @@ from oracles import (
     oracle_all_paths_gap,
     oracle_bottleneck_gap,
     oracle_cluster_gap,
+    oracle_covered_gap,
     oracle_visited,
     random_clusters,
     random_graph,
@@ -439,6 +440,17 @@ class TestExtraGaps:
                 if extra_cg.defined:
                     assert extra_cg.value >= g_c
                 assert extra.extra_nodes <= extra_cg.extra_nodes
+
+    def test_refined_gap_is_the_covered_region_distance(self):
+        # The covered-region search walks only the settled parts' edges;
+        # the oracle rebuilds the region from every edge of the graph.
+        rng = random.Random(2718)
+        for i in range(300):
+            g = random_rough_graph(rng) if i % 2 else random_graph(rng, max_nodes=60)
+            cs = ClusterState.from_partition(g, random_groups(rng, g))
+            view = contract(g, cs)
+            for eps in (0, nat(1), nat(2.5), EPS20):
+                assert extra_gaps(view, eps)[1].value == oracle_covered_gap(g, cs, eps)
 
 
 class TestContractedView:
