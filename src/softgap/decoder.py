@@ -25,6 +25,20 @@ winning ties, so a relabelled node's cluster rank strictly rises, and rank
 is at most log2 of the cluster size: each node is relabelled at most
 log2(n) times, O(n log n) in all.  Every label lookup is then one list
 read, and the contraction reads the labels instead of rebuilding them.
+
+Per-decode work is bounded by the syndrome, not by the graph.  The growth
+state (activity, radii, frontiers, per-edge coverage and anchors) lives in
+per-graph scratch lists, allocated at the graph's first decode; each
+decode writes only the entries of the nodes it covers and the edges of
+their frontiers, and resets exactly those when it ends, also when it
+raises.  A new ``ClusterState`` copies its node-sized lists from per-graph
+templates.  So two decodes on one graph must not run at the same time
+(from two threads).  The event loop stops when a union leaves no cluster
+growing: with no growing side no edge can close, so the state is final and
+the predictions still queued are dropped unpopped.  Each queued prediction
+is an integer key ``t * num_edges + edge``, so the queue orders by
+(instant, edge) and a popped edge needs one prediction only.
+``op_count`` is the number of heap pushes plus heap pops.
 """
 
 import heapq
@@ -37,6 +51,46 @@ class InvariantViolationError(RuntimeError):
     """Internal decoder state violated a structural invariant."""
 
 
+class _Scratch:
+    """Per-graph decode scratch, allocated at a graph's first decode.
+
+    ``parent0`` and ``covered0`` are the templates a new ``ClusterState``
+    copies.  The other lists are ``decode``'s own: clean (False, 0 or
+    None) between decodes, because each decode resets the entries it
+    wrote.  ``t_u``/``t_v`` are exempt: a side's anchor is always written
+    before it is read.
+    """
+
+    __slots__ = ("parent0", "covered0", "w2", "active", "radius2", "anchor_t",
+                 "frontier", "closed", "cov2u", "cov2v", "t_u", "t_v")
+
+    def __init__(self, graph: DecodingGraph):
+        n, m = graph.num_nodes, graph.num_edges
+        self.parent0 = list(range(n))
+        self.covered0 = [False] * n
+        for b in graph.boundaries:
+            self.covered0[b] = True
+        self.w2 = [2 * w for w in graph.edge_arrays()[2]]
+        self.active = [False] * n       # valid at roots
+        self.radius2 = [0] * n          # banked growth radius per root, h-units
+        self.anchor_t = [0] * n         # clock anchor while active
+        self.frontier = [None] * n      # per-root list of (edge, side) entries
+        self.closed = [False] * m
+        self.cov2u = [0] * m            # anchored coverage per side, h-units
+        self.cov2v = [0] * m
+        self.t_u = [0] * m              # anchor clock per side
+        self.t_v = [0] * m
+
+
+def _scratch(graph: DecodingGraph) -> _Scratch:
+    """The graph's memoized decode scratch."""
+    scratch = getattr(graph, "_decode_scratch", None)
+    if scratch is None:
+        scratch = _Scratch(graph)
+        object.__setattr__(graph, "_decode_scratch", scratch)
+    return scratch
+
+
 class ClusterState:
     """Final cluster partition produced by :func:`decode`.
 
@@ -44,26 +98,25 @@ class ClusterState:
     zero-radius clusters; a cluster that reaches one becomes inactive.
     ``parent[x]`` is the root of every covered node and ``members`` maps
     each root to its covered nodes, in no particular order.
+    ``coverage2`` maps each edge the decode grew into to its covered
+    length in h-units, both sides summed; an edge it lacks is uncovered.
     """
 
     def __init__(self, graph: DecodingGraph, events=frozenset()):
         n = graph.num_nodes
+        scratch = _scratch(graph)
         self.graph = graph
         self.events = frozenset(events)
-        self.parent = list(range(n))
+        self.parent = scratch.parent0[:]
         self.rank = [0] * n
-        self.covered = [False] * n
+        self.covered = scratch.covered0[:]
         self.parity = [0] * n          # valid at cluster roots
-        self.touches_boundary = list(graph.is_boundary)
-        self.members = {}              # root -> covered nodes of its cluster
-        self.cov2_u = None             # per-edge coverage from the u side, h-units
-        self.cov2_v = None
+        self.touches_boundary = graph.is_boundary[:]
+        self.members = {b: [b] for b in graph.boundaries}  # root -> covered nodes
+        self.coverage2 = {}
         self.radius2_log = 0           # max growth radius ever used, h-units
         self.forest = []               # edge ids that closed causing merge/absorb
-        self.op_count = 0              # event-queue operations, for complexity checks
-        for b in graph.boundaries:
-            self.covered[b] = True
-            self.members[b] = [b]
+        self.op_count = 0              # heap pushes plus heap pops
 
     def find(self, x: int) -> int:
         return self.parent[x]
@@ -145,69 +198,49 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     parent = cs.parent                 # flat: the root of every covered node
     members = cs.members
 
-    active = [False] * g.num_nodes     # valid at roots
-    radius2 = [0] * g.num_nodes        # banked growth radius per root, h-units
-    anchor_t = [0] * g.num_nodes       # clock anchor while active
-    frontier = [None] * g.num_nodes    # per-root list of (edge, side) entries
+    sc = _scratch(g)
+    active, radius2, anchor_t, frontier = sc.active, sc.radius2, sc.anchor_t, sc.frontier
+    closed, cov2u, cov2v, t_u, t_v = sc.closed, sc.cov2u, sc.cov2v, sc.t_u, sc.t_v
+    w2 = sc.w2
+    e_u, e_v, _ = g.edge_arrays()
+    neighbors = g.neighbors
+    m = g.num_edges
 
-    e_u, e_v, _w = g.edge_arrays()
-    w2 = getattr(g, "_w2_array", None)
-    if w2 is None:
-        w2 = [2 * wv for wv in _w]
-        object.__setattr__(g, "_w2_array", w2)
-    num_edges = g.num_edges
-    closed = [False] * num_edges
-    cov2u = [0] * num_edges            # anchored coverage per side, h-units
-    cov2v = [0] * num_edges
-    t_u = [0] * num_edges              # anchor clock per side
-    t_v = [0] * num_edges
-
-    heap = []
+    heap = []                          # keys t * m + edge: (instant, edge) order
+    heappush, heappop = heapq.heappush, heapq.heappop
     op_count = 0
     clock = 0
 
-    def predict(eidx):
-        if closed[eidx]:
-            return None
-        grow_u = active[parent[e_u[eidx]]]     # uncovered nodes are never active
-        grow_v = active[parent[e_v[eidx]]]
-        rate = grow_u + grow_v
-        if rate == 0:
-            return None
-        cu = cov2u[eidx] + (clock - t_u[eidx]) if grow_u else cov2u[eidx]
-        cv = cov2v[eidx] + (clock - t_v[eidx]) if grow_v else cov2v[eidx]
-        rem = w2[eidx] - cu - cv
-        if rate == 1:
-            return clock + rem
-        if rem & 1:
-            raise InvariantViolationError(
-                f"edge {eidx} has odd remaining coverage {rem} between two growing sides")
-        return clock + (rem >> 1)
-
     def push(eidx):
+        # Predict the edge's closing instant from the current rates and
+        # queue it; an edge with no growing side is not queued.
         nonlocal op_count
-        t = predict(eidx)
-        if t is not None:
-            heapq.heappush(heap, (t, eidx))
-            op_count += 1
-
-    def current_radius(r):
-        if active[r]:
-            return radius2[r] + (clock - anchor_t[r])
-        return radius2[r]
+        if active[parent[e_u[eidx]]]:          # uncovered nodes are never active
+            if active[parent[e_v[eidx]]]:
+                rem = (w2[eidx] - cov2u[eidx] - cov2v[eidx]
+                       - (clock - t_u[eidx]) - (clock - t_v[eidx]))
+                if rem & 1:
+                    raise InvariantViolationError(
+                        f"edge {eidx} has odd remaining coverage {rem} between two growing sides")
+                t = clock + (rem >> 1)
+            else:
+                t = t_u[eidx] + w2[eidx] - cov2u[eidx] - cov2v[eidx]
+        elif active[parent[e_v[eidx]]]:
+            t = t_v[eidx] + w2[eidx] - cov2u[eidx] - cov2v[eidx]
+        else:
+            return
+        heappush(heap, t * m + eidx)
+        op_count += 1
 
     def set_activity(r, new_active):
-        nonlocal op_count
         if active[r] == new_active:
             return
-        entries = frontier[r]
-        op_count += len(entries)
         if active[r]:                  # pause: bank radius, freeze coverages
             radius2[r] += clock - anchor_t[r]
             if radius2[r] > cs.radius2_log:
                 cs.radius2_log = radius2[r]
             active[r] = False
-            for eidx, side in entries:
+            for eidx, side in frontier[r]:
                 if closed[eidx]:
                     continue
                 if side == 0:
@@ -219,7 +252,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
         else:                          # resume: re-anchor, re-arm predictions
             anchor_t[r] = clock
             active[r] = True
-            for eidx, side in entries:
+            for eidx, side in frontier[r]:
                 if closed[eidx]:
                     continue
                 if side == 0:
@@ -228,98 +261,115 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                     t_v[eidx] = clock
                 push(eidx)
 
-    # Seed: one active cluster per detection event.
-    for x in sorted(cs.events):
-        covered[x] = True
-        members[x] = [x]
-        parity[x] = 1
-        active[x] = True
-        lst = []
-        for _, _, eidx in g.neighbors[x]:
-            side = 0 if e_u[eidx] == x else 1
-            lst.append((eidx, side))
-        frontier[x] = lst
-        for eidx, _ in lst:
-            push(eidx)
-    for b in g.boundaries:
-        frontier[b] = []
-
-    while heap:
-        t_pred, eidx = heapq.heappop(heap)
-        op_count += 1
-        if closed[eidx]:
-            continue
-        t_now = predict(eidx)
-        if t_now is None:
-            continue
-        if t_now != t_pred:
-            heapq.heappush(heap, (t_now, eidx))
-            op_count += 1
-            continue
-
-        clock = t_pred
-        u, v = e_u[eidx], e_v[eidx]
-        grow_u = active[parent[u]]
-        grow_v = active[parent[v]]
-        cu = cov2u[eidx] + (clock - t_u[eidx]) if grow_u else cov2u[eidx]
-        cv = cov2v[eidx] + (clock - t_v[eidx]) if grow_v else cov2v[eidx]
-        if cu + cv != w2[eidx]:
-            raise InvariantViolationError(
-                f"edge {eidx} closed with coverage {cu}+{cv} != {w2[eidx]}")
-        cov2u[eidx], cov2v[eidx] = cu, cv
-        t_u[eidx] = t_v[eidx] = clock
-        closed[eidx] = True
-
-        if covered[u] and covered[v]:
-            ru, rv = parent[u], parent[v]
-            if ru == rv:
-                continue                      # internal cycle edge
-            cur_ru = current_radius(ru)
-            cur_rv = current_radius(rv)
-            new_parity = (parity[ru] + parity[rv]) % 2
-            new_touch = touches[ru] or touches[rv]
-            new_active = bool(new_parity) and not new_touch
-            set_activity(ru, new_active)
-            set_activity(rv, new_active)
-            fa, fb = frontier[ru], frontier[rv]
-            winner = _union_meta(cs, ru, rv)
-            active[winner] = new_active
-            radius2[winner] = max(cur_ru, cur_rv)
-            anchor_t[winner] = clock
-            if len(fa) < len(fb):
-                fa, fb = fb, fa
-            fa.extend(fb)
-            frontier[winner] = fa
-            cs.forest.append(eidx)
-        else:
-            x, r = (u, parent[v]) if not covered[u] else (v, parent[u])
-            was_active = active[r]
-            cur = radius2[r]
-            cur_anchor = anchor_t[r]
+    try:
+        for b in g.boundaries:
+            frontier[b] = []
+        # Seed: one active cluster per detection event, anchored at clock 0.
+        for x in cs.events:
             covered[x] = True
             members[x] = [x]
-            winner = _union_meta(cs, r, x)
-            active[winner] = was_active
-            radius2[winner] = cur
-            anchor_t[winner] = cur_anchor
-            lst = frontier[r]
-            for _, _, e2 in g.neighbors[x]:
-                if e2 == eidx or closed[e2]:
-                    continue
-                if e_u[e2] == x:
-                    cov2u[e2] = 0
-                    t_u[e2] = clock
-                    lst.append((e2, 0))
+            parity[x] = 1
+            active[x] = True
+            lst = []
+            for _, _, eidx in neighbors[x]:
+                if e_u[eidx] == x:
+                    t_u[eidx] = 0
+                    lst.append((eidx, 0))
                 else:
-                    cov2v[e2] = 0
-                    t_v[e2] = clock
-                    lst.append((e2, 1))
-                push(e2)
-            frontier[winner] = lst
-            cs.forest.append(eidx)
+                    t_v[eidx] = 0
+                    lst.append((eidx, 1))
+            frontier[x] = lst
+        num_active = len(cs.events)
+        for x in cs.events:
+            for eidx, _ in frontier[x]:
+                push(eidx)
 
-    cs.cov2_u = cov2u
-    cs.cov2_v = cov2v
+        while heap:
+            key = heappop(heap)
+            op_count += 1
+            t, eidx = divmod(key, m)
+            if closed[eidx]:
+                continue
+            u, v = e_u[eidx], e_v[eidx]
+            grow_u = active[parent[u]]
+            grow_v = active[parent[v]]
+            if not (grow_u or grow_v):
+                continue
+            cu = cov2u[eidx] + (t - t_u[eidx]) if grow_u else cov2u[eidx]
+            cv = cov2v[eidx] + (t - t_v[eidx]) if grow_v else cov2v[eidx]
+            if cu + cv != w2[eidx]:   # stale: queue the true instant
+                push(eidx)
+                continue
+
+            clock = t
+            cov2u[eidx], cov2v[eidx] = cu, cv
+            closed[eidx] = True
+
+            if covered[u] and covered[v]:
+                ru, rv = parent[u], parent[v]
+                if ru == rv:
+                    continue                      # internal cycle edge
+                a_u, a_v = active[ru], active[rv]
+                cur_ru = radius2[ru] + (clock - anchor_t[ru]) if a_u else radius2[ru]
+                cur_rv = radius2[rv] + (clock - anchor_t[rv]) if a_v else radius2[rv]
+                new_active = bool((parity[ru] + parity[rv]) % 2) and not (touches[ru] or touches[rv])
+                set_activity(ru, new_active)
+                set_activity(rv, new_active)
+                fa, fb = frontier[ru], frontier[rv]
+                winner = _union_meta(cs, ru, rv)
+                active[winner] = new_active
+                radius2[winner] = max(cur_ru, cur_rv)
+                anchor_t[winner] = clock
+                if len(fa) < len(fb):
+                    fa, fb = fb, fa
+                fa.extend(fb)
+                frontier[winner] = fa
+                cs.forest.append(eidx)
+                num_active += new_active - a_u - a_v
+                if not num_active:
+                    break                 # nothing grows, so no edge can close
+            else:
+                x, r = (u, parent[v]) if not covered[u] else (v, parent[u])
+                was_active = active[r]
+                cur = radius2[r]
+                cur_anchor = anchor_t[r]
+                covered[x] = True
+                members[x] = [x]
+                winner = _union_meta(cs, r, x)
+                active[winner] = was_active
+                radius2[winner] = cur
+                anchor_t[winner] = cur_anchor
+                lst = frontier[winner] = frontier[r]
+                for _, _, e2 in neighbors[x]:
+                    if closed[e2]:
+                        continue
+                    if e_u[e2] == x:
+                        t_u[e2] = clock
+                        lst.append((e2, 0))
+                    else:
+                        t_v[e2] = clock
+                        lst.append((e2, 1))
+                    push(e2)
+                cs.forest.append(eidx)
+    finally:
+        # Every written edge is a frontier entry of a current root, and
+        # every written node is covered: copy the coverages out, then
+        # reset exactly those entries.
+        coverage2 = cs.coverage2
+        for r, lst in members.items():
+            for eidx, _ in frontier[r] or ():
+                if eidx in coverage2:
+                    continue              # the entry of the other side
+                coverage2[eidx] = cov2u[eidx] + cov2v[eidx]
+                closed[eidx] = False
+                cov2u[eidx] = 0
+                cov2v[eidx] = 0
+            for x in lst:
+                active[x] = False
+                radius2[x] = 0
+                anchor_t[x] = 0
+                frontier[x] = None
+
     cs.op_count = op_count
     return cs
 
@@ -338,7 +388,7 @@ def nodes_in_clusters(cs: ClusterState) -> int:
     Boundary nodes are covered from the start, so they are the covered
     nodes that are not detectors.
     """
-    return cs.covered.count(True) - len(cs.graph.boundaries)
+    return sum(map(len, cs.members.values())) - len(cs.graph.boundaries)
 
 
 def peel(g: DecodingGraph, cs: ClusterState, s: Syndrome) -> frozenset:

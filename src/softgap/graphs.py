@@ -142,6 +142,14 @@ class DecodingGraph:
             object.__setattr__(self, "_edge_arrays", cached)
         return cached
 
+    def min_weight(self) -> int:
+        """Memoized lightest edge weight."""
+        cached = getattr(self, "_min_weight", None)
+        if cached is None:
+            cached = min(e.weight for e in self.edges)
+            object.__setattr__(self, "_min_weight", cached)
+        return cached
+
     def bare_distances(self):
         """Memoized shortest distances from the first boundary, plus their
         ascending (distance * num_nodes + node) keys.

@@ -268,6 +268,31 @@ _CONSISTENCY_RULES = (
 )
 
 
+def rule_violations(gaps, eps: int) -> list:
+    """Names of the consistency rules one sample's gaps break.
+
+    ``gaps`` is the (cluster, bounded, extra, extra_cg) tuple of scaled
+    gap values, None where undefined; ``eps`` is the scaled threshold.
+    Comparisons are exact integer ones.
+    """
+    g_c, g_b, g_e, g_cg = gaps
+    broken = []
+    if g_c <= eps:
+        if g_b != g_c:
+            broken.append("bounded_agrees_with_cluster_below_threshold")
+        if g_e is None:
+            broken.append("extra_defined_when_cluster_below_threshold")
+        if g_cg != g_c:
+            broken.append("extra_cg_equals_cluster_below_threshold")
+    elif g_b is not None:
+        broken.append("bounded_agrees_with_cluster_below_threshold")
+    if g_e is not None and g_e > g_c:
+        broken.append("extra_not_above_cluster")
+    if g_cg is not None and g_cg < g_c:
+        broken.append("cluster_not_above_extra_cg")
+    return broken
+
+
 def run_consistency(cfg: SweepConfig, workers: int = 1,
                     collect_rows: bool = True) -> ConsistencyReport:
     """Evaluate all four methods per sample and count rule violations.
@@ -292,24 +317,9 @@ def run_consistency(cfg: SweepConfig, workers: int = 1,
     report = ConsistencyReport(violations={k: 0 for k in _CONSISTENCY_RULES})
     v = report.violations
     for _, d, p, idx, (_, _, res) in _iter_sample_evals(cfg_all, workers):
-        g_c = res[0][0]
-        g_b = res[1][0]
-        g_e = res[2][0]
-        g_cg = res[3][0]
-        below = g_c <= eps_scaled
-        if below:
-            if g_b != g_c:
-                v["bounded_agrees_with_cluster_below_threshold"] += 1
-            if g_e is None:
-                v["extra_defined_when_cluster_below_threshold"] += 1
-            if g_cg != g_c:
-                v["extra_cg_equals_cluster_below_threshold"] += 1
-        elif g_b is not None:
-            v["bounded_agrees_with_cluster_below_threshold"] += 1
-        if g_e is not None and g_e > g_c:
-            v["extra_not_above_cluster"] += 1
-        if g_cg is not None and g_cg < g_c:
-            v["cluster_not_above_extra_cg"] += 1
+        gaps = g_c, g_b, g_e, g_cg = tuple(r[0] for r in res)
+        for rule in rule_violations(gaps, eps_scaled):
+            v[rule] += 1
         report.samples_checked += 1
         if collect_rows:
             cdb = scaled_to_db(g_c)

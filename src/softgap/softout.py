@@ -225,9 +225,13 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     records the source whose ball reached it first, and every inter-origin
     edge whose two sides are both covered yields a collision event at the
     exact combined distance.  A part beyond the radius is never queued.
+    A budget below the lightest edge weight returns the sources alone: no
+    part is within the radius and no two sources can collide.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
+    if eps_max < view.graph.min_weight():
+        return Growth([(x, 0) for x in sorted(set(view.sources))], [])
     rep = view.rep
     members = view.members
     neighbors = view.graph.neighbors

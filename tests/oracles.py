@@ -9,6 +9,7 @@ cluster roots from a tree union-find with path compression, and the
 contraction from a scan over every node.
 """
 
+import heapq
 import random
 
 import numpy as np
@@ -336,3 +337,23 @@ def random_groups(rng: random.Random, graph, max_groups=4, max_size=6):
     if groups and rng.random() < 1 / 3 and b1 in free:
         groups[0].append(b1)
     return groups
+
+
+class CountingHeapq:
+    """Stand-in for the ``heapq`` module that counts pushes and pops, to
+    be patched into a module under test."""
+
+    def __init__(self):
+        self.pushes = 0
+        self.pops = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+    def heapify(self, heap):
+        heapq.heapify(heap)

@@ -1,11 +1,15 @@
+import copy
+import hashlib
 import heapq
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from softgap.graphs import DecodingGraph, Edge, build_phenomenological
 from softgap.sampling import ErrorPattern, SeedSpec, Syndrome, sample_syndrome, syndrome_of
+from softgap import decoder
 from softgap.decoder import (
     ClusterState,
     InvariantViolationError,
@@ -18,6 +22,7 @@ from softgap.decoder import (
 from softgap.softout import contract
 
 from oracles import (
+    CountingHeapq,
     oracle_contract,
     oracle_partition_roots,
     oracle_syndrome,
@@ -182,10 +187,8 @@ class TestDecodeInvariants:
         g = build_phenomenological(5, 5, 0.03)
         for idx in range(150):
             cs = decode(g, sample_syndrome(g, SeedSpec(7, idx)))
-            if cs.cov2_u is None:
-                continue
-            for i, e in enumerate(g.edges):
-                assert cs.cov2_u[i] + cs.cov2_v[i] <= 2 * e.weight
+            for i, cov in cs.coverage2.items():
+                assert 0 <= cov <= 2 * g.edges[i].weight
 
     def test_operation_count_near_linear(self):
         # events processed per sample stay within C * n * log2(n) of the
@@ -206,6 +209,51 @@ class TestDecodeInvariants:
         assert a.parent == b.parent
         assert a.forest == b.forest
         assert a.radius2_log == b.radius2_log
+
+
+class TestOpCount:
+    def test_op_count_is_heap_pushes_plus_pops(self, monkeypatch):
+        # op_count counts event-queue operations: every heap push and pop.
+        # The loop stops once no cluster grows, so some decodes leave
+        # queued predictions unpopped.
+        counter = CountingHeapq()
+        monkeypatch.setattr(decoder, "heapq", counter)
+        left_queued = 0
+        for d, p in ((3, 0.05), (5, 0.02), (7, 0.01)):
+            g = build_phenomenological(d, d, p)
+            for idx in range(100):
+                counter.pushes = counter.pops = 0
+                cs = decode(g, sample_syndrome(g, SeedSpec(11, idx)))
+                assert cs.op_count == counter.pushes + counter.pops
+                left_queued += counter.pops < counter.pushes
+        assert left_queued >= 100
+
+
+def state_digest(cells, seed=1, samples=200):
+    """sha256 over each decode's forest, radius2_log, clusters (root and
+    sorted members) and per-edge coverage, in h-units summed over both
+    sides, for ``samples`` seeded syndromes per (d, p) cell."""
+    h = hashlib.sha256()
+    for d, p in cells:
+        g = build_phenomenological(d, d, p)
+        for idx in range(samples):
+            cs = decode(g, sample_syndrome(g, SeedSpec(seed, idx)))
+            coverage = tuple(cs.coverage2.get(i, 0) for i in range(g.num_edges))
+            h.update(repr((tuple(cs.forest), cs.radius2_log,
+                           sorted(cs.clusters().items()), coverage)).encode())
+    return h.hexdigest()
+
+
+class TestPinnedState:
+    # Recorded before the early stop and the per-graph scratch, for
+    # d in {5, 9, 13} x p in {0.1%, 1%, 5%}, seed 1, 200 samples per cell.
+    # Any change to a merge, an absorption, a growth radius or a coverage
+    # changes it.
+    STATE_SHA256 = "d932f634babef0e8faa2fec27bce6256535d499f46ef1d6c983389559e59fbfc"
+
+    def test_decoder_state_digest(self):
+        cells = [(d, p) for d in (5, 9, 13) for p in (0.001, 0.01, 0.05)]
+        assert state_digest(cells) == self.STATE_SHA256
 
 
 class TestGrowthRadius:
@@ -296,6 +344,7 @@ def assert_flat_labels(g, cs):
     assert sorted(x for lst in cs.members.values() for x in lst) == covered
     for r, lst in cs.members.items():
         assert all(cs.parent[x] == r for x in lst)
+    assert nodes_in_clusters(cs) == len(covered) - len(g.boundaries)
     view = contract(g, cs)
     assert (view.rep, view.members, view.sources) == oracle_contract(g, cs)
 
@@ -330,3 +379,108 @@ class TestFlatLabels:
                 if cs.covered[x]:
                     scan.setdefault(cs.parent[x], []).append(x)
             assert list(cs.clusters().items()) == list(scan.items())
+
+
+def state_of(cs):
+    """Everything a ClusterState holds, as values detached from it."""
+    return (cs.parent[:], cs.rank[:], cs.covered[:], cs.parity[:],
+            cs.touches_boundary[:], {r: lst[:] for r, lst in cs.members.items()},
+            dict(cs.coverage2), cs.forest[:], cs.radius2_log, cs.op_count)
+
+
+def assert_scratch_clean(g):
+    sc = g._decode_scratch
+    n, m = g.num_nodes, g.num_edges
+    assert sc.active == [False] * n and sc.frontier == [None] * n
+    assert sc.radius2 == [0] * n and sc.anchor_t == [0] * n
+    assert sc.closed == [False] * m
+    assert sc.cov2u == [0] * m and sc.cov2v == [0] * m
+
+
+def scratch_graph(rnd):
+    """A rough random graph or a small phenomenological one."""
+    if rnd.random() < 0.5:
+        return random_rough_graph(rnd)
+    d = rnd.choice((3, 5))
+    return build_phenomenological(d, rnd.choice((1, d)), rnd.choice((0.01, 0.05, 0.2)))
+
+
+def random_syndrome(rnd, g):
+    rate = rnd.choice((0.05, 0.2, 0.5))
+    return Syndrome(frozenset(x for x in range(g.num_nodes)
+                              if not g.is_boundary[x] and rnd.random() < rate))
+
+
+def decode_fresh(pristine, s):
+    """Decode on a copy of a graph that has never been decoded on."""
+    fresh = copy.deepcopy(pristine)
+    assert not hasattr(fresh, "_decode_scratch")
+    return decode(fresh, s)
+
+
+class TestScratch:
+    # decode keeps per-graph scratch and resets what it wrote; none of
+    # that may show in a result.
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_reused_graph_matches_fresh_copy(self, rnd):
+        g = scratch_graph(rnd)
+        pristine = copy.deepcopy(g)
+        for _ in range(4):
+            s = random_syndrome(rnd, g)
+            assert state_of(decode(g, s)) == state_of(decode_fresh(pristine, s))
+            assert_scratch_clean(g)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_kept_states_survive_later_decodes(self, rnd):
+        g = scratch_graph(rnd)
+        kept = []
+        for _ in range(5):
+            cs = decode(g, random_syndrome(rnd, g))
+            kept.append((cs, state_of(cs)))
+        for cs, state in kept:
+            assert state_of(cs) == state
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_decode_after_a_failed_decode(self, rnd):
+        g = scratch_graph(rnd)
+        pristine = copy.deepcopy(g)
+        decode(g, random_syndrome(rnd, g))
+        bad = random_syndrome(rnd, g).events | {rnd.choice(g.boundaries)}
+        with pytest.raises(ValueError):
+            decode(g, Syndrome(bad))
+        s = random_syndrome(rnd, g)
+        assert state_of(decode(g, s)) == state_of(decode_fresh(pristine, s))
+        # A failure part-way through a decode also leaves clean scratch.
+        calls = [0]
+        fail_at = rnd.randrange(1, 6)
+        union = decoder._union_meta
+
+        def failing_union(*args):
+            calls[0] += 1
+            if calls[0] == fail_at:
+                raise InvariantViolationError("injected")
+            return union(*args)
+
+        with mock.patch.object(decoder, "_union_meta", failing_union):
+            try:
+                decode(g, random_syndrome(rnd, g))
+            except InvariantViolationError:
+                pass
+        assert_scratch_clean(g)
+        s = random_syndrome(rnd, g)
+        assert state_of(decode(g, s)) == state_of(decode_fresh(pristine, s))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_interleaved_graphs(self, rnd):
+        graphs = [scratch_graph(rnd), scratch_graph(rnd)]
+        pristine = [copy.deepcopy(g) for g in graphs]
+        for i in range(6):
+            g = graphs[i % 2]
+            s = random_syndrome(rnd, g)
+            assert state_of(decode(g, s)) == state_of(decode_fresh(pristine[i % 2], s))
+        for g in graphs:
+            assert_scratch_clean(g)

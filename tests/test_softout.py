@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softgap.graphs import (
     SCALED_PER_NAT,
@@ -11,6 +12,7 @@ from softgap.graphs import (
     db_to_scaled,
     weight_from_prob,
 )
+from softgap.harness import rule_violations
 from softgap.sampling import SeedSpec, sample_syndrome
 from softgap.decoder import ClusterState, decode
 from softgap import softout
@@ -27,6 +29,7 @@ from softgap.softout import (
 )
 
 from oracles import (
+    CountingHeapq,
     oracle_all_paths_gap,
     oracle_bottleneck_gap,
     oracle_cluster_gap,
@@ -306,6 +309,36 @@ class TestCrossEstimatorProperties:
                 assert g_c <= g_cg
 
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_rule_helper_on_rough_graphs(self, rnd):
+        g = random_rough_graph(rnd)
+        view = contract(g, ClusterState.from_partition(g, random_groups(rnd, g)))
+        for eps in (0, nat(1), nat(2.5), EPS20):
+            cluster, bounded = cluster_gaps(view, eps)
+            extra, extra_cg = extra_gaps(view, eps)
+            gaps = (cluster.value, bounded.value, extra.value, extra_cg.value)
+            assert rule_violations(gaps, eps) == []
+
+    def test_rule_helper_names_each_broken_rule(self):
+        eps = 10
+        assert rule_violations((5, 5, 3, 5), eps) == []
+        assert rule_violations((20, None, 15, 25), eps) == []
+        assert rule_violations((20, None, None, None), eps) == []
+        assert rule_violations((5, 6, 3, 5), eps) == [
+            "bounded_agrees_with_cluster_below_threshold"]
+        assert rule_violations((20, 20, None, None), eps) == [
+            "bounded_agrees_with_cluster_below_threshold"]
+        assert rule_violations((5, 5, None, 5), eps) == [
+            "extra_defined_when_cluster_below_threshold"]
+        assert rule_violations((5, 5, 3, 6), eps) == [
+            "extra_cg_equals_cluster_below_threshold"]
+        assert rule_violations((20, None, 25, None), eps) == [
+            "extra_not_above_cluster"]
+        assert rule_violations((20, None, 15, 18), eps) == [
+            "cluster_not_above_extra_cg"]
+
+
 def count_growths(monkeypatch):
     """Counter of the grow_clusters calls made through the softout module."""
     calls = Counter()
@@ -451,6 +484,38 @@ class TestExtraGaps:
             view = contract(g, cs)
             for eps in (0, nat(1), nat(2.5), EPS20):
                 assert extra_gaps(view, eps)[1].value == oracle_covered_gap(g, cs, eps)
+
+
+    def test_budget_below_lightest_edge_skips_growth(self, monkeypatch):
+        # Below the lightest edge weight no part is within the radius and no
+        # two sources collide, so the growth returns the sources without
+        # scanning an edge; with the shortcut disabled the full pass must
+        # give the same growth and gaps.  A zero-weight edge rules it out.
+        rng = random.Random(4242)
+        seen = Counter()
+        for i in range(400):
+            g = random_rough_graph(rng) if i % 2 else random_graph(rng, max_nodes=60)
+            cs = ClusterState.from_partition(g, random_groups(rng, g))
+            view = contract(g, cs)
+            w = g.min_weight()
+            assert w == min(e.weight for e in g.edges)
+            for eps in sorted({0, max(w - 1, 0), w, w + 1, EPS20}):
+                counter = CountingHeapq()
+                with monkeypatch.context() as m:
+                    m.setattr(softout, "heapq", counter)
+                    fast = grow_clusters(view, eps)
+                fast_gaps = extra_gaps(view, eps)
+                skipped = counter.pops == 0
+                assert skipped == (eps < w)
+                with monkeypatch.context() as m:
+                    m.setattr(DecodingGraph, "min_weight", lambda self: 0)
+                    full = grow_clusters(view, eps)
+                    full_gaps = extra_gaps(view, eps)
+                assert (fast.settled, fast.collisions) == (full.settled, full.collisions)
+                assert fast_gaps == full_gaps
+                seen["below" if eps < w else "at" if eps == w else "above"] += 1
+                seen["zero-weight graph"] += w == 0
+        assert min(seen.values()) >= 100, seen
 
 
 class TestContractedView:
