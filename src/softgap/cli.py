@@ -103,7 +103,7 @@ def main(argv=None) -> int:
 
     if args.command == "gen-graph":
         d = args.distance
-        graph = build_phenomenological(d, args.rounds if args.rounds else d, args.p)
+        graph = build_phenomenological(d, d if args.rounds is None else args.rounds, args.p)
         save_graph(graph, args.out)
         print(f"wrote {graph.num_nodes} nodes, {graph.num_edges} edges to {args.out}")
         return 0

@@ -5,7 +5,7 @@ cluster or matched to a boundary.  Growth is continuous and event-driven:
 all active (odd-parity, boundary-free) clusters advance their radii together
 to the next collision or node-coverage instant, computed exactly.
 
-Internal units: edge coverage and growth radii are tracked in "h-units"
+Internal units: edge coverage and the clock are tracked in "h-units"
 (1 h-unit = 1/2 scaled weight unit), so a frontier meeting in the middle of
 an edge stays on an integer grid.  With integer edge weights (which
 ``DecodingGraph`` enforces) every event instant is an integer clock value,
@@ -17,6 +17,14 @@ the clock's, and the remaining h-length of an edge grown from both sides is
 even.  An odd remainder would break that argument and raises
 InvariantViolationError.
 
+The growth radius is the clock, so no cluster keeps one: every active
+cluster has grown for exactly ``clock`` h-units.  Seeds start active at
+clock 0; absorbing a node keeps the cluster's radius; a merge keeps the
+larger radius, and an active side's radius is the clock; a paused
+cluster's radius is at most the clock at which it paused.  So the largest
+radius any cluster used, ``radius2_log``, is the clock at which the last
+cluster stopped.
+
 Cluster labels are flat: ``parent[x]`` is the root of every covered node
 (uncovered nodes are their own roots), and ``members`` maps each root to
 its covered nodes.  A union moves the losing root's members to the
@@ -27,7 +35,7 @@ log2(n) times, O(n log n) in all.  Every label lookup is then one list
 read, and the contraction reads the labels instead of rebuilding them.
 
 Per-decode work is bounded by the syndrome, not by the graph.  The growth
-state (activity, radii, frontiers, per-edge coverage and anchors) lives in
+state (activity, frontiers, per-edge coverage and anchors) lives in
 per-graph scratch lists, allocated at the graph's first decode; each
 decode writes only the entries of the nodes it covers and the edges of
 their frontiers, and resets exactly those when it ends, also when it
@@ -39,6 +47,10 @@ the predictions still queued are dropped unpopped.  Each queued prediction
 is an integer key ``t * num_edges + edge``, so the queue orders by
 (instant, edge) and a popped edge needs one prediction only.
 ``op_count`` is the number of heap pushes plus heap pops.
+
+``peel`` roots each forest tree at its lowest-id boundary (at any node if
+it has none) and walks it once, children first: an odd detector flips the
+edge to its parent and passes the parity up, and a boundary absorbs it.
 """
 
 import heapq
@@ -54,26 +66,27 @@ class InvariantViolationError(RuntimeError):
 class _Scratch:
     """Per-graph decode scratch, allocated at a graph's first decode.
 
-    ``parent0`` and ``covered0`` are the templates a new ``ClusterState``
-    copies.  The other lists are ``decode``'s own: clean (False, 0 or
-    None) between decodes, because each decode resets the entries it
-    wrote.  ``t_u``/``t_v`` are exempt: a side's anchor is always written
-    before it is read.
+    ``e_u``, ``e_v`` and ``w2`` are the edges as flat lists (endpoints and
+    weight in h-units).  ``parent0`` and ``covered0`` are the templates a
+    new ``ClusterState`` copies.  The other lists are ``decode``'s own:
+    clean (False, 0 or None) between decodes, because each decode resets
+    the entries it wrote.  ``t_u``/``t_v`` are exempt: a side's anchor is
+    always written before it is read.
     """
 
-    __slots__ = ("parent0", "covered0", "w2", "active", "radius2", "anchor_t",
+    __slots__ = ("e_u", "e_v", "w2", "parent0", "covered0", "active",
                  "frontier", "closed", "cov2u", "cov2v", "t_u", "t_v")
 
     def __init__(self, graph: DecodingGraph):
         n, m = graph.num_nodes, graph.num_edges
+        self.e_u = [e.u for e in graph.edges]
+        self.e_v = [e.v for e in graph.edges]
+        self.w2 = [2 * e.weight for e in graph.edges]
         self.parent0 = list(range(n))
         self.covered0 = [False] * n
         for b in graph.boundaries:
             self.covered0[b] = True
-        self.w2 = [2 * w for w in graph.edge_arrays()[2]]
         self.active = [False] * n       # valid at roots
-        self.radius2 = [0] * n          # banked growth radius per root, h-units
-        self.anchor_t = [0] * n         # clock anchor while active
         self.frontier = [None] * n      # per-root list of (edge, side) entries
         self.closed = [False] * m
         self.cov2u = [0] * m            # anchored coverage per side, h-units
@@ -199,10 +212,9 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     members = cs.members
 
     sc = _scratch(g)
-    active, radius2, anchor_t, frontier = sc.active, sc.radius2, sc.anchor_t, sc.frontier
-    closed, cov2u, cov2v, t_u, t_v = sc.closed, sc.cov2u, sc.cov2v, sc.t_u, sc.t_v
-    w2 = sc.w2
-    e_u, e_v, _ = g.edge_arrays()
+    active, frontier, closed = sc.active, sc.frontier, sc.closed
+    cov2u, cov2v, t_u, t_v = sc.cov2u, sc.cov2v, sc.t_u, sc.t_v
+    e_u, e_v, w2 = sc.e_u, sc.e_v, sc.w2
     neighbors = g.neighbors
     m = g.num_edges
 
@@ -235,10 +247,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     def set_activity(r, new_active):
         if active[r] == new_active:
             return
-        if active[r]:                  # pause: bank radius, freeze coverages
-            radius2[r] += clock - anchor_t[r]
-            if radius2[r] > cs.radius2_log:
-                cs.radius2_log = radius2[r]
+        if active[r]:                  # pause: freeze coverages
             active[r] = False
             for eidx, side in frontier[r]:
                 if closed[eidx]:
@@ -250,7 +259,6 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                     cov2v[eidx] += clock - t_v[eidx]
                     t_v[eidx] = clock
         else:                          # resume: re-anchor, re-arm predictions
-            anchor_t[r] = clock
             active[r] = True
             for eidx, side in frontier[r]:
                 if closed[eidx]:
@@ -310,16 +318,12 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 if ru == rv:
                     continue                      # internal cycle edge
                 a_u, a_v = active[ru], active[rv]
-                cur_ru = radius2[ru] + (clock - anchor_t[ru]) if a_u else radius2[ru]
-                cur_rv = radius2[rv] + (clock - anchor_t[rv]) if a_v else radius2[rv]
                 new_active = bool((parity[ru] + parity[rv]) % 2) and not (touches[ru] or touches[rv])
                 set_activity(ru, new_active)
                 set_activity(rv, new_active)
                 fa, fb = frontier[ru], frontier[rv]
                 winner = _union_meta(cs, ru, rv)
                 active[winner] = new_active
-                radius2[winner] = max(cur_ru, cur_rv)
-                anchor_t[winner] = clock
                 if len(fa) < len(fb):
                     fa, fb = fb, fa
                 fa.extend(fb)
@@ -330,15 +334,10 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                     break                 # nothing grows, so no edge can close
             else:
                 x, r = (u, parent[v]) if not covered[u] else (v, parent[u])
-                was_active = active[r]
-                cur = radius2[r]
-                cur_anchor = anchor_t[r]
                 covered[x] = True
                 members[x] = [x]
                 winner = _union_meta(cs, r, x)
-                active[winner] = was_active
-                radius2[winner] = cur
-                anchor_t[winner] = cur_anchor
+                active[winner] = active[r]
                 lst = frontier[winner] = frontier[r]
                 for _, _, e2 in neighbors[x]:
                     if closed[e2]:
@@ -366,10 +365,9 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 cov2v[eidx] = 0
             for x in lst:
                 active[x] = False
-                radius2[x] = 0
-                anchor_t[x] = 0
                 frontier[x] = None
 
+    cs.radius2_log = clock
     cs.op_count = op_count
     return cs
 
@@ -394,11 +392,12 @@ def nodes_in_clusters(cs: ClusterState) -> int:
 def peel(g: DecodingGraph, cs: ClusterState, s: Syndrome) -> frozenset:
     """Extract a correction from the spanning forest of each cluster.
 
-    Leaves are stripped one at a time; an edge joins the correction when the
-    leaf below it carries unmatched parity.  In every tree, one boundary node
-    (the lowest id, when present) is kept as the sink that absorbs leftover
-    parity; other boundary leaves absorb silently.  The returned edge set
-    reproduces the syndrome ``s`` exactly.
+    Each tree is rooted at its lowest-id boundary, or at any node if it has
+    none, and walked once, children first: a detector with odd parity puts
+    the edge to its parent in the correction and passes the parity up,
+    and a boundary absorbs it.  The returned edge set reproduces the
+    syndrome ``s`` exactly; a detector left with odd parity (a root or a
+    node outside the forest) raises InvariantViolationError.
     """
     if frozenset(s.events) != cs.events:
         raise InvariantViolationError("cluster state was produced for a different syndrome")
@@ -409,57 +408,32 @@ def peel(g: DecodingGraph, cs: ClusterState, s: Syndrome) -> frozenset:
         tree_adj.setdefault(e.u, []).append((e.v, eidx))
         tree_adj.setdefault(e.v, []).append((e.u, eidx))
 
-    # One sink boundary per tree: walk components of the forest.
-    sinks = set()
-    seen = set()
-    for start in sorted(tree_adj):
-        if start in seen:
+    is_boundary = g.is_boundary
+    up = {}                            # node -> (parent, edge), None at roots
+    order = []                         # parents before children
+    for root in sorted(x for x in tree_adj if is_boundary[x]) + list(tree_adj):
+        if root in up:
             continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
+        up[root] = None
+        stack = [root]
         while stack:
-            node = stack.pop()
-            for other, _ in tree_adj[node]:
-                if other not in seen:
-                    seen.add(other)
-                    comp.append(other)
-                    stack.append(other)
-        comp_boundaries = sorted(x for x in comp if g.is_boundary[x])
-        if comp_boundaries:
-            sinks.add(comp_boundaries[0])
+            x = stack.pop()
+            order.append(x)
+            for y, eidx in tree_adj[x]:
+                if y not in up:
+                    up[y] = (x, eidx)
+                    stack.append(y)
 
-    pending = {x: True for x in cs.events}
-    degree = {x: len(nbrs) for x, nbrs in tree_adj.items()}
+    odd = dict.fromkeys(cs.events, True)
     correction = set()
-    removed = set()
-
-    leaves = [x for x in tree_adj if degree[x] == 1 and x not in sinks]
-    heapq.heapify(leaves)
-    while leaves:
-        x = heapq.heappop(leaves)
-        if x in removed or degree.get(x, 0) != 1:
-            continue
-        removed.add(x)
-        link = None
-        for other, eidx in tree_adj[x]:
-            if other not in removed:
-                link = (other, eidx)
-                break
-        if link is None:
-            continue
-        other, eidx = link
-        if pending.get(x, False) and not g.is_boundary[x]:
+    for x in reversed(order):
+        if up[x] is not None and not is_boundary[x] and odd.pop(x, False):
+            parent, eidx = up[x]
             correction.add(eidx)
-            pending[other] = not pending.get(other, False)
-        pending[x] = False
-        degree[x] = 0
-        degree[other] -= 1
-        if degree[other] == 1 and other not in sinks:
-            heapq.heappush(leaves, other)
+            odd[parent] = not odd.get(parent, False)
 
-    for x, flag in pending.items():
-        if flag and not g.is_boundary[x]:
-            raise InvariantViolationError(
-                f"odd residual parity at node {x} in a boundary-free cluster")
+    residual = [x for x, flag in odd.items() if flag and not is_boundary[x]]
+    if residual:
+        raise InvariantViolationError(
+            f"odd residual parity at node {min(residual)} in a boundary-free cluster")
     return frozenset(correction)

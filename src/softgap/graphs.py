@@ -80,12 +80,10 @@ class DecodingGraph:
 
     Nodes are 0-based ids; boundary ids are listed in ``boundaries``.
     ``neighbors[n]`` holds the (other_node, weight, edge_index) triple of
-    every edge incident to n, and ``edge_arrays()`` the same edges as flat
-    per-edge lists.  Weights are non-negative integers.
+    every edge incident to n.  Weights are non-negative integers.
     """
 
-    def __init__(self, num_nodes: int, boundaries, edges,
-                 distance_params: tuple | None = None):
+    def __init__(self, num_nodes: int, boundaries, edges):
         boundaries = tuple(boundaries)
         if len(boundaries) < 2:
             raise InvalidParameterError("a decoding graph needs at least two boundaries")
@@ -96,7 +94,6 @@ class DecodingGraph:
                 raise InvalidParameterError(f"boundary id {b} out of range")
         self.num_nodes = num_nodes
         self.boundaries = boundaries
-        self.distance_params = distance_params
 
         is_boundary = [False] * num_nodes
         for b in boundaries:
@@ -131,16 +128,6 @@ class DecodingGraph:
     @property
     def num_detectors(self) -> int:
         return self.num_nodes - len(self.boundaries)
-
-    def edge_arrays(self):
-        """Memoized flat (endpoint_u, endpoint_v, weight) edge arrays."""
-        cached = getattr(self, "_edge_arrays", None)
-        if cached is None:
-            cached = ([e.u for e in self.edges],
-                      [e.v for e in self.edges],
-                      [e.weight for e in self.edges])
-            object.__setattr__(self, "_edge_arrays", cached)
-        return cached
 
     def min_weight(self) -> int:
         """Memoized lightest edge weight."""
@@ -256,8 +243,7 @@ def build_phenomenological(d: int, rounds: int, p: float) -> DecodingGraph:
             for col in range(cols):
                 edges.append(Edge(det(row, col, t), det(row, col, t + 1), w, p))
 
-    return DecodingGraph(num_det + 2, (b1, b2), edges,
-                         distance_params=(d, rounds, p))
+    return DecodingGraph(num_det + 2, (b1, b2), edges)
 
 
 def save_graph(g: DecodingGraph, path) -> None:

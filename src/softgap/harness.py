@@ -13,7 +13,7 @@ import io
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
 from .sampling import SeedSpec, sample_syndrome, Syndrome
@@ -54,6 +54,8 @@ class SweepConfig:
                 raise ConfigError(f"probabilities must be in (0, 0.5], got {p}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.rounds is not None and self.rounds < 1:
+            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if self.epsilon_max_db <= 0:
             raise ConfigError("epsilon_max_db must be > 0")
         for m in self.methods:
@@ -112,6 +114,7 @@ def evaluate_sample(graph: DecodingGraph, events, eps_scaled: int, methods):
 _graph_cache = {}
 _eval_cache = {}
 _EVAL_CACHE_CAP = 150_000
+_CHUNK = 2000                          # samples per worker task
 
 
 def _cell_graph(d, rounds, p):
@@ -144,7 +147,7 @@ def _run_chunk(args):
     return out
 
 
-def _iter_sample_evals(cfg: SweepConfig, workers: int = 1, chunk: int = 2000):
+def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
     """Yield (cell_index, d, p, sample_index, eval_result) in sweep order."""
     cfg.validate()
     methods = tuple(m for m in METHODS if m in cfg.methods)
@@ -152,8 +155,8 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1, chunk: int = 2000):
     tasks = []
     for cell_index, d, p in cfg.cells():
         base = cell_index * cfg.samples
-        for start in range(0, cfg.samples, chunk):
-            end = min(start + chunk, cfg.samples)
+        for start in range(0, cfg.samples, _CHUNK):
+            end = min(start + _CHUNK, cfg.samples)
             tasks.append(((d, p, cfg.rounds_for(d), eps_scaled, methods,
                            cfg.master_seed, base, start, end,
                            cfg.skip_empty_syndromes), cell_index, d, p))
@@ -308,11 +311,7 @@ def run_consistency(cfg: SweepConfig, workers: int = 1,
     """
     if "cluster" not in cfg.methods or len([m for m in cfg.methods if m in METHODS]) < 2:
         raise ConfigError("consistency runs need method 'cluster' plus at least one other")
-    cfg_all = SweepConfig(
-        distances=tuple(cfg.distances), probs=tuple(cfg.probs),
-        samples=cfg.samples, master_seed=cfg.master_seed, rounds=cfg.rounds,
-        epsilon_max_db=cfg.epsilon_max_db, methods=METHODS,
-        skip_empty_syndromes=False)
+    cfg_all = replace(cfg, methods=METHODS, skip_empty_syndromes=False)
     eps_scaled = db_to_scaled(cfg.epsilon_max_db)
     report = ConsistencyReport(violations={k: 0 for k in _CONSISTENCY_RULES})
     v = report.violations
@@ -502,12 +501,11 @@ def _svg_line_chart(series: dict, title: str, x_label: str, y_label: str,
 
 
 def emit(records, fmt: str, path, metadata: dict | None = None,
-         samples_per_cell: int | None = None, epsilon_max_db: float = 20.0,
-         svg_metric: str = "mean_visited") -> None:
+         samples_per_cell: int | None = None, epsilon_max_db: float = 20.0) -> None:
     """Write records as csv, json, or an svg-plot of the aggregates.
 
     The svg plot draws one series per (p, method) with x = d and a log y
-    axis over the chosen aggregate metric.
+    axis over the mean visited nodes.
     """
     records = list(records)
     if fmt == "csv":
@@ -524,9 +522,9 @@ def emit(records, fmt: str, path, metadata: dict | None = None,
         series = {}
         for row in rows:
             label = f"p={row.p:g} {row.method}"
-            series.setdefault(label, []).append((row.d, getattr(row, svg_metric)))
-        text = _svg_line_chart(series, title=svg_metric, x_label="code distance d",
-                               y_label=svg_metric)
+            series.setdefault(label, []).append((row.d, row.mean_visited))
+        text = _svg_line_chart(series, title="mean_visited", x_label="code distance d",
+                               y_label="mean_visited")
     else:
         raise ValueError(f"unknown format {fmt!r}; choose csv, json, or svg-plot")
     with open(path, "w", encoding="utf-8") as f:

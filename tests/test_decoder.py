@@ -2,6 +2,7 @@ import copy
 import hashlib
 import heapq
 import math
+import random
 from unittest import mock
 
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     oracle_contract,
     oracle_partition_roots,
     oracle_syndrome,
+    random_graph,
     random_groups,
     random_rough_graph,
 )
@@ -144,6 +146,44 @@ class TestPeel:
         with pytest.raises(InvariantViolationError):
             peel(g, cs, Syndrome(frozenset({e.u})))
 
+    @staticmethod
+    def forest_state(g, events, forest):
+        cs = ClusterState(g, events)
+        cs.forest = list(forest)
+        return cs, Syndrome(frozenset(events))
+
+    def test_odd_boundary_free_tree_raises(self):
+        # detectors 0, 1, 2 on a path, boundaries 3 and 4 off the forest
+        g = DecodingGraph(5, (3, 4), [Edge(0, 1, 2), Edge(1, 2, 2),
+                                      Edge(0, 3, 9), Edge(2, 4, 9)])
+        cs, s = self.forest_state(g, {0, 2}, [0, 1])
+        assert peel(g, cs, s) == frozenset({0, 1})
+        cs, s = self.forest_state(g, {0, 1, 2}, [0, 1])
+        with pytest.raises(InvariantViolationError, match="odd residual parity"):
+            peel(g, cs, s)
+
+    def test_residual_names_smallest_detector(self):
+        # a path of detectors 0..8 between boundaries 9 and 10 and no
+        # forest: both events are residual, whatever order a set keeps them in
+        edges = [Edge(x, x + 1, 2) for x in range(8)] + [Edge(0, 9, 5), Edge(8, 10, 5)]
+        g = DecodingGraph(11, (9, 10), edges)
+        cs, s = self.forest_state(g, {1, 8}, [])
+        with pytest.raises(InvariantViolationError, match="at node 1 "):
+            peel(g, cs, s)
+
+    def test_non_sink_boundary_absorbs_parity(self):
+        # forest 2 - 0 - 3 - 1 with boundaries 2 (the sink, lowest id) and
+        # 3: the parity of event 1 stops at boundary 3 and never reaches 2
+        g = DecodingGraph(4, (2, 3), [Edge(2, 0, 4), Edge(0, 3, 4),
+                                      Edge(3, 1, 4), Edge(0, 1, 2)])
+        cs, s = self.forest_state(g, {1}, [0, 1, 2])
+        corr = peel(g, cs, s)
+        assert corr == frozenset({2})
+        assert syndrome_of(g, ErrorPattern(corr)).events == s.events
+        # an event between the two boundaries goes to the sink
+        cs, s = self.forest_state(g, {0}, [0, 1, 2])
+        assert peel(g, cs, s) == frozenset({0})
+
     @pytest.mark.parametrize("d,p", [(3, 0.05), (5, 0.02), (7, 0.01), (7, 0.03)])
     def test_correction_reproduces_syndrome(self, d, p):
         g = build_phenomenological(d, d, p)
@@ -254,6 +294,41 @@ class TestPinnedState:
     def test_decoder_state_digest(self):
         cells = [(d, p) for d in (5, 9, 13) for p in (0.001, 0.01, 0.05)]
         assert state_digest(cells) == self.STATE_SHA256
+
+
+def rough_digest(seed=2024, cases=2000):
+    """sha256 over each decode's sorted peel correction, radius2_log and
+    op_count on seeded ``random_rough_graph`` and ``random_graph`` cases,
+    and over peel's outcome (its correction, or that it raised) on the
+    same forest with one edge dropped."""
+    rnd = random.Random(seed)
+    h = hashlib.sha256()
+    for i in range(cases):
+        g = random_rough_graph(rnd) if i % 2 else random_graph(rnd, max_nodes=80)
+        s = random_syndrome(rnd, g)
+        cs = decode(g, s)
+        h.update(repr((sorted(peel(g, cs, s)), cs.radius2_log, cs.op_count)).encode())
+        if not cs.forest:
+            continue
+        broken = copy.copy(cs)
+        k = rnd.randrange(len(cs.forest))
+        broken.forest = cs.forest[:k] + cs.forest[k + 1:]
+        try:
+            outcome = sorted(peel(g, broken, s))
+        except InvariantViolationError:
+            outcome = "raised"
+        h.update(repr(outcome).encode())
+    return h.hexdigest()
+
+
+class TestPinnedRoughState:
+    # Recorded before the growth radius was read off the clock and before
+    # peel became one rooted pass.  Covers zero-weight, odd-weight and
+    # parallel edges, two to five boundaries and forests that peel rejects.
+    STATE_SHA256 = "4cd1f20ef5f55cd1b9b2b4d00c82279e5484c158b53f74585bcd579c69c296e8"
+
+    def test_rough_decode_digest(self):
+        assert rough_digest() == self.STATE_SHA256
 
 
 class TestGrowthRadius:
@@ -392,7 +467,6 @@ def assert_scratch_clean(g):
     sc = g._decode_scratch
     n, m = g.num_nodes, g.num_edges
     assert sc.active == [False] * n and sc.frontier == [None] * n
-    assert sc.radius2 == [0] * n and sc.anchor_t == [0] * n
     assert sc.closed == [False] * m
     assert sc.cov2u == [0] * m and sc.cov2v == [0] * m
 

@@ -49,6 +49,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(probs=(0.7,)).validate()
 
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_nonpositive_rounds_rejected(self, rounds):
+        # rejected up front, not inside a pool worker's graph build
+        with pytest.raises(ConfigError):
+            small_cfg(rounds=rounds).validate()
+        with pytest.raises(ConfigError):
+            next(run_sweep(small_cfg(rounds=rounds), workers=2))
+
 
 class TestRunSweep:
     def test_deterministic_csv_bytes(self):
@@ -289,6 +297,20 @@ class TestCli:
                      "--out", str(out)]) == 0
         records = parse_records_csv(out.read_text())
         assert len(records) == 25 * 4
+
+    def test_gen_graph_rounds(self, tmp_path):
+        from softgap.cli import main
+        from softgap.graphs import InvalidParameterError, load_graph
+        gpath = tmp_path / "d3r2.graph"
+        assert main(["gen-graph", "--distance", "3", "--rounds", "2", "--p", "0.01",
+                     "--out", str(gpath)]) == 0
+        assert load_graph(gpath).num_detectors == 4 * 3
+        # --rounds 0 is an error, not the default rounds = d
+        zero = tmp_path / "d3r0.graph"
+        with pytest.raises(InvalidParameterError):
+            main(["gen-graph", "--distance", "3", "--rounds", "0", "--p", "0.01",
+                  "--out", str(zero)])
+        assert not zero.exists()
 
     def test_fit_and_switch_check(self, tmp_path):
         from softgap.cli import main
