@@ -4,11 +4,12 @@ import argparse
 import json
 import sys
 
-from .graphs import build_phenomenological, save_graph
+from .graphs import (InvalidParameterError, InvalidProbabilityError,
+                     build_phenomenological, save_graph)
 from .fitting import fit_power_law, fit_exponential
-from .harness import (SweepConfig, run_sweep, run_consistency, switch_check,
-                      aggregate, emit, parse_csv_metadata, parse_records_csv,
-                      METHODS)
+from .harness import (ConfigError, SweepConfig, run_sweep, run_consistency,
+                      switch_check, aggregate, emit, parse_csv_metadata,
+                      parse_records_csv, METHODS)
 
 
 def _int_list(text):
@@ -27,23 +28,17 @@ def _add_sweep_flags(sp):
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--epsilon-max-db", type=float, default=20.0)
-    sp.add_argument("--methods", default=",".join(METHODS),
-                    help="subset of cluster,bounded,extra,extra-cg")
     sp.add_argument("--rounds", type=int, default=None,
                     help="measurement rounds (default: rounds = d)")
-    sp.add_argument("--keep-empty", action="store_true",
-                    help="emit records for empty-syndrome samples too")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", required=True)
 
 
-def _config_from(args) -> SweepConfig:
-    methods = tuple(m.replace("-", "_") for m in args.methods.split(","))
+def _config_from(args, **options) -> SweepConfig:
     return SweepConfig(distances=args.distances, probs=args.probs,
                        samples=args.samples, master_seed=args.seed,
                        rounds=args.rounds, epsilon_max_db=args.epsilon_max_db,
-                       methods=methods,
-                       skip_empty_syndromes=not args.keep_empty)
+                       **options)
 
 
 def _read_sweep_csv(path):
@@ -75,6 +70,10 @@ def main(argv=None) -> int:
 
     s = sub.add_parser("sweep", help="run a (d, p) sweep and write records")
     _add_sweep_flags(s)
+    s.add_argument("--methods", default=",".join(METHODS),
+                   help="subset of cluster,bounded,extra,extra-cg")
+    s.add_argument("--keep-empty", action="store_true",
+                   help="emit records for empty-syndrome samples too")
     s.add_argument("--format", choices=("csv", "json", "svg-plot"), default="csv")
 
     c = sub.add_parser("consistency",
@@ -100,7 +99,13 @@ def main(argv=None) -> int:
     w.add_argument("--epsilon-max-db", type=float, default=20.0)
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigError, InvalidParameterError, InvalidProbabilityError) as err:
+        sub.choices[args.command].error(str(err))
 
+
+def _run(args) -> int:
     if args.command == "gen-graph":
         d = args.distance
         graph = build_phenomenological(d, d if args.rounds is None else args.rounds, args.p)
@@ -109,7 +114,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        cfg = _config_from(args)
+        cfg = _config_from(args,
+                           methods=tuple(m.replace("-", "_") for m in args.methods.split(",")),
+                           skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
         metadata = {"samples_per_cell": cfg.samples,
                     "cells": len(cfg.distances) * len(cfg.probs),
@@ -122,8 +129,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "consistency":
-        cfg = _config_from(args)
-        report = run_consistency(cfg, workers=args.workers)
+        report = run_consistency(_config_from(args), workers=args.workers)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("d,p,sample,method,cluster_gap_db,other_gap_db,other_defined\n")
             for d, p, idx, m, cdb, odb, ok in report.rows:

@@ -17,13 +17,19 @@ the clock's, and the remaining h-length of an edge grown from both sides is
 even.  An odd remainder would break that argument and raises
 InvariantViolationError.
 
-The growth radius is the clock, so no cluster keeps one: every active
-cluster has grown for exactly ``clock`` h-units.  Seeds start active at
-clock 0; absorbing a node keeps the cluster's radius; a merge keeps the
-larger radius, and an active side's radius is the clock; a paused
-cluster's radius is at most the clock at which it paused.  So the largest
-radius any cluster used, ``radius2_log``, is the clock at which the last
-cluster stopped.
+The growth state is one flag per cluster and one number per edge side.
+The clock is every active cluster's growth radius: seeds start active at
+clock 0, absorbing a node keeps the radius, a merge keeps the larger one,
+and a paused cluster's radius is at most the clock at which it paused.  So
+the largest radius any cluster used, ``radius2_log``, is the clock at
+which the last cluster stopped.  A stopped side stores its coverage and a
+growing side its coverage less the clock, so at instant t it covers
+``stored + t``: a pause adds the clock to each open side of the cluster, a
+resume subtracts it, and a side that starts growing starts at ``-clock``.
+No cluster keeps its parity either: a boundary-free cluster is active
+exactly when it holds an odd number of events.  Seeds are odd and active,
+an absorption keeps both, and a merge of two boundary-free clusters is
+odd, and active, exactly when one of the two was.
 
 Cluster labels are flat: ``parent[x]`` is the root of every covered node
 (uncovered nodes are their own roots), and ``members`` maps each root to
@@ -35,15 +41,15 @@ log2(n) times, O(n log n) in all.  Every label lookup is then one list
 read, and the contraction reads the labels instead of rebuilding them.
 
 Per-decode work is bounded by the syndrome, not by the graph.  The growth
-state (activity, frontiers, per-edge coverage and anchors) lives in
-per-graph scratch lists, allocated at the graph's first decode; each
-decode writes only the entries of the nodes it covers and the edges of
-their frontiers, and resets exactly those when it ends, also when it
-raises.  A new ``ClusterState`` copies its node-sized lists from per-graph
-templates.  So two decodes on one graph must not run at the same time
-(from two threads).  The event loop stops when a union leaves no cluster
-growing: with no growing side no edge can close, so the state is final and
-the predictions still queued are dropped unpopped.  Each queued prediction
+state (activity, frontiers, per-edge coverage) lives in per-graph scratch
+lists, allocated at the graph's first decode; each decode writes only the
+entries of the nodes it covers and the edges of their frontiers, and
+resets exactly those when it ends, also when it raises.  A new
+``ClusterState`` copies its node-sized lists from per-graph templates.
+So two decodes on one graph must not run at the same time (from two
+threads).  The event loop stops when a union leaves no cluster growing:
+with no growing side no edge can close, so the state is final and the
+predictions still queued are dropped unpopped.  Each queued prediction
 is an integer key ``t * num_edges + edge``, so the queue orders by
 (instant, edge) and a popped edge needs one prediction only.
 ``op_count`` is the number of heap pushes plus heap pops.
@@ -70,12 +76,11 @@ class _Scratch:
     weight in h-units).  ``parent0`` and ``covered0`` are the templates a
     new ``ClusterState`` copies.  The other lists are ``decode``'s own:
     clean (False, 0 or None) between decodes, because each decode resets
-    the entries it wrote.  ``t_u``/``t_v`` are exempt: a side's anchor is
-    always written before it is read.
+    the entries it wrote.
     """
 
     __slots__ = ("e_u", "e_v", "w2", "parent0", "covered0", "active",
-                 "frontier", "closed", "cov2u", "cov2v", "t_u", "t_v")
+                 "frontier", "closed", "cov2u", "cov2v")
 
     def __init__(self, graph: DecodingGraph):
         n, m = graph.num_nodes, graph.num_edges
@@ -89,10 +94,8 @@ class _Scratch:
         self.active = [False] * n       # valid at roots
         self.frontier = [None] * n      # per-root list of (edge, side) entries
         self.closed = [False] * m
-        self.cov2u = [0] * m            # anchored coverage per side, h-units
+        self.cov2u = [0] * m            # per side: coverage, less the clock if growing
         self.cov2v = [0] * m
-        self.t_u = [0] * m              # anchor clock per side
-        self.t_v = [0] * m
 
 
 def _scratch(graph: DecodingGraph) -> _Scratch:
@@ -123,7 +126,6 @@ class ClusterState:
         self.parent = scratch.parent0[:]
         self.rank = [0] * n
         self.covered = scratch.covered0[:]
-        self.parity = [0] * n          # valid at cluster roots
         self.touches_boundary = graph.is_boundary[:]
         self.members = {b: [b] for b in graph.boundaries}  # root -> covered nodes
         self.coverage2 = {}
@@ -186,7 +188,6 @@ def _union_meta(cs: ClusterState, ra: int, rb: int) -> int:
     for x in moved:
         parent[x] = ra
     cs.members[ra].extend(moved)
-    cs.parity[ra] = (cs.parity[ra] + cs.parity[rb]) % 2
     cs.touches_boundary[ra] = cs.touches_boundary[ra] or cs.touches_boundary[rb]
     return ra
 
@@ -206,14 +207,13 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
         return cs
 
     covered = cs.covered
-    parity = cs.parity
     touches = cs.touches_boundary
     parent = cs.parent                 # flat: the root of every covered node
     members = cs.members
 
     sc = _scratch(g)
     active, frontier, closed = sc.active, sc.frontier, sc.closed
-    cov2u, cov2v, t_u, t_v = sc.cov2u, sc.cov2v, sc.t_u, sc.t_v
+    cov2u, cov2v = sc.cov2u, sc.cov2v
     e_u, e_v, w2 = sc.e_u, sc.e_v, sc.w2
     neighbors = g.neighbors
     m = g.num_edges
@@ -225,68 +225,47 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
 
     def push(eidx):
         # Predict the edge's closing instant from the current rates and
-        # queue it; an edge with no growing side is not queued.
+        # queue it; an edge with no growing side is not queued.  A growing
+        # side covers stored + t at instant t, a stopped one stored.
         nonlocal op_count
-        if active[parent[e_u[eidx]]]:          # uncovered nodes are never active
-            if active[parent[e_v[eidx]]]:
-                rem = (w2[eidx] - cov2u[eidx] - cov2v[eidx]
-                       - (clock - t_u[eidx]) - (clock - t_v[eidx]))
-                if rem & 1:
-                    raise InvariantViolationError(
-                        f"edge {eidx} has odd remaining coverage {rem} between two growing sides")
-                t = clock + (rem >> 1)
-            else:
-                t = t_u[eidx] + w2[eidx] - cov2u[eidx] - cov2v[eidx]
-        elif active[parent[e_v[eidx]]]:
-            t = t_v[eidx] + w2[eidx] - cov2u[eidx] - cov2v[eidx]
-        else:
+        grow_u = active[parent[e_u[eidx]]]     # uncovered nodes are never active
+        grow_v = active[parent[e_v[eidx]]]
+        t = w2[eidx] - cov2u[eidx] - cov2v[eidx]
+        if grow_u and grow_v:
+            if t & 1:
+                raise InvariantViolationError(
+                    f"edge {eidx} has odd remaining coverage {t - 2 * clock} "
+                    "between two growing sides")
+            t >>= 1
+        elif not (grow_u or grow_v):
             return
         heappush(heap, t * m + eidx)
         op_count += 1
 
     def set_activity(r, new_active):
+        # Pause (add the clock to each open side) or resume (subtract it).
         if active[r] == new_active:
             return
-        if active[r]:                  # pause: freeze coverages
-            active[r] = False
-            for eidx, side in frontier[r]:
-                if closed[eidx]:
-                    continue
-                if side == 0:
-                    cov2u[eidx] += clock - t_u[eidx]
-                    t_u[eidx] = clock
-                else:
-                    cov2v[eidx] += clock - t_v[eidx]
-                    t_v[eidx] = clock
-        else:                          # resume: re-anchor, re-arm predictions
-            active[r] = True
-            for eidx, side in frontier[r]:
-                if closed[eidx]:
-                    continue
-                if side == 0:
-                    t_u[eidx] = clock
-                else:
-                    t_v[eidx] = clock
-                push(eidx)
+        active[r] = new_active
+        shift = -clock if new_active else clock
+        for eidx, side in frontier[r]:
+            if not closed[eidx]:
+                (cov2v if side else cov2u)[eidx] += shift
+        if new_active:                 # once all are converted: an internal
+            for eidx, _ in frontier[r]:    # edge reads both its sides
+                if not closed[eidx]:
+                    push(eidx)
 
     try:
         for b in g.boundaries:
             frontier[b] = []
-        # Seed: one active cluster per detection event, anchored at clock 0.
+        # Seed: one active cluster per detection event.  Its sides start at
+        # clock 0 with coverage 0, which the clean scratch already holds.
         for x in cs.events:
             covered[x] = True
             members[x] = [x]
-            parity[x] = 1
             active[x] = True
-            lst = []
-            for _, _, eidx in neighbors[x]:
-                if e_u[eidx] == x:
-                    t_u[eidx] = 0
-                    lst.append((eidx, 0))
-                else:
-                    t_v[eidx] = 0
-                    lst.append((eidx, 1))
-            frontier[x] = lst
+            frontier[x] = [(eidx, int(e_u[eidx] != x)) for _, _, eidx in neighbors[x]]
         num_active = len(cs.events)
         for x in cs.events:
             for eidx, _ in frontier[x]:
@@ -303,8 +282,8 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
             grow_v = active[parent[v]]
             if not (grow_u or grow_v):
                 continue
-            cu = cov2u[eidx] + (t - t_u[eidx]) if grow_u else cov2u[eidx]
-            cv = cov2v[eidx] + (t - t_v[eidx]) if grow_v else cov2v[eidx]
+            cu = cov2u[eidx] + t if grow_u else cov2u[eidx]
+            cv = cov2v[eidx] + t if grow_v else cov2v[eidx]
             if cu + cv != w2[eidx]:   # stale: queue the true instant
                 push(eidx)
                 continue
@@ -318,7 +297,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 if ru == rv:
                     continue                      # internal cycle edge
                 a_u, a_v = active[ru], active[rv]
-                new_active = bool((parity[ru] + parity[rv]) % 2) and not (touches[ru] or touches[rv])
+                new_active = a_u != a_v and not (touches[ru] or touches[rv])
                 set_activity(ru, new_active)
                 set_activity(rv, new_active)
                 fa, fb = frontier[ru], frontier[rv]
@@ -340,15 +319,11 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 active[winner] = active[r]
                 lst = frontier[winner] = frontier[r]
                 for _, _, e2 in neighbors[x]:
-                    if closed[e2]:
-                        continue
-                    if e_u[e2] == x:
-                        t_u[e2] = clock
-                        lst.append((e2, 0))
-                    else:
-                        t_v[e2] = clock
-                        lst.append((e2, 1))
-                    push(e2)
+                    if not closed[e2]:    # r grows: a new side starts at -clock
+                        side = int(e_u[e2] != x)
+                        (cov2v if side else cov2u)[e2] = -clock
+                        lst.append((e2, side))
+                        push(e2)
                 cs.forest.append(eidx)
     finally:
         # Every written edge is a frontier entry of a current root, and

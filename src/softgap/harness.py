@@ -166,8 +166,7 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
             for idx, res in _run_chunk(args):
                 yield cell_index, d, p, idx, res
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             for (args, cell_index, d, p), rows in zip(
                     tasks, pool.imap(_run_chunk, (t[0] for t in tasks))):
                 for idx, res in rows:
@@ -298,19 +297,18 @@ def rule_violations(gaps, eps: int) -> list:
 
 def run_consistency(cfg: SweepConfig, workers: int = 1,
                     collect_rows: bool = True) -> ConsistencyReport:
-    """Evaluate all four methods per sample and count rule violations.
+    """Evaluate all four methods on every sample, whatever ``cfg.methods``
+    and ``cfg.skip_empty_syndromes`` say, and count rule violations.
 
     The five rules bind the estimators together sample by sample (exact
     integer comparisons on scaled gaps): the bounded search must agree with
     the full search below threshold, extra growth can only undershoot the
     cluster gap and never misses below-threshold samples, and the
     cluster-graph variant can only overshoot and is exact below threshold.
-    Empty-syndrome samples are always evaluated (cheaply, via caching).
+    Empty samples cost little: their evaluations repeat and are cached.
     With ``collect_rows`` off only the violation counters are kept, which
     bounds memory on large grids.
     """
-    if "cluster" not in cfg.methods or len([m for m in cfg.methods if m in METHODS]) < 2:
-        raise ConfigError("consistency runs need method 'cluster' plus at least one other")
     cfg_all = replace(cfg, methods=METHODS, skip_empty_syndromes=False)
     eps_scaled = db_to_scaled(cfg.epsilon_max_db)
     report = ConsistencyReport(violations={k: 0 for k in _CONSISTENCY_RULES})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 from collections import Counter
 
 import pytest
@@ -70,6 +71,17 @@ class TestRunSweep:
         serial = records_to_csv(run_sweep(cfg, workers=1))
         parallel = records_to_csv(run_sweep(cfg, workers=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_any_pool_start_method(self, method, monkeypatch):
+        # The pool uses the platform's start method; workers must not rely
+        # on state a forked child would inherit.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        cfg = small_cfg(samples=20)
+        serial = records_to_csv(run_sweep(cfg, workers=1))
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+        assert records_to_csv(run_sweep(cfg, workers=2)) == serial
 
     def test_methods_share_one_cluster_state(self):
         cfg = small_cfg(samples=30)
@@ -218,10 +230,6 @@ class TestConsistency:
         assert all(v == 0 for v in report.violations.values())
         assert len(report.rows) == 3 * report.samples_checked
 
-    def test_requires_multiple_methods(self):
-        with pytest.raises(ConfigError):
-            run_consistency(small_cfg(methods=("cluster",)))
-
     def test_rows_optional(self):
         report = run_consistency(small_cfg(samples=10), collect_rows=False)
         assert report.rows == []
@@ -298,19 +306,49 @@ class TestCli:
         records = parse_records_csv(out.read_text())
         assert len(records) == 25 * 4
 
-    def test_gen_graph_rounds(self, tmp_path):
+    def test_gen_graph_rounds(self, tmp_path, capsys):
         from softgap.cli import main
-        from softgap.graphs import InvalidParameterError, load_graph
+        from softgap.graphs import load_graph
         gpath = tmp_path / "d3r2.graph"
         assert main(["gen-graph", "--distance", "3", "--rounds", "2", "--p", "0.01",
                      "--out", str(gpath)]) == 0
         assert load_graph(gpath).num_detectors == 4 * 3
         # --rounds 0 is an error, not the default rounds = d
         zero = tmp_path / "d3r0.graph"
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["gen-graph", "--distance", "3", "--rounds", "0", "--p", "0.01",
                   "--out", str(zero)])
+        assert exit_info.value.code == 2
+        assert "error: rounds must be >= 1" in capsys.readouterr().err
         assert not zero.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-graph", "--distance", "4", "--p", "0.01"],
+         "softgap gen-graph: error: code distance must be an odd integer >= 3, got 4"),
+        (["gen-graph", "--distance", "3", "--p", "0.7"],
+         "softgap gen-graph: error: edge probability must be in (0, 0.5], got 0.7"),
+        (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--rounds", "0"],
+         "softgap sweep: error: rounds must be >= 1, got 0"),
+        (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--methods", "cluster,mystery"],
+         "softgap sweep: error: unknown method 'mystery'"),
+        (["consistency", "--distances", "4", "--probs", "0.01", "--samples", "5"],
+         "softgap consistency: error: distances must be odd and >= 3, got 4"),
+        (["consistency", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--methods", "cluster,bounded", "--keep-empty"],
+         "softgap: error: unrecognized arguments: --methods cluster,bounded --keep-empty"),
+    ])
+    def test_bad_configuration_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        # a usage line and exit status 2, not a traceback; nothing is written
+        from softgap.cli import main
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: softgap ") and message in err
+        assert not out.exists()
 
     def test_fit_and_switch_check(self, tmp_path):
         from softgap.cli import main
