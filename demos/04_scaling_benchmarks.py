@@ -17,6 +17,7 @@ from softgap import (
     fit_power_law,
     run_consistency,
     run_sweep,
+    sweep_metadata,
     switch_check,
 )
 
@@ -28,7 +29,8 @@ cfg = SweepConfig(distances=(3, 5, 7, 9), probs=(0.003, 0.01), samples=SAMPLES,
 records = list(run_sweep(cfg, workers=2))
 rows = aggregate(records, cfg.samples, cfg.epsilon_max_db)
 
-print(f"{'d':>3} {'p':>7} {'method':<9} {'mean visited':>12} {'frac<=20dB':>11}")
+below = f"frac<={cfg.epsilon_max_db:g}dB"
+print(f"{'d':>3} {'p':>7} {'method':<9} {'mean visited':>12} {below:>11}")
 for r in rows:
     print(f"{r.d:>3} {r.p:>7} {r.method:<9} {r.mean_visited:>12.1f} "
           f"{r.fraction_below:>11.4f}")
@@ -67,5 +69,5 @@ print(f"\nconsistency: {rep.samples_checked} samples,"
 
 with tempfile.TemporaryDirectory() as tmp:
     chart = Path(tmp) / "visited.svg"
-    emit(records, "svg-plot", chart, samples_per_cell=cfg.samples)
+    emit(records, "svg-plot", chart, metadata=sweep_metadata(cfg))
     print(f"\nSVG chart written ({chart.stat().st_size} bytes)")

@@ -20,7 +20,6 @@ from .graphs import (
     db_to_scaled,
     load_graph,
     nat_to_db,
-    nat_to_scaled,
     save_graph,
     scaled_to_db,
     scaled_to_nat,
@@ -73,6 +72,7 @@ from .harness import (
     records_to_json,
     run_consistency,
     run_sweep,
+    sweep_metadata,
     switch_check,
     wilson_interval,
 )

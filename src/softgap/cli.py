@@ -9,7 +9,7 @@ from .graphs import (InvalidParameterError, InvalidProbabilityError,
 from .fitting import fit_power_law, fit_exponential
 from .harness import (ConfigError, SweepConfig, run_sweep, run_consistency,
                       switch_check, aggregate, emit, parse_csv_metadata,
-                      parse_records_csv, METHODS)
+                      parse_records_csv, sweep_metadata, METHODS)
 
 
 def _int_list(text):
@@ -42,18 +42,21 @@ def _config_from(args, **options) -> SweepConfig:
 
 
 def _read_sweep_csv(path):
-    """The records of a sweep CSV and its (samples_per_cell, cells), as the
-    sweep wrote them; empty samples it skipped leave no record, so the
-    records cannot tell."""
+    """The records of a sweep CSV and its samples_per_cell, cells and
+    epsilon_max_db, as the sweep wrote them.  Empty samples it skipped
+    leave no record, and gaps beyond its threshold are undefined, so the
+    records alone cannot give a rate."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     metadata = parse_csv_metadata(text)
     try:
-        size = int(metadata["samples_per_cell"]), int(metadata["cells"])
+        samples = int(metadata["samples_per_cell"])
+        cells = int(metadata["cells"])
+        epsilon_max_db = float(metadata["epsilon_max_db"])
     except KeyError as missing:
         raise SystemExit(f"{path}: no '# {missing.args[0]}=' line; "
                          "write it with `softgap sweep --format csv`") from None
-    return parse_records_csv(text), size
+    return parse_records_csv(text), samples, cells, epsilon_max_db
 
 
 def main(argv=None) -> int:
@@ -89,14 +92,12 @@ def main(argv=None) -> int:
     f.add_argument("--metric", choices=("mean_visited", "mean_extra", "fraction_below"),
                    default="mean_visited")
     f.add_argument("--method", choices=METHODS, default="cluster")
-    f.add_argument("--epsilon-max-db", type=float, default=20.0)
 
     w = sub.add_parser("switch-check",
                        help="compare a measured below-threshold rate to a budget")
     w.add_argument("--threshold", type=float, required=True)
     w.add_argument("--in", dest="infile", required=True)
     w.add_argument("--method", choices=METHODS, default="extra_cg")
-    w.add_argument("--epsilon-max-db", type=float, default=20.0)
 
     args = parser.parse_args(argv)
     try:
@@ -118,13 +119,7 @@ def _run(args) -> int:
                            methods=tuple(m.replace("-", "_") for m in args.methods.split(",")),
                            skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
-        metadata = {"samples_per_cell": cfg.samples,
-                    "cells": len(cfg.distances) * len(cfg.probs),
-                    "master_seed": cfg.master_seed,
-                    "epsilon_max_db": cfg.epsilon_max_db,
-                    "skip_empty_syndromes": cfg.skip_empty_syndromes}
-        emit(records, args.format, args.out, metadata=metadata,
-             epsilon_max_db=cfg.epsilon_max_db)
+        emit(records, args.format, args.out, metadata=sweep_metadata(cfg))
         print(f"wrote {len(records)} records to {args.out}")
         return 0
 
@@ -144,8 +139,8 @@ def _run(args) -> int:
         return 0 if total == 0 else 1
 
     if args.command == "fit":
-        records, (samples, _) = _read_sweep_csv(args.infile)
-        rows = [r for r in aggregate(records, samples, args.epsilon_max_db)
+        records, samples, _, epsilon_max_db = _read_sweep_csv(args.infile)
+        rows = [r for r in aggregate(records, samples, epsilon_max_db)
                 if r.method == args.method]
         results = {}
         for p in sorted({r.p for r in rows}):
@@ -164,10 +159,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "switch-check":
-        records, (samples, cells) = _read_sweep_csv(args.infile)
-        chk = switch_check(records, args.threshold,
-                           epsilon_max_db=args.epsilon_max_db, method=args.method,
-                           attempted=samples * cells)
+        records, samples, cells, epsilon_max_db = _read_sweep_csv(args.infile)
+        chk = switch_check(records, args.threshold, epsilon_max_db,
+                           attempted=samples * cells, method=args.method)
         print(f"measured_rate={chk.measured_rate!r} threshold={chk.user_threshold!r} "
               f"wilson=[{chk.wilson_low:.3g}, {chk.wilson_high:.3g}] "
               f"n={chk.n} verdict={chk.verdict}")

@@ -203,8 +203,6 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     for x in cs.events:
         if not (0 <= x < g.num_nodes) or g.is_boundary[x]:
             raise ValueError(f"detection event {x} is not a detector of this graph")
-    if not cs.events:
-        return cs
 
     covered = cs.covered
     touches = cs.touches_boundary

@@ -51,9 +51,6 @@ def db_to_nat(x_db: float) -> float:
 def scaled_to_nat(scaled: float) -> float:
     return scaled / SCALED_PER_NAT
 
-def nat_to_scaled(w_nat: float) -> int:
-    return round(w_nat * SCALED_PER_NAT)
-
 def scaled_to_db(scaled: float) -> float:
     return nat_to_db(scaled / SCALED_PER_NAT)
 
@@ -204,15 +201,17 @@ class DecodingGraph:
 
 
 def build_phenomenological(d: int, rounds: int, p: float) -> DecodingGraph:
-    """Matching graph of a rotated surface code idled for ``rounds`` rounds,
-    for a single error type under uniform phenomenological noise.
+    """Phenomenological matching graph of (d+1)/2 repetition chains per time
+    slice, stacked over ``rounds`` rounds, joined only through b1 and b2.
 
-    Checks are laid out in (d+1)/2 rows of d-1 columns per time slice, with
-    rounds+1 slices.  Column 0 attaches to boundary b1 and column d-2 to b2
-    via half-edges; horizontally adjacent checks share a space-like edge and
-    the same check in consecutive slices shares a time-like edge.  Every edge
-    carries probability p.  Construction is deterministic, including edge
-    order.
+    Each slice has (d+1)/2 rows of d-1 checks, the (d*d-1)/2 checks of a
+    distance-d rotated surface code, with rounds+1 slices.  But only
+    horizontally adjacent checks share a space-like edge, so each row is a
+    separate repetition chain from b1 (half-edge at column 0) to b2
+    (half-edge at column d-2); this is not the rotated surface code's
+    matching graph (ROADMAP open item 1).  The same check in consecutive
+    slices shares a time-like edge.  Every edge carries probability p.
+    Construction is deterministic, including edge order.
     """
     if d < 3 or d % 2 == 0:
         raise InvalidParameterError(f"code distance must be an odd integer >= 3, got {d}")

@@ -56,8 +56,9 @@ class SweepConfig:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.rounds is not None and self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.epsilon_max_db <= 0:
-            raise ConfigError("epsilon_max_db must be > 0")
+        if not 0.0 < self.epsilon_max_db < math.inf:
+            raise ConfigError("epsilon_max_db must be finite and > 0, "
+                              f"got {self.epsilon_max_db}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
@@ -219,13 +220,25 @@ class AggregateRow:
     fraction_se: float      # binomial standard error with n = samples
 
 
-def aggregate(records, samples_per_cell: int, epsilon_max_db: float = 20.0):
+def _below_threshold(r: SweepRecord, eps_scaled: int) -> bool:
+    """The one below-threshold rule: a defined gap at most the scaled
+    threshold, compared as exact integers like ``rule_violations`` and the
+    bounded search.  A CSV gap round-trips to its scaled value exactly."""
+    return r.defined and db_to_scaled(r.gap_db) <= eps_scaled
+
+
+def aggregate(records, samples_per_cell: int, epsilon_max_db: float):
     """Single-pass aggregation of sweep records.
 
+    Pass the sweep's own ``samples_per_cell`` and ``epsilon_max_db`` (a
+    sweep CSV carries both in its header): the bounded and extra gaps are
+    undefined beyond the threshold the sweep ran with, so no other
+    threshold reads every method alike.
     Visited/extra statistics exclude empty-syndrome records (those with
     nodes_in_clusters == 0); the below-threshold fraction counts every
     configured sample, so skipped empty samples act as above-threshold.
     """
+    eps_scaled = db_to_scaled(epsilon_max_db)
     stats = {}
     for r in records:
         key = (r.d, r.p, r.method)
@@ -238,7 +251,7 @@ def aggregate(records, samples_per_cell: int, epsilon_max_db: float = 20.0):
         if r.nodes_in_clusters > 0:
             st["visited"].add(r.visited_nodes)
             st["extra"].add(r.extra_nodes)
-        if r.defined and r.gap_db is not None and r.gap_db <= epsilon_max_db:
+        if _below_threshold(r, eps_scaled):
             st["below"] += 1
     rows = []
     for (d, p, method), st in sorted(stats.items(), key=lambda kv: (kv[0][0], kv[0][1], METHODS.index(kv[0][2]))):
@@ -310,6 +323,7 @@ def run_consistency(cfg: SweepConfig, workers: int = 1,
     bounds memory on large grids.
     """
     cfg_all = replace(cfg, methods=METHODS, skip_empty_syndromes=False)
+    cfg_all.validate()
     eps_scaled = db_to_scaled(cfg.epsilon_max_db)
     report = ConsistencyReport(violations={k: 0 for k in _CONSISTENCY_RULES})
     v = report.violations
@@ -348,31 +362,29 @@ def wilson_interval(k: int, n: int, z: float = 1.96):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def switch_check(records, threshold: float, epsilon_max_db: float = 20.0,
-                 method: str | None = None,
-                 attempted: int | None = None) -> SwitchCheck:
+def switch_check(records, threshold: float, epsilon_max_db: float,
+                 attempted: int, method: str | None = None) -> SwitchCheck:
     """Compare the measured below-threshold rate against a budget.
 
-    The rate is the fraction of samples with a defined gap at most
-    ``epsilon_max_db``; pass it the rate budget above which a slow fallback
-    decoder could no longer keep up.  ``attempted`` is the denominator: the
-    samples attempted for the checked method (samples per cell times
-    cells), which counts the empty samples a sweep skipped.  Without it
-    every sample must have a record.
+    The rate is the fraction of samples with a defined gap at most the
+    sweep's ``epsilon_max_db``; ``threshold`` is the rate budget above
+    which a slow fallback decoder could no longer keep up.  ``attempted``
+    is the denominator: the samples attempted for the checked method
+    (samples per cell times cells), which counts the empty samples a sweep
+    skipped.
     """
     rows = [r for r in records if method is None or r.method == method]
     if not rows:
         raise ValueError("no records to check")
-    n = len(rows) if attempted is None else attempted
-    if n < len(rows):
-        raise ValueError(f"{len(rows)} records but only {n} samples attempted")
-    k = sum(1 for r in rows
-            if r.defined and r.gap_db is not None and r.gap_db <= epsilon_max_db)
-    rate = k / n
-    low, high = wilson_interval(k, n)
+    if attempted < len(rows):
+        raise ValueError(f"{len(rows)} records but only {attempted} samples attempted")
+    eps_scaled = db_to_scaled(epsilon_max_db)
+    k = sum(1 for r in rows if _below_threshold(r, eps_scaled))
+    rate = k / attempted
+    low, high = wilson_interval(k, attempted)
     return SwitchCheck(measured_rate=rate, user_threshold=threshold,
                        verdict="pass" if rate <= threshold else "fail",
-                       n=n, wilson_low=low, wilson_high=high)
+                       n=attempted, wilson_low=low, wilson_high=high)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +400,17 @@ def _record_to_row(r: SweepRecord):
             "" if r.gap_db is None else _fmt_float(r.gap_db),
             str(r.visited_nodes), str(r.extra_nodes),
             _fmt_float(r.max_growth_db), str(r.nodes_in_clusters)]
+
+
+def sweep_metadata(cfg: SweepConfig) -> dict:
+    """The ``# key=value`` header of a sweep's CSV.  Every rate read back
+    from the records takes its denominator (``samples_per_cell`` times
+    ``cells``) and its threshold (``epsilon_max_db``) from here."""
+    return {"samples_per_cell": cfg.samples,
+            "cells": len(cfg.distances) * len(cfg.probs),
+            "master_seed": cfg.master_seed,
+            "epsilon_max_db": cfg.epsilon_max_db,
+            "skip_empty_syndromes": cfg.skip_empty_syndromes}
 
 
 def records_to_csv(records, metadata: dict | None = None) -> str:
@@ -498,12 +521,13 @@ def _svg_line_chart(series: dict, title: str, x_label: str, y_label: str,
     return "\n".join(out)
 
 
-def emit(records, fmt: str, path, metadata: dict | None = None,
-         samples_per_cell: int | None = None, epsilon_max_db: float = 20.0) -> None:
+def emit(records, fmt: str, path, metadata: dict | None = None) -> None:
     """Write records as csv, json, or an svg-plot of the aggregates.
 
     The svg plot draws one series per (p, method) with x = d and a log y
-    axis over the mean visited nodes.
+    axis over the mean visited nodes; it aggregates at the
+    ``samples_per_cell`` and ``epsilon_max_db`` of ``metadata`` (see
+    ``sweep_metadata``).
     """
     records = list(records)
     if fmt == "csv":
@@ -511,12 +535,11 @@ def emit(records, fmt: str, path, metadata: dict | None = None,
     elif fmt == "json":
         text = records_to_json(records, metadata)
     elif fmt == "svg-plot":
-        if samples_per_cell is None:
-            if not metadata or "samples_per_cell" not in metadata:
-                raise ValueError("svg-plot needs samples_per_cell, as an argument "
-                                 "or in the metadata")
-            samples_per_cell = int(metadata["samples_per_cell"])
-        rows = aggregate(records, samples_per_cell, epsilon_max_db)
+        if not metadata or not {"samples_per_cell", "epsilon_max_db"} <= metadata.keys():
+            raise ValueError("svg-plot needs samples_per_cell and epsilon_max_db "
+                             "in the metadata")
+        rows = aggregate(records, int(metadata["samples_per_cell"]),
+                         float(metadata["epsilon_max_db"]))
         series = {}
         for row in rows:
             label = f"p={row.p:g} {row.method}"

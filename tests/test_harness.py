@@ -1,12 +1,14 @@
 import hashlib
 import json
 import multiprocessing
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from softgap import harness, softout
-from softgap.graphs import build_phenomenological, db_to_scaled
+from softgap.graphs import build_phenomenological, db_to_scaled, scaled_to_db
 from softgap.sampling import SeedSpec, sample_syndrome
 from softgap.harness import (
     CSV_HEADER,
@@ -21,6 +23,7 @@ from softgap.harness import (
     records_to_csv,
     run_consistency,
     run_sweep,
+    sweep_metadata,
     switch_check,
     wilson_interval,
 )
@@ -180,21 +183,25 @@ class TestEmit:
         assert len(payload["records"]) == len(records)
 
     def test_svg_plot_one_polyline_per_series(self, tmp_path):
-        records = list(run_sweep(small_cfg(methods=("cluster",))))
+        cfg = small_cfg(methods=("cluster",))
+        records = list(run_sweep(cfg))
         path = tmp_path / "chart.svg"
-        emit(records, "svg-plot", path, samples_per_cell=40)
+        emit(records, "svg-plot", path, metadata=sweep_metadata(cfg))
         text = path.read_text()
         assert text.startswith("<svg")
         # one polyline per probability value
         assert text.count("<polyline") == 2
 
     def test_svg_plot_reads_samples_per_cell_from_metadata(self, tmp_path):
+        # as strings, the way parse_csv_metadata returns a CSV's header
         records = list(run_sweep(small_cfg(methods=("cluster",))))
         path = tmp_path / "chart.svg"
-        emit(records, "svg-plot", path, metadata={"samples_per_cell": 40})
+        emit(records, "svg-plot", path,
+             metadata={"samples_per_cell": "40", "epsilon_max_db": "20.0"})
         assert path.read_text().count("<polyline") == 2
-        with pytest.raises(ValueError):
-            emit(records, "svg-plot", path)
+        for metadata in (None, {"samples_per_cell": 40}, {"epsilon_max_db": 20.0}):
+            with pytest.raises(ValueError, match="svg-plot needs samples_per_cell"):
+                emit(records, "svg-plot", path, metadata=metadata)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -208,7 +215,7 @@ class TestAggregate:
             gap_db=30.0, visited_nodes=visited, extra_nodes=0,
             max_growth_db=0.0, nodes_in_clusters=clustered)
         rows = aggregate([mk(0, 10, 0), mk(1, 20, 2), mk(2, 40, 4)],
-                         samples_per_cell=3)
+                         samples_per_cell=3, epsilon_max_db=20.0)
         assert rows[0].mean_visited == 30.0
         assert rows[0].records == 3
 
@@ -220,6 +227,17 @@ class TestAggregate:
         rows = aggregate([mk(0, 5.0), mk(1, None)], samples_per_cell=8,
                          epsilon_max_db=20.0)
         assert rows[0].fraction_below == 1 / 8
+
+    def test_gap_exactly_at_threshold_counts(self):
+        # the gap a sweep writes for a scaled value of exactly the threshold
+        # reads back as slightly above 25.5 dB in floating point
+        gap = scaled_to_db(db_to_scaled(25.5))
+        assert gap > 25.5
+        record = SweepRecord(d=3, p=0.01, sample=0, method="cluster",
+                             defined=True, gap_db=gap, visited_nodes=1,
+                             extra_nodes=0, max_growth_db=0.0, nodes_in_clusters=2)
+        (row,) = aggregate([record], samples_per_cell=1, epsilon_max_db=25.5)
+        assert row.fraction_below == 1.0
 
 
 class TestConsistency:
@@ -254,18 +272,22 @@ class TestSwitchCheck:
 
     def test_exact_rate(self):
         records = self._records([True] * 37 + [False] * 63)
-        chk = switch_check(records, threshold=0.5)
+        chk = switch_check(records, threshold=0.5, epsilon_max_db=20.0,
+                           attempted=100)
         assert chk.measured_rate == 0.37
         assert chk.n == 100
 
     def test_pass_and_fail_verdicts(self):
-        low = switch_check(self._records([True] * 2 + [False] * 98), 0.05)
+        low = switch_check(self._records([True] * 2 + [False] * 98), 0.05,
+                           epsilon_max_db=20.0, attempted=100)
         assert low.verdict == "pass"
-        high = switch_check(self._records([True] * 10 + [False] * 90), 0.05)
+        high = switch_check(self._records([True] * 10 + [False] * 90), 0.05,
+                            epsilon_max_db=20.0, attempted=100)
         assert high.verdict == "fail"
 
     def test_zero_rate_passes_any_positive_threshold(self):
-        chk = switch_check(self._records([False] * 50), 1e-9)
+        chk = switch_check(self._records([False] * 50), 1e-9,
+                           epsilon_max_db=20.0, attempted=50)
         assert chk.measured_rate == 0.0
         assert chk.verdict == "pass"
 
@@ -278,15 +300,28 @@ class TestSwitchCheck:
         assert len(kept) < 2000 // 5
         chk = switch_check(kept, 0.05, epsilon_max_db=100.0, method="cluster",
                            attempted=2000)
-        assert chk == switch_check(full, 0.05, epsilon_max_db=100.0, method="cluster")
+        assert chk == switch_check(full, 0.05, epsilon_max_db=100.0, method="cluster",
+                                   attempted=2000)
         assert chk.n == 2000
         assert 0 < chk.measured_rate < 0.05 and chk.verdict == "pass"
 
     def test_wilson_interval_brackets_rate(self):
-        chk = switch_check(self._records([True] * 20 + [False] * 80), 0.5)
+        chk = switch_check(self._records([True] * 20 + [False] * 80), 0.5,
+                           epsilon_max_db=20.0, attempted=100)
         assert chk.wilson_low <= chk.measured_rate <= chk.wilson_high
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and hi < 0.05
+
+    def test_fewer_attempts_than_records_rejected(self):
+        with pytest.raises(ValueError, match="3 records but only 2 samples attempted"):
+            switch_check(self._records([True] * 3), 0.5, epsilon_max_db=20.0,
+                         attempted=2)
+
+    def test_gap_exactly_at_threshold_counts(self):
+        records = [replace(r, gap_db=scaled_to_db(db_to_scaled(25.5)))
+                   for r in self._records([True, False])]
+        chk = switch_check(records, 1.0, epsilon_max_db=25.5, attempted=2)
+        assert chk.measured_rate == 0.5
 
 
 class TestCli:
@@ -338,6 +373,12 @@ class TestCli:
         (["consistency", "--distances", "3", "--probs", "0.01", "--samples", "5",
           "--methods", "cluster,bounded", "--keep-empty"],
          "softgap: error: unrecognized arguments: --methods cluster,bounded --keep-empty"),
+        (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--epsilon-max-db", "nan"],
+         "softgap sweep: error: epsilon_max_db must be finite and > 0, got nan"),
+        (["consistency", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--epsilon-max-db", "inf"],
+         "softgap consistency: error: epsilon_max_db must be finite and > 0, got inf"),
     ])
     def test_bad_configuration_is_a_usage_error(self, tmp_path, capsys, argv, message):
         # a usage line and exit status 2, not a traceback; nothing is written
@@ -391,6 +432,55 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fit", "--model", "power", "--dmin", "3", "--in", str(bare),
                   "--out", str(tmp_path / "fit.json")])
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+        ["switch-check", "--threshold", "1.0"],
+    ])
+    def test_csv_without_threshold_is_refused(self, tmp_path, command):
+        from softgap.cli import main
+        cfg = small_cfg(samples=5)
+        metadata = sweep_metadata(cfg)
+        del metadata["epsilon_max_db"]
+        path = tmp_path / "no_eps.csv"
+        path.write_text(records_to_csv(run_sweep(cfg), metadata))
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--in", str(path)])
+        assert exit_info.value.code == (
+            f"{path}: no '# epsilon_max_db=' line; "
+            "write it with `softgap sweep --format csv`")
+
+    @pytest.mark.parametrize("command", ["fit", "switch-check"])
+    def test_threshold_is_not_an_option(self, capsys, command):
+        # the threshold is the sweep's, read from the CSV header
+        from softgap.cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--epsilon-max-db" not in capsys.readouterr().out
+
+    def test_switch_check_reads_sweep_threshold(self, tmp_path, capsys):
+        # gaps are multiples of 16.9 dB at p = 2% and of 6.0 dB at p = 20%,
+        # so none lies near the 10 dB threshold
+        from softgap.cli import main
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--distances", "3,5", "--probs", "0.02,0.2",
+                     "--samples", "100", "--seed", "9", "--epsilon-max-db", "10",
+                     "--out", str(out)]) == 0
+        records = parse_records_csv(out.read_text())
+        rates = {}
+        for method in METHODS:
+            capsys.readouterr()
+            main(["switch-check", "--threshold", "1.0", "--in", str(out),
+                  "--method", method])
+            printed = capsys.readouterr().out
+            rates[method] = float(re.search(r"measured_rate=(\S+)", printed)[1])
+            below = sum(1 for r in records
+                        if r.method == method and r.defined and r.gap_db <= 10.0)
+            assert rates[method] == below / 400
+        # extra_cg may be defined beyond the threshold, but below it equals
+        # the cluster gap
+        assert rates["cluster"] == rates["bounded"] == rates["extra_cg"] > 0
 
     def test_consistency_cli(self, tmp_path):
         from softgap.cli import main
