@@ -60,7 +60,7 @@ from .fitting import FitResult, InsufficientDataError, fit_exponential, fit_powe
 from .harness import (
     AggregateRow,
     ConfigError,
-    ConsistencyReport,
+    ConsistencyError,
     SweepConfig,
     SweepRecord,
     SwitchCheck,

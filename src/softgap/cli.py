@@ -6,8 +6,8 @@ import sys
 
 from .graphs import (InvalidParameterError, InvalidProbabilityError,
                      build_phenomenological, save_graph)
-from .fitting import fit_power_law, fit_exponential
-from .harness import (ConfigError, SweepConfig, run_sweep, run_consistency,
+from .fitting import InsufficientDataError, fit_power_law, fit_exponential
+from .harness import (ConfigError, ConsistencyError, SweepConfig, run_sweep,
                       switch_check, aggregate, emit, parse_csv_metadata,
                       parse_records_csv, sweep_metadata, METHODS)
 
@@ -41,11 +41,12 @@ def _config_from(args, **options) -> SweepConfig:
                        **options)
 
 
-def _read_sweep_csv(path):
+def _read_sweep_csv(path, method):
     """The records of a sweep CSV and its samples_per_cell, cells and
     epsilon_max_db, as the sweep wrote them.  Empty samples it skipped
     leave no record, and gaps beyond its threshold are undefined, so the
-    records alone cannot give a rate."""
+    records alone cannot give a rate.  ``method`` must be one the sweep
+    ran: one with no record then has rate 0."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     metadata = parse_csv_metadata(text)
@@ -53,9 +54,13 @@ def _read_sweep_csv(path):
         samples = int(metadata["samples_per_cell"])
         cells = int(metadata["cells"])
         epsilon_max_db = float(metadata["epsilon_max_db"])
+        methods = metadata["methods"].split(",")
     except KeyError as missing:
         raise SystemExit(f"{path}: no '# {missing.args[0]}=' line; "
                          "write it with `softgap sweep --format csv`") from None
+    if method not in methods:
+        raise ConfigError(f"--method {method} was not swept; {path} holds "
+                          f"{','.join(methods)}")
     return parse_records_csv(text), samples, cells, epsilon_max_db
 
 
@@ -74,13 +79,14 @@ def main(argv=None) -> int:
     s = sub.add_parser("sweep", help="run a (d, p) sweep and write records")
     _add_sweep_flags(s)
     s.add_argument("--methods", default=",".join(METHODS),
-                   help="subset of cluster,bounded,extra,extra-cg")
+                   help="subset of cluster,bounded,extra,extra_cg")
     s.add_argument("--keep-empty", action="store_true",
                    help="emit records for empty-syndrome samples too")
     s.add_argument("--format", choices=("csv", "json", "svg-plot"), default="csv")
 
     c = sub.add_parser("consistency",
-                       help="cross-check all estimators sample by sample")
+                       help="sweep all four methods on every sample, empty "
+                            "ones included, checking the estimator rules")
     _add_sweep_flags(c)
 
     f = sub.add_parser("fit", help="fit a scaling law to aggregated sweep records")
@@ -104,6 +110,9 @@ def main(argv=None) -> int:
         return _run(args)
     except (ConfigError, InvalidParameterError, InvalidProbabilityError) as err:
         sub.choices[args.command].error(str(err))
+    except ConsistencyError as err:
+        print(f"softgap {args.command}: {err}", file=sys.stderr)
+        return 1
 
 
 def _run(args) -> int:
@@ -115,8 +124,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sweep":
-        cfg = _config_from(args,
-                           methods=tuple(m.replace("-", "_") for m in args.methods.split(",")),
+        cfg = _config_from(args, methods=tuple(args.methods.split(",")),
                            skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
         emit(records, args.format, args.out, metadata=sweep_metadata(cfg))
@@ -124,31 +132,29 @@ def _run(args) -> int:
         return 0
 
     if args.command == "consistency":
-        report = run_consistency(_config_from(args), workers=args.workers)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("d,p,sample,method,cluster_gap_db,other_gap_db,other_defined\n")
-            for d, p, idx, m, cdb, odb, ok in report.rows:
-                fh.write(f"{d},{p!r},{idx},{m},{cdb!r},"
-                         f"{'' if odb is None else repr(odb)},"
-                         f"{'true' if ok else 'false'}\n")
-        total = sum(report.violations.values())
-        for rule, count in report.violations.items():
-            print(f"{rule}: {count}")
-        print(f"checked {report.samples_checked} samples, "
-              f"{total} violation(s); scatter -> {args.out}")
-        return 0 if total == 0 else 1
+        # all four methods, so run_sweep checks the rules on every sample
+        cfg = _config_from(args, methods=METHODS, skip_empty_syndromes=False)
+        records = list(run_sweep(cfg, workers=args.workers))
+        emit(records, "csv", args.out, metadata=sweep_metadata(cfg))
+        print(f"checked {len(records) // len(METHODS)} samples, every rule held; "
+              f"wrote {len(records)} records to {args.out}")
+        return 0
 
     if args.command == "fit":
-        records, samples, _, epsilon_max_db = _read_sweep_csv(args.infile)
+        records, samples, _, epsilon_max_db = _read_sweep_csv(args.infile, args.method)
         rows = [r for r in aggregate(records, samples, epsilon_max_db)
                 if r.method == args.method]
         results = {}
         for p in sorted({r.p for r in rows}):
             pts = [(r.d, getattr(r, args.metric)) for r in rows if r.p == p]
-            if args.model == "power":
-                fit = fit_power_law(pts, d_min=args.dmin)
-            else:
-                fit = fit_exponential(pts)
+            try:
+                if args.model == "power":
+                    fit = fit_power_law(pts, d_min=args.dmin)
+                else:
+                    fit = fit_exponential(pts)
+            except InsufficientDataError as err:
+                raise ConfigError(f"--metric {args.metric} --method {args.method} "
+                                  f"at p={p!r}: {err}") from None
             results[repr(p)] = {"A": fit.A, "B": fit.B, "residual": fit.residual,
                                 "points_used": fit.points_used}
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -159,7 +165,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "switch-check":
-        records, samples, cells, epsilon_max_db = _read_sweep_csv(args.infile)
+        records, samples, cells, epsilon_max_db = _read_sweep_csv(args.infile, args.method)
         chk = switch_check(records, args.threshold, epsilon_max_db,
                            attempted=samples * cells, method=args.method)
         print(f"measured_rate={chk.measured_rate!r} threshold={chk.user_threshold!r} "

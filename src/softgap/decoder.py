@@ -223,8 +223,10 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
 
     def push(eidx):
         # Predict the edge's closing instant from the current rates and
-        # queue it; an edge with no growing side is not queued.  A growing
-        # side covers stored + t at instant t, a stopped one stored.
+        # queue it.  Every caller pushes an edge with a growing side: a
+        # seed, a resumed or absorbing cluster, or a stale pop that still
+        # grows.  A growing side covers stored + t at instant t, a stopped
+        # one stored.
         nonlocal op_count
         grow_u = active[parent[e_u[eidx]]]     # uncovered nodes are never active
         grow_v = active[parent[e_v[eidx]]]
@@ -235,8 +237,6 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                     f"edge {eidx} has odd remaining coverage {t - 2 * clock} "
                     "between two growing sides")
             t >>= 1
-        elif not (grow_u or grow_v):
-            return
         heappush(heap, t * m + eidx)
         op_count += 1
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: parameter sweeps, aggregation, consistency checks.
+"""Benchmark harness: parameter sweeps, aggregation, switching checks.
 
 A sweep walks a (distance, probability) grid, draws seeded samples, decodes
 each one once, evaluates the requested soft-output methods on the shared
@@ -6,6 +6,10 @@ cluster state, and emits one record per (sample, method).  Output is
 deterministic for a fixed master seed regardless of worker count: per-sample
 randomness is a pure function of (master_seed, global sample counter), and
 records are merged in sample order.
+
+A sweep of all four methods checks the five estimator rules
+(``rule_violations``) on each evaluation as it is made, and stops at the
+first sample that breaks one with a ``ConsistencyError`` naming it.
 """
 
 import csv
@@ -13,7 +17,7 @@ import io
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
 from .sampling import SeedSpec, sample_syndrome, Syndrome
@@ -27,7 +31,12 @@ CSV_HEADER = ("d,p,sample,method,defined,gap_db,visited_nodes,"
 
 
 class ConfigError(ValueError):
-    """Invalid sweep configuration."""
+    """Invalid sweep configuration, or a question its records cannot answer."""
+
+
+class ConsistencyError(RuntimeError):
+    """A sample's gaps break an estimator rule; the message names the
+    sample by (d, p, index in its cell) and the broken rules."""
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,11 @@ def _run_chunk(args):
         hit = _eval_cache.get(key)
         if hit is None:
             hit = evaluate_sample(g, events, eps_scaled, methods)
+            if methods == METHODS:
+                broken = rule_violations([r[0] for r in hit[2]], eps_scaled)
+                if broken:
+                    raise ConsistencyError(
+                        f"d={d} p={p!r} sample={idx}: {', '.join(broken)}")
             if len(_eval_cache) < _EVAL_CACHE_CAP:
                 _eval_cache[key] = hit
         out.append((idx, hit))
@@ -266,23 +280,6 @@ def aggregate(records, samples_per_cell: int, epsilon_max_db: float):
     return rows
 
 
-@dataclass
-class ConsistencyReport:
-    """Scatter data plus per-rule violation counts (all must be zero)."""
-    rows: list = field(default_factory=list)
-    violations: dict = field(default_factory=dict)
-    samples_checked: int = 0
-
-
-_CONSISTENCY_RULES = (
-    "bounded_agrees_with_cluster_below_threshold",
-    "extra_not_above_cluster",
-    "extra_defined_when_cluster_below_threshold",
-    "cluster_not_above_extra_cg",
-    "extra_cg_equals_cluster_below_threshold",
-)
-
-
 def rule_violations(gaps, eps: int) -> list:
     """Names of the consistency rules one sample's gaps break.
 
@@ -308,37 +305,22 @@ def rule_violations(gaps, eps: int) -> list:
     return broken
 
 
-def run_consistency(cfg: SweepConfig, workers: int = 1,
-                    collect_rows: bool = True) -> ConsistencyReport:
-    """Evaluate all four methods on every sample, whatever ``cfg.methods``
-    and ``cfg.skip_empty_syndromes`` say, and count rule violations.
+def run_consistency(cfg: SweepConfig, workers: int = 1) -> int:
+    """Check the five estimator rules on every sample, whatever
+    ``cfg.methods`` and ``cfg.skip_empty_syndromes`` say; returns the
+    number of samples checked.
 
-    The five rules bind the estimators together sample by sample (exact
-    integer comparisons on scaled gaps): the bounded search must agree with
-    the full search below threshold, extra growth can only undershoot the
+    The rules bind the estimators together sample by sample (exact integer
+    comparisons on scaled gaps): the bounded search must agree with the
+    full search below threshold, extra growth can only undershoot the
     cluster gap and never misses below-threshold samples, and the
     cluster-graph variant can only overshoot and is exact below threshold.
-    Empty samples cost little: their evaluations repeat and are cached.
-    With ``collect_rows`` off only the violation counters are kept, which
-    bounds memory on large grids.
+    The sweep loop checks each fresh evaluation and raises
+    ``ConsistencyError`` at the first broken rule; a repeated syndrome is a
+    cache hit, checked when it was first evaluated.  No records are built.
     """
-    cfg_all = replace(cfg, methods=METHODS, skip_empty_syndromes=False)
-    cfg_all.validate()
-    eps_scaled = db_to_scaled(cfg.epsilon_max_db)
-    report = ConsistencyReport(violations={k: 0 for k in _CONSISTENCY_RULES})
-    v = report.violations
-    for _, d, p, idx, (_, _, res) in _iter_sample_evals(cfg_all, workers):
-        gaps = g_c, g_b, g_e, g_cg = tuple(r[0] for r in res)
-        for rule in rule_violations(gaps, eps_scaled):
-            v[rule] += 1
-        report.samples_checked += 1
-        if collect_rows:
-            cdb = scaled_to_db(g_c)
-            for m, val in (("bounded", g_b), ("extra", g_e), ("extra_cg", g_cg)):
-                report.rows.append((d, p, idx, m, cdb,
-                                    None if val is None else scaled_to_db(val),
-                                    val is not None))
-    return report
+    all_samples = replace(cfg, methods=METHODS, skip_empty_syndromes=False)
+    return sum(1 for _ in _iter_sample_evals(all_samples, workers))
 
 
 @dataclass(frozen=True)
@@ -371,12 +353,10 @@ def switch_check(records, threshold: float, epsilon_max_db: float,
     which a slow fallback decoder could no longer keep up.  ``attempted``
     is the denominator: the samples attempted for the checked method
     (samples per cell times cells), which counts the empty samples a sweep
-    skipped.
+    skipped.  A method with no record has rate 0.
     """
     rows = [r for r in records if method is None or r.method == method]
-    if not rows:
-        raise ValueError("no records to check")
-    if attempted < len(rows):
+    if attempted < max(len(rows), 1):
         raise ValueError(f"{len(rows)} records but only {attempted} samples attempted")
     eps_scaled = db_to_scaled(epsilon_max_db)
     k = sum(1 for r in rows if _below_threshold(r, eps_scaled))
@@ -405,11 +385,13 @@ def _record_to_row(r: SweepRecord):
 def sweep_metadata(cfg: SweepConfig) -> dict:
     """The ``# key=value`` header of a sweep's CSV.  Every rate read back
     from the records takes its denominator (``samples_per_cell`` times
-    ``cells``) and its threshold (``epsilon_max_db``) from here."""
+    ``cells``) and its threshold (``epsilon_max_db``) from here, and
+    ``methods`` tells a method with no record from one not swept."""
     return {"samples_per_cell": cfg.samples,
             "cells": len(cfg.distances) * len(cfg.probs),
             "master_seed": cfg.master_seed,
             "epsilon_max_db": cfg.epsilon_max_db,
+            "methods": ",".join(cfg.methods),
             "skip_empty_syndromes": cfg.skip_empty_syndromes}
 
 

@@ -88,16 +88,16 @@ def threshold_sweep():
 def test_criterion_1_estimator_guarantees_exact():
     # d in {3,5,7,9} x p in {0.1%, 0.5%, 1%}, rounds = d, 1e5 samples per
     # cell, eps_max = 20 dB: zero violations of the five cross-estimator
-    # rules, every comparison an exact integer comparison.
+    # rules, every comparison an exact integer comparison.  A violation
+    # raises ConsistencyError naming the sample.
     cfg = SweepConfig(distances=(3, 5, 7, 9), probs=(0.001, 0.005, 0.01),
                       samples=100_000, master_seed=424242)
     t0 = time.time()
-    report = run_consistency(cfg, workers=WORKERS, collect_rows=False)
+    checked = run_consistency(cfg, workers=WORKERS)
     elapsed = time.time() - t0
-    assert report.samples_checked == 12 * 100_000
-    assert report.violations == {k: 0 for k in report.violations}
+    assert checked == 12 * 100_000
     _report("1 estimator-guarantees",
-            f"({report.samples_checked} samples, 0 violations, {elapsed:.0f}s)")
+            f"({checked} samples, 0 violations, {elapsed:.0f}s)")
 
 
 def test_criterion_2_oracle_equivalence():

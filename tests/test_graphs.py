@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -202,6 +203,29 @@ class TestGraphFile:
         with pytest.raises(GraphFormatError):
             load_graph(path)
 
+    @pytest.mark.parametrize("lines, lineno, message", [
+        (["graph v1 nodes=x boundaries=0,1"], 1, "malformed graph header"),
+        (["graph v1 size=2 boundaries=0,1"], 1, "malformed graph header"),
+        (["graph v1 nodes=2 boundaries=0,b"], 1, "malformed graph header"),
+        (["graph v1 nodes=2 boundaries=0,2"], 1, "boundary id 2 out of range"),
+        (["graph v1 nodes=2 boundaries=0,1", "link 0 1 w=1.0"], 2, "expected 'edge"),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 1"], 2, "expected 'edge"),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 one w=1.0"], 2,
+         "node ids must be integers"),
+        (["graph v1 nodes=3 boundaries=0,2", "edge 0 1 w=1.0", "edge 1 1 w=1.0"], 3,
+         "self-loop edge"),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 1 w=heavy"], 2, "bad weight value"),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 1 p=rare"], 2,
+         "bad probability value"),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 1 q=0.1"], 2,
+         "edge needs exactly one of w= or p="),
+    ])
+    def test_format_errors_name_the_line(self, tmp_path, lines, lineno, message):
+        path = tmp_path / "bad.graph"
+        path.write_text("# comment and blank lines count\n\n" + "\n".join(lines) + "\n")
+        with pytest.raises(GraphFormatError, match=f"^line {lineno + 2}: {message}"):
+            load_graph(path)
+
     def test_bad_probability_line(self, tmp_path):
         path = tmp_path / "p.graph"
         path.write_text("graph v1 nodes=2 boundaries=0,1\n"
@@ -227,3 +251,15 @@ class TestGraphValidation:
         # a float weight would make every distance and radius a float
         with pytest.raises(InvalidParameterError, match=r"edge 1 \(1,2\).*2\.5"):
             DecodingGraph(3, (0, 2), [Edge(0, 1, 1), Edge(1, 2, 2.5)])
+
+    @pytest.mark.parametrize("boundaries, edges, message", [
+        ((0, 0, 2), [Edge(0, 1, 1), Edge(1, 2, 1)], "duplicate boundary ids"),
+        ((0, 3), [Edge(0, 1, 1), Edge(1, 2, 1)], "boundary id 3 out of range"),
+        ((0, -1), [Edge(0, 1, 1), Edge(1, 2, 1)], "boundary id -1 out of range"),
+        ((0, 2), [Edge(0, 1, 1), Edge(1, 3, 1)], "edge 1 references node outside graph"),
+        ((0, 2), [Edge(-1, 1, 1), Edge(1, 2, 1)], "edge 0 references node outside graph"),
+        ((0, 2), [Edge(0, 1, 1), Edge(1, 2, -4)], "edge 1 has negative weight"),
+    ])
+    def test_rejects_bad_input(self, boundaries, edges, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            DecodingGraph(3, boundaries, edges)

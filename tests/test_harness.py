@@ -14,6 +14,7 @@ from softgap.harness import (
     CSV_HEADER,
     METHODS,
     ConfigError,
+    ConsistencyError,
     SweepConfig,
     SweepRecord,
     aggregate,
@@ -240,26 +241,89 @@ class TestAggregate:
         assert row.fraction_below == 1.0
 
 
+def _bounded_off(view, eps):
+    c, b = softout.cluster_gaps(view, eps)
+    return c, replace(b, value=c.value + 1)
+
+
+def _extra_off(extra=None, extra_cg=None):
+    def patched(view, eps):
+        e, cg = softout.extra_gaps(view, eps)
+        return (e if extra is None else replace(e, value=extra(e.value)),
+                cg if extra_cg is None else replace(cg, value=extra_cg(cg.value)))
+    return patched
+
+
+# For each rule, a stand-in for the harness's ``cluster_gaps`` or
+# ``extra_gaps`` whose gaps break it: on every sample, or on every sample
+# whose cluster gap is at most the threshold.
+BREAKING = {
+    "bounded_agrees_with_cluster_below_threshold": ("cluster_gaps", _bounded_off),
+    "extra_not_above_cluster": ("extra_gaps", _extra_off(extra=lambda v: 10**15)),
+    "extra_defined_when_cluster_below_threshold":
+        ("extra_gaps", _extra_off(extra=lambda v: None)),
+    "cluster_not_above_extra_cg": ("extra_gaps", _extra_off(extra_cg=lambda v: -1)),
+    "extra_cg_equals_cluster_below_threshold":
+        ("extra_gaps", _extra_off(extra_cg=lambda v: v + 1)),
+}
+
+
 class TestConsistency:
     def test_no_violations_on_small_grid(self):
-        cfg = small_cfg(samples=60)
-        report = run_consistency(cfg)
-        assert report.samples_checked == 4 * 60
-        assert all(v == 0 for v in report.violations.values())
-        assert len(report.rows) == 3 * report.samples_checked
+        assert run_consistency(small_cfg(samples=60)) == 4 * 60
 
-    def test_rows_optional(self):
-        report = run_consistency(small_cfg(samples=10), collect_rows=False)
-        assert report.rows == []
-        assert report.samples_checked == 40
+    def test_rules_checked_once_per_fresh_evaluation(self, monkeypatch):
+        # at p = 0.1% most samples are empty or repeat a syndrome: a cache
+        # hit was checked when it was first evaluated
+        calls = Counter()
 
-    def test_all_empty_syndromes_give_one_scatter_column(self):
-        # with a vanishing p every sample is empty, so the exact full-search
-        # gap is the same for all of them: a single scatter column
-        cfg = small_cfg(distances=(3,), probs=(1e-7,), samples=15)
-        report = run_consistency(cfg)
-        cluster_values = {row[4] for row in report.rows}
-        assert len(cluster_values) == 1
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(harness, name, wrapper)
+
+        counted("evaluate_sample", harness.evaluate_sample)
+        counted("rule_violations", harness.rule_violations)
+        monkeypatch.setattr(harness, "_eval_cache", {})
+        cfg = small_cfg(distances=(3, 5), probs=(0.001,), samples=300)
+        assert run_consistency(cfg) == 600
+        assert calls["rule_violations"] == calls["evaluate_sample"]
+        assert 0 < calls["evaluate_sample"] < 300
+
+        # a sweep of fewer methods is not checked
+        calls.clear()
+        records = list(run_sweep(replace(cfg, methods=("cluster", "bounded"))))
+        assert len(records) == 2 * 600 and calls["evaluate_sample"] > 0
+        assert calls["rule_violations"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rule", BREAKING)
+    def test_broken_rule_names_its_sample(self, monkeypatch, rule, workers):
+        cfg = SweepConfig(distances=(3,), probs=(0.02,), samples=40, master_seed=8,
+                          epsilon_max_db=100.0, skip_empty_syndromes=False)
+        eps = db_to_scaled(cfg.epsilon_max_db)
+        monkeypatch.setattr(harness, *BREAKING[rule])
+        monkeypatch.setattr(harness, "_eval_cache", {})
+        # forked workers inherit the patched estimator and the empty cache
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        messages = []
+        for run in (lambda: list(run_sweep(cfg, workers=workers)),
+                    lambda: run_consistency(cfg, workers=workers)):
+            with pytest.raises(ConsistencyError) as err:
+                run()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        m = re.fullmatch(r"d=3 p=0\.02 sample=(\d+): (.+)", messages[0])
+        assert m and rule in m[2].split(", ")
+        # (master seed, cell, index) replays the sample: it breaks the rule,
+        # and no earlier sample breaks any
+        g = build_phenomenological(3, 3, 0.02)
+        for idx in range(int(m[1]) + 1):
+            events = sample_syndrome(g, SeedSpec(cfg.master_seed, idx)).events
+            _, _, res = harness.evaluate_sample(g, events, eps, METHODS)
+            found = harness.rule_violations([r[0] for r in res], eps)
+            assert found == (m[2].split(", ") if idx == int(m[1]) else [])
 
 
 class TestSwitchCheck:
@@ -379,6 +443,9 @@ class TestCli:
         (["consistency", "--distances", "3", "--probs", "0.01", "--samples", "5",
           "--epsilon-max-db", "inf"],
          "softgap consistency: error: epsilon_max_db must be finite and > 0, got inf"),
+        (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--methods", "cluster,extra-cg"],
+         "softgap sweep: error: unknown method 'extra-cg'"),
     ])
     def test_bad_configuration_is_a_usage_error(self, tmp_path, capsys, argv, message):
         # a usage line and exit status 2, not a traceback; nothing is written
@@ -416,7 +483,8 @@ class TestCli:
                      "--samples", "300", "--seed", "3", "--methods", "cluster",
                      "--out", str(out)]) == 0
         meta = parse_csv_metadata(out.read_text())
-        assert (meta["samples_per_cell"], meta["cells"]) == ("300", "2")
+        assert (meta["samples_per_cell"], meta["cells"], meta["methods"]) == (
+            "300", "2", "cluster")
         records = parse_records_csv(out.read_text())
         assert 0 < len(records) < 300
         assert {r.p for r in records} == {0.001}
@@ -482,9 +550,97 @@ class TestCli:
         # the cluster gap
         assert rates["cluster"] == rates["bounded"] == rates["extra_cg"] > 0
 
-    def test_consistency_cli(self, tmp_path):
+    def test_consistency_cli(self, tmp_path, capsys):
+        # a sweep CSV of all four methods, empty samples included, that the
+        # commands reading a sweep accept
         from softgap.cli import main
-        out = tmp_path / "scatter.csv"
-        assert main(["consistency", "--distances", "3", "--probs", "0.02",
+        out = tmp_path / "consistency.csv"
+        assert main(["consistency", "--distances", "3,5", "--probs", "0.02",
                      "--samples", "30", "--seed", "4", "--out", str(out)]) == 0
-        assert out.read_text().startswith("d,p,sample,method,")
+        assert "checked 60 samples" in capsys.readouterr().out
+        text = out.read_text()
+        meta = parse_csv_metadata(text)
+        assert (meta["samples_per_cell"], meta["cells"], meta["epsilon_max_db"],
+                meta["methods"]) == ("30", "2", "20.0", ",".join(METHODS))
+        records = parse_records_csv(text)
+        assert len(records) == 4 * 60
+        assert any(r.nodes_in_clusters == 0 for r in records)
+        assert main(["switch-check", "--threshold", "1.0", "--in", str(out),
+                     "--method", "cluster"]) == 0
+        assert " n=60 " in capsys.readouterr().out
+        assert main(["fit", "--model", "power", "--dmin", "3", "--in", str(out),
+                     "--out", str(tmp_path / "fit.json")]) == 0
+
+    @pytest.mark.parametrize("command", [["sweep", "--keep-empty"], ["consistency"]])
+    def test_broken_rule_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # the message alone, no traceback, and nothing written
+        from softgap.cli import main
+        monkeypatch.setattr(harness, *BREAKING["extra_not_above_cluster"])
+        monkeypatch.setattr(harness, "_eval_cache", {})
+        out = tmp_path / "out.csv"
+        assert main(command + ["--distances", "3", "--probs", "0.02", "--samples", "5",
+                               "--seed", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"softgap {command[0]}: d=3 p=0.02 sample=0: extra_not_above_cluster\n"
+        assert not out.exists()
+
+    def test_csv_without_methods_is_refused(self, tmp_path):
+        from softgap.cli import main
+        cfg = small_cfg(samples=5)
+        metadata = sweep_metadata(cfg)
+        del metadata["methods"]
+        path = tmp_path / "no_methods.csv"
+        path.write_text(records_to_csv(run_sweep(cfg), metadata))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["switch-check", "--threshold", "1.0", "--in", str(path)])
+        assert exit_info.value.code == (
+            f"{path}: no '# methods=' line; write it with `softgap sweep --format csv`")
+
+    def test_switch_check_without_records_of_the_method(self, tmp_path, capsys):
+        # every sample is empty and skipped: the rate is 0 over 50 samples
+        from softgap.cli import main
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--distances", "3", "--probs", "0.000001",
+                     "--samples", "50", "--seed", "9", "--out", str(out)]) == 0
+        assert parse_records_csv(out.read_text()) == []
+        capsys.readouterr()
+        assert main(["switch-check", "--threshold", "0.01", "--in", str(out),
+                     "--method", "cluster"]) == 0
+        assert capsys.readouterr().out.startswith("measured_rate=0.0 threshold=0.01 ")
+
+    @pytest.mark.parametrize("command", [
+        ["switch-check", "--threshold", "1.0"],
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+    ])
+    def test_method_not_swept_is_a_usage_error(self, tmp_path, capsys, command):
+        from softgap.cli import main
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--distances", "3,5", "--probs", "0.02", "--samples", "20",
+                     "--methods", "cluster", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--in", str(out), "--method", "extra_cg"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: softgap ")
+        assert f"error: --method extra_cg was not swept; {out} holds cluster" in err
+
+    def test_fit_with_too_few_usable_cells_is_a_usage_error(self, tmp_path, capsys):
+        # no gap is at or below 10 dB at p = 2%, so every fraction is 0
+        from softgap.cli import main
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--distances", "3,5", "--probs", "0.02",
+                     "--samples", "200", "--epsilon-max-db", "10",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        fit_out = tmp_path / "fit.json"
+        with pytest.warns(UserWarning, match="dropped 2 non-positive"), \
+                pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--model", "exp", "--metric", "fraction_below",
+                  "--method", "cluster", "--in", str(out), "--out", str(fit_out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: softgap fit")
+        assert ("error: --metric fraction_below --method cluster at p=0.02: "
+                "need at least 2 usable points, got 0") in err
+        assert not fit_out.exists()
