@@ -144,6 +144,9 @@ def _run(args) -> int:
         records, samples, _, epsilon_max_db = _read_sweep_csv(args.infile, args.method)
         rows = [r for r in aggregate(records, samples, epsilon_max_db)
                 if r.method == args.method]
+        if not rows:
+            raise ConfigError(f"--method {args.method}: {args.infile} holds no record "
+                              "of it, so there is no cell to fit")
         results = {}
         for p in sorted({r.p for r in rows}):
             pts = [(r.d, getattr(r, args.metric)) for r in rows if r.p == p]

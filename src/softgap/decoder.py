@@ -52,7 +52,12 @@ with no growing side no edge can close, so the state is final and the
 predictions still queued are dropped unpopped.  Each queued prediction
 is an integer key ``t * num_edges + edge``, so the queue orders by
 (instant, edge) and a popped edge needs one prediction only.
-``op_count`` is the number of heap pushes plus heap pops.
+``op_count`` is the number of heap pushes plus heap pops.  Seeding reads
+no state: every seed side starts at coverage 0 at clock 0, so a seed edge
+closes at its h-length, or at half of it when both ends are events.  All
+seed keys are built as one list from per-node ``(edge, side)`` templates
+and heapified, each counted as one push; equal keys are equal integers,
+so the pops come in the same order as from one push per key.
 
 ``peel`` roots each forest tree at its lowest-id boundary (at any node if
 it has none) and walks it once, children first: an odd detector flips the
@@ -73,20 +78,24 @@ class _Scratch:
     """Per-graph decode scratch, allocated at a graph's first decode.
 
     ``e_u``, ``e_v`` and ``w2`` are the edges as flat lists (endpoints and
-    weight in h-units).  ``parent0`` and ``covered0`` are the templates a
-    new ``ClusterState`` copies.  The other lists are ``decode``'s own:
-    clean (False, 0 or None) between decodes, because each decode resets
-    the entries it wrote.
+    weight in h-units).  ``sides[x]`` lists node x's ``(edge, side)``
+    entries, side 1 when x is the edge's ``v`` end: a seed's frontier
+    copies it and an absorption walks it.  ``parent0`` and ``covered0``
+    are the templates a new ``ClusterState`` copies.  The other lists are
+    ``decode``'s own: clean (False, 0 or None) between decodes, because
+    each decode resets the entries it wrote.
     """
 
-    __slots__ = ("e_u", "e_v", "w2", "parent0", "covered0", "active",
+    __slots__ = ("e_u", "e_v", "w2", "sides", "parent0", "covered0", "active",
                  "frontier", "closed", "cov2u", "cov2v")
 
     def __init__(self, graph: DecodingGraph):
         n, m = graph.num_nodes, graph.num_edges
-        self.e_u = [e.u for e in graph.edges]
+        self.e_u = e_u = [e.u for e in graph.edges]
         self.e_v = [e.v for e in graph.edges]
         self.w2 = [2 * e.weight for e in graph.edges]
+        self.sides = [tuple((eidx, int(e_u[eidx] != x)) for _, _, eidx in nbrs)
+                      for x, nbrs in enumerate(graph.neighbors)]
         self.parent0 = list(range(n))
         self.covered0 = [False] * n
         for b in graph.boundaries:
@@ -212,8 +221,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     sc = _scratch(g)
     active, frontier, closed = sc.active, sc.frontier, sc.closed
     cov2u, cov2v = sc.cov2u, sc.cov2v
-    e_u, e_v, w2 = sc.e_u, sc.e_v, sc.w2
-    neighbors = g.neighbors
+    e_u, e_v, w2, sides = sc.e_u, sc.e_v, sc.w2, sc.sides
     m = g.num_edges
 
     heap = []                          # keys t * m + edge: (instant, edge) order
@@ -224,9 +232,9 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     def push(eidx):
         # Predict the edge's closing instant from the current rates and
         # queue it.  Every caller pushes an edge with a growing side: a
-        # seed, a resumed or absorbing cluster, or a stale pop that still
-        # grows.  A growing side covers stored + t at instant t, a stopped
-        # one stored.
+        # resumed or absorbing cluster, or a stale pop that still grows.
+        # A growing side covers stored + t at instant t, a stopped one
+        # stored.
         nonlocal op_count
         grow_u = active[parent[e_u[eidx]]]     # uncovered nodes are never active
         grow_v = active[parent[e_v[eidx]]]
@@ -258,16 +266,24 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
         for b in g.boundaries:
             frontier[b] = []
         # Seed: one active cluster per detection event.  Its sides start at
-        # clock 0 with coverage 0, which the clean scratch already holds.
-        for x in cs.events:
+        # clock 0 with coverage 0, which the clean scratch already holds, so
+        # each seed edge closes at w2, or at w2 / 2 when both its ends are
+        # events (then it is queued once per end).  No key depends on the
+        # state, so they are heapified at once and counted as pushes.
+        events = cs.events
+        for x in events:
             covered[x] = True
             members[x] = [x]
             active[x] = True
-            frontier[x] = [(eidx, int(e_u[eidx] != x)) for _, _, eidx in neighbors[x]]
-        num_active = len(cs.events)
-        for x in cs.events:
-            for eidx, _ in frontier[x]:
-                push(eidx)
+            frontier[x] = list(sides[x])
+            for eidx, side in sides[x]:
+                if (e_u if side else e_v)[eidx] in events:
+                    heap.append((w2[eidx] >> 1) * m + eidx)
+                else:
+                    heap.append(w2[eidx] * m + eidx)
+        heapq.heapify(heap)
+        op_count += len(heap)
+        num_active = len(events)
 
         while heap:
             key = heappop(heap)
@@ -316,11 +332,11 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 winner = _union_meta(cs, r, x)
                 active[winner] = active[r]
                 lst = frontier[winner] = frontier[r]
-                for _, _, e2 in neighbors[x]:
+                for entry in sides[x]:
+                    e2, side = entry
                     if not closed[e2]:    # r grows: a new side starts at -clock
-                        side = int(e_u[e2] != x)
                         (cov2v if side else cov2u)[e2] = -clock
-                        lst.append((e2, side))
+                        lst.append(entry)
                         push(e2)
                 cs.forest.append(eidx)
     finally:

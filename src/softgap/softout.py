@@ -18,12 +18,15 @@ drop to weight zero:
 They come in two families, each computed once per sample.  ``cluster_gaps``
 returns the first two from one search.  It does not start each search anew:
 the bare graph's distances from b1 are computed once per graph, and per
-sample only the decreases that the clusters cause are propagated.
-The reported ``visited_nodes`` is still the number of parts a plain Dijkstra
-search from b1 settles, rebuilt from the final distances, so for
-``cluster`` it measures the paper's cost model while the wall time no longer
-scales with it.  ``extra_gaps`` returns the last two from one
-``grow_clusters`` pass and one replay of its collisions;
+sample only the decreases that the clusters cause are propagated, and only
+while they can change the gap: a member at its bare distance is not
+expanded, no part is lowered beyond the current gap, and the search stops
+at the gap less the lightest edge weight.  The reported ``visited_nodes``
+is still the number of parts a plain Dijkstra search from b1 settles,
+rebuilt from the final distances, so for ``cluster`` it measures the
+paper's cost model while the wall time no longer scales with it.
+``extra_gaps`` returns the last two from one ``grow_clusters`` pass and one
+replay of its collisions;
 ``multi_boundary_extra_gap`` reads the same growth for every boundary pair.
 The four single estimators are thin wrappers over the two families.
 
@@ -110,11 +113,15 @@ def cluster_gaps(view: ContractedView, eps_max: int):
     Contraction can only shorten paths, so each multi-node part starts at
     its nearest member's bare distance and only decreases are propagated,
     in Dijkstra order from those parts.  Unlowered bare detectors already
-    satisfy every edge, so the search touches the parts whose distance the
-    clusters lower, and stops once it pops a distance beyond b2's.
-    ``visited_nodes`` is then counted from the bare (distance, node) keys by
-    one bisection, corrected for the nodes inside clusters and the lowered
-    detectors.
+    satisfy every edge, and so does a member whose bare distance is its
+    part's: the search expands only the other members of the parts whose
+    distance the clusters lower.  Only distances up to the gap reach an
+    output, so no part is lowered beyond the current gap, and the search
+    stops once it pops a distance beyond the gap less the lightest edge
+    weight: such a part lowers nothing within the gap, so every distance
+    up to the gap is final.  ``visited_nodes`` is then counted from the
+    bare (distance, node) keys by one bisection, corrected for the nodes
+    inside clusters and the lowered detectors.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
@@ -140,7 +147,8 @@ def cluster_gaps(view: ContractedView, eps_max: int):
     heapq.heapify(heap)
     lowered = []
     gap = dist[b2]
-    stop = (gap + 1) * n                          # first key beyond the gap
+    w_min = graph.min_weight()
+    stop = (gap - w_min + 1) * n                  # first key that lowers nothing
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
@@ -151,18 +159,20 @@ def cluster_gaps(view: ContractedView, eps_max: int):
         if d > dist[x]:
             continue
         for node in members.get(x, (x,)):
+            if bare[node] <= d:                   # bare distances hold on its edges
+                continue
             for other, w, _ in neighbors[node]:
-                y = rep[other]
-                if y == x:
-                    continue
                 nd = d + w
-                if nd < dist[y]:
+                if nd > gap:
+                    continue
+                y = rep[other]
+                if nd < dist[y]:                  # never x itself: d + w >= d
                     dist[y] = nd
                     push(heap, nd * n + y)
                     lowered.append(y)
                     if y == b2:
                         gap = nd
-                        stop = (gap + 1) * n
+                        stop = (gap - w_min + 1) * n
 
     # Parts with key <= limit, from the bare keys: drop the bare keys of the
     # nodes in changed parts, add those parts' own keys.

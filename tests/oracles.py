@@ -341,7 +341,8 @@ def random_groups(rng: random.Random, graph, max_groups=4, max_size=6):
 
 class CountingHeapq:
     """Stand-in for the ``heapq`` module that counts pushes and pops, to
-    be patched into a module under test."""
+    be patched into a module under test.  ``heapify`` counts one push per
+    item, as if each had been pushed."""
 
     def __init__(self):
         self.pushes = 0
@@ -356,4 +357,5 @@ class CountingHeapq:
         return heapq.heappop(heap)
 
     def heapify(self, heap):
+        self.pushes += len(heap)
         heapq.heapify(heap)

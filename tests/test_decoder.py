@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -536,6 +537,25 @@ def decode_fresh(pristine, s):
 class TestScratch:
     # decode keeps per-graph scratch and resets what it wrote; none of
     # that may show in a result.
+    def test_side_templates_match_the_edges(self):
+        # Seeding copies a node's (edge, side) template and an absorption
+        # walks it: one entry per incident edge end, side 1 at its v end,
+        # unchanged by later decodes.
+        rnd = random.Random(3141)
+        seen = Counter()
+        for _ in range(200):
+            g = random_rough_graph(rnd)
+            for _ in range(3):
+                decode(g, random_syndrome(rnd, g))
+                sides = decoder._scratch(g).sides
+                assert len(sides) == g.num_nodes
+                for x in range(g.num_nodes):
+                    assert list(sides[x]) == [(e, int(g.edges[e].u != x))
+                                              for _, _, e in g.neighbors[x]]
+            seen["parallel edges"] += len({(e.u, e.v) for e in g.edges}) < g.num_edges
+            seen["more than two boundaries"] += len(g.boundaries) > 2
+        assert min(seen.values()) >= 50, seen
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.randoms(use_true_random=False))
     def test_reused_graph_matches_fresh_copy(self, rnd):

@@ -644,3 +644,22 @@ class TestCli:
         assert ("error: --metric fraction_below --method cluster at p=0.02: "
                 "need at least 2 usable points, got 0") in err
         assert not fit_out.exists()
+
+    @pytest.mark.parametrize("model", [["power", "--dmin", "3"], ["exp"]])
+    def test_fit_without_records_of_the_method_is_a_usage_error(self, tmp_path, capsys,
+                                                                model):
+        # every sample is empty and skipped, so no cell has a record to fit
+        from softgap.cli import main
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--distances", "3,5", "--probs", "0.000001",
+                     "--samples", "50", "--seed", "9", "--out", str(out)]) == 0
+        assert parse_records_csv(out.read_text()) == []
+        capsys.readouterr()
+        fit_out = tmp_path / "fit.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--model", *model, "--in", str(out), "--out", str(fit_out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: softgap fit")
+        assert f"error: --method cluster: {out} holds no record of it" in err
+        assert not fit_out.exists()

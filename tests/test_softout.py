@@ -48,6 +48,33 @@ def nat(x):
     return round(x * SCALED_PER_NAT)
 
 
+def lifted(g, unit=1_000_000):
+    """``g`` with every edge one unit heavier: a ``random_rough_graph``
+    keeps its ties, parallel edges and boundaries but loses its zero
+    weights, so its lightest edge is positive."""
+    return DecodingGraph(g.num_nodes, g.boundaries,
+                         [Edge(e.u, e.v, e.weight + unit) for e in g.edges])
+
+
+class RecordingHeapq(CountingHeapq):
+    """``CountingHeapq`` that also records each key pushed one at a time
+    (``heapify`` records none) and each key popped, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = []
+        self.popped = []
+
+    def heappush(self, heap, item):
+        self.pushed.append(item)
+        super().heappush(heap, item)
+
+    def heappop(self, heap):
+        item = super().heappop(heap)
+        self.popped.append(item)
+        return item
+
+
 def overshoot_chain():
     """b1 -2nat- A -2nat- B -2nat- b2 with singleton clusters A, B."""
     edges = [Edge(0, 2, nat(2)), Edge(0, 1, nat(2)), Edge(1, 3, nat(2))]
@@ -166,21 +193,64 @@ class TestVisitedNodes:
             self._check(g, ClusterState.from_partition(g, random_clusters(rng, g)))
 
     def test_matches_oracle_on_rough_graphs(self):
+        # Every third case is also checked with its weights lifted, as the
+        # rough graphs almost always have a zero-weight edge.
         rng = random.Random(777)
         seen = Counter()
-        for _ in range(1500):
+        for i in range(1500):
             g = random_rough_graph(rng)
             groups = random_groups(rng, g)
-            cs = ClusterState.from_partition(g, groups)
-            self._check(g, cs)
+            for h in (g, lifted(g)) if i % 3 == 0 else (g,):
+                cs = ClusterState.from_partition(h, groups)
+                self._check(h, cs)
+                view = contract(h, cs)
+                seen["zero-weight edge between parts"] += any(
+                    e.weight == 0 and view.rep[e.u] != view.rep[e.v] for e in h.edges)
+                seen["parallel edges"] += len({(e.u, e.v) for e in h.edges}) < h.num_edges
+                seen["more than two boundaries"] += len(h.boundaries) > 2
+                seen["disconnected group"] += any(not _connected(h, gr) for gr in groups)
+                seen["b1 inside a cluster"] += view.boundary_parts[0] in view.members
+                seen["b2 inside a cluster"] += view.boundary_parts[1] in view.members
+                seen["lightest edge > 0"] += h.min_weight() > 0
+        assert len(seen) == 7 and min(seen.values()) >= 100, seen
+
+    def test_search_works_only_within_the_gap(self, monkeypatch):
+        # cluster_gaps lowers no part beyond the gap it holds at that time,
+        # and pops no key beyond the gap less the lightest edge weight but
+        # the one it stops at.  The pushes replay the gap: it starts at
+        # b2's part's bare distance and each push to that part lowers it.
+        rng = random.Random(5151)
+        seen = Counter()
+        for i in range(900):
+            if i % 3 == 0:
+                g = random_graph(rng, max_nodes=80)
+            else:
+                g = random_rough_graph(rng)
+                if i % 3 == 2:
+                    g = lifted(g)
+            cs = ClusterState.from_partition(g, random_groups(rng, g))
             view = contract(g, cs)
-            seen["zero-weight edge between parts"] += any(
-                e.weight == 0 and view.rep[e.u] != view.rep[e.v] for e in g.edges)
-            seen["parallel edges"] += len({(e.u, e.v) for e in g.edges}) < g.num_edges
-            seen["more than two boundaries"] += len(g.boundaries) > 2
-            seen["disconnected group"] += any(not _connected(g, gr) for gr in groups)
-            seen["b1 inside a cluster"] += view.boundary_parts[0] in view.members
-        assert len(seen) == 5 and min(seen.values()) >= 100, seen
+            b2 = view.boundary_parts[1]
+            recorder = RecordingHeapq()
+            with monkeypatch.context() as m:
+                m.setattr(softout, "heapq", recorder)
+                full, _ = cluster_gaps(view, EPS20)
+            n, w_min = g.num_nodes, g.min_weight()
+            bare = g.bare_distances()[0]
+            gap = min(bare[x] for x in view.members.get(b2, (b2,)))
+            for key in recorder.pushed:
+                d, y = divmod(key, n)
+                assert d <= gap
+                if y == b2:
+                    gap = d
+            assert gap == full.value
+            beyond = [k for k in recorder.popped if k // n > gap - w_min]
+            assert beyond in ([], recorder.popped[-1:])
+            seen["a part lowered"] += bool(recorder.pushed)
+            seen["stopped short of the gap"] += bool(beyond) and beyond[0] // n <= gap
+            seen["lightest edge > 0"] += w_min > 0
+            seen["lightest edge 0"] += w_min == 0
+        assert len(seen) == 4 and min(seen.values()) >= 100, seen
 
     def test_tie_at_gap_counts_lower_part_ids_only(self):
         # b1 = 0, b2 = 1.  Detectors 3 and 5 are at the gap's distance with
