@@ -41,15 +41,16 @@ log2(n) times, O(n log n) in all.  Every label lookup is then one list
 read, and the contraction reads the labels instead of rebuilding them.
 
 Per-decode work is bounded by the syndrome, not by the graph.  The growth
-state (activity, frontiers, per-edge coverage) lives in per-graph scratch
-lists, allocated at the graph's first decode; each decode writes only the
-entries of the nodes it covers and the edges of their frontiers, and
-resets exactly those when it ends, also when it raises.  A new
-``ClusterState`` copies its node-sized lists from per-graph templates.
-So two decodes on one graph must not run at the same time (from two
-threads).  The event loop stops when a union leaves no cluster growing:
-with no growing side no edge can close, so the state is final and the
-predictions still queued are dropped unpopped.  Each queued prediction
+state (coverage flags, activity, frontiers, per-edge coverage) lives in
+per-graph scratch lists, allocated at the graph's first decode; each
+decode writes only the entries of the nodes it covers and the edges of
+their frontiers, and resets exactly those when it ends, also when it
+raises.  A new ``ClusterState`` copies one node-sized list, ``parent``:
+ranks and boundary flags are per-root dicts holding only the roots that
+have them.  So two decodes on one graph must not run at the same time
+(from two threads).  The event loop stops when a union leaves no cluster
+growing: with no growing side no edge can close, so the state is final
+and the predictions still queued are dropped unpopped.  Each queued prediction
 is an integer key ``t * num_edges + edge``, so the queue orders by
 (instant, edge) and a popped edge needs one prediction only.
 ``op_count`` is the number of heap pushes plus heap pops.  Seeding reads
@@ -80,13 +81,14 @@ class _Scratch:
     ``e_u``, ``e_v`` and ``w2`` are the edges as flat lists (endpoints and
     weight in h-units).  ``sides[x]`` lists node x's ``(edge, side)``
     entries, side 1 when x is the edge's ``v`` end: a seed's frontier
-    copies it and an absorption walks it.  ``parent0`` and ``covered0``
-    are the templates a new ``ClusterState`` copies.  The other lists are
-    ``decode``'s own: clean (False, 0 or None) between decodes, because
-    each decode resets the entries it wrote.
+    copies it and an absorption walks it.  ``parent0`` is the template a
+    new ``ClusterState`` copies.  The other lists are ``decode``'s own:
+    clean between decodes, because each decode resets the entries it
+    wrote.  Clean is False, 0 or None, except that ``covered`` holds the
+    graph's ``is_boundary``: boundaries are covered from the start.
     """
 
-    __slots__ = ("e_u", "e_v", "w2", "sides", "parent0", "covered0", "active",
+    __slots__ = ("e_u", "e_v", "w2", "sides", "parent0", "covered", "active",
                  "frontier", "closed", "cov2u", "cov2v")
 
     def __init__(self, graph: DecodingGraph):
@@ -97,9 +99,7 @@ class _Scratch:
         self.sides = [tuple((eidx, int(e_u[eidx] != x)) for _, _, eidx in nbrs)
                       for x, nbrs in enumerate(graph.neighbors)]
         self.parent0 = list(range(n))
-        self.covered0 = [False] * n
-        for b in graph.boundaries:
-            self.covered0[b] = True
+        self.covered = graph.is_boundary[:]
         self.active = [False] * n       # valid at roots
         self.frontier = [None] * n      # per-root list of (edge, side) entries
         self.closed = [False] * m
@@ -122,20 +122,21 @@ class ClusterState:
     Boundary nodes are covered from the start as their own passive
     zero-radius clusters; a cluster that reaches one becomes inactive.
     ``parent[x]`` is the root of every covered node and ``members`` maps
-    each root to its covered nodes, in no particular order.
+    each root to its covered nodes, in no particular order.  Neither
+    changes once ``decode`` or ``from_partition`` has returned.
+    ``rank_of`` maps a root to its rank, 0 when absent, and
+    ``boundary_roots`` holds the roots whose cluster touches a boundary.
+    A root that loses a union keeps its entries in both.
     ``coverage2`` maps each edge the decode grew into to its covered
     length in h-units, both sides summed; an edge it lacks is uncovered.
     """
 
     def __init__(self, graph: DecodingGraph, events=frozenset()):
-        n = graph.num_nodes
-        scratch = _scratch(graph)
         self.graph = graph
         self.events = frozenset(events)
-        self.parent = scratch.parent0[:]
-        self.rank = [0] * n
-        self.covered = scratch.covered0[:]
-        self.touches_boundary = graph.is_boundary[:]
+        self.parent = _scratch(graph).parent0[:]
+        self.rank_of = {}
+        self.boundary_roots = set(graph.boundaries)
         self.members = {b: [b] for b in graph.boundaries}  # root -> covered nodes
         self.coverage2 = {}
         self.radius2_log = 0           # max growth radius ever used, h-units
@@ -144,6 +145,24 @@ class ClusterState:
 
     def find(self, x: int) -> int:
         return self.parent[x]
+
+    @property
+    def covered(self) -> list:
+        """Per node: whether it is in a cluster (a fresh list)."""
+        members = self.members
+        return [r in members for r in self.parent]
+
+    @property
+    def rank(self) -> list:
+        """Per node: its ``rank_of`` entry, 0 when absent (a fresh list)."""
+        get = self.rank_of.get
+        return [get(x, 0) for x in range(len(self.parent))]
+
+    @property
+    def touches_boundary(self) -> list:
+        """Per node: whether it is in ``boundary_roots`` (a fresh list)."""
+        flags = self.boundary_roots
+        return [x in flags for x in range(len(self.parent))]
 
     def clusters(self) -> dict:
         """Map root -> sorted covered members, one entry per cluster,
@@ -165,6 +184,7 @@ class ClusterState:
         """
         cs = cls(graph)
         parent = cs.parent
+        covered = set(graph.boundaries)
         for group in groups:
             members = sorted(set(group))
             if not members:
@@ -172,8 +192,8 @@ class ClusterState:
             for x in members:
                 if not (0 <= x < graph.num_nodes):
                     raise ValueError(f"cluster member {x} out of range")
-                if not cs.covered[x]:
-                    cs.covered[x] = True
+                if x not in covered:
+                    covered.add(x)
                     cs.members[x] = [x]
             head = members[0]
             for x in members[1:]:
@@ -186,18 +206,21 @@ def _union_meta(cs: ClusterState, ra: int, rb: int) -> int:
     relabels the loser's members."""
     if ra == rb:
         return ra
-    if cs.rank[ra] < cs.rank[rb]:
+    rank = cs.rank_of
+    ka, kb = rank.get(ra, 0), rank.get(rb, 0)
+    if ka < kb:
         ra, rb = rb, ra
-    elif cs.rank[ra] == cs.rank[rb]:
+    elif ka == kb:
         if rb < ra:
             ra, rb = rb, ra
-        cs.rank[ra] += 1
+        rank[ra] = ka + 1
     moved = cs.members.pop(rb)
     parent = cs.parent
     for x in moved:
         parent[x] = ra
     cs.members[ra].extend(moved)
-    cs.touches_boundary[ra] = cs.touches_boundary[ra] or cs.touches_boundary[rb]
+    if rb in cs.boundary_roots:
+        cs.boundary_roots.add(ra)
     return ra
 
 
@@ -213,13 +236,12 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
         if not (0 <= x < g.num_nodes) or g.is_boundary[x]:
             raise ValueError(f"detection event {x} is not a detector of this graph")
 
-    covered = cs.covered
-    touches = cs.touches_boundary
+    touches = cs.boundary_roots
     parent = cs.parent                 # flat: the root of every covered node
     members = cs.members
 
     sc = _scratch(g)
-    active, frontier, closed = sc.active, sc.frontier, sc.closed
+    covered, active, frontier, closed = sc.covered, sc.active, sc.frontier, sc.closed
     cov2u, cov2v = sc.cov2u, sc.cov2v
     e_u, e_v, w2, sides = sc.e_u, sc.e_v, sc.w2, sc.sides
     m = g.num_edges
@@ -311,7 +333,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 if ru == rv:
                     continue                      # internal cycle edge
                 a_u, a_v = active[ru], active[rv]
-                new_active = a_u != a_v and not (touches[ru] or touches[rv])
+                new_active = a_u != a_v and not (ru in touches or rv in touches)
                 set_activity(ru, new_active)
                 set_activity(rv, new_active)
                 fa, fb = frontier[ru], frontier[rv]
@@ -342,7 +364,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     finally:
         # Every written edge is a frontier entry of a current root, and
         # every written node is covered: copy the coverages out, then
-        # reset exactly those entries.
+        # reset exactly those entries.  Boundaries stay covered.
         coverage2 = cs.coverage2
         for r, lst in members.items():
             for eidx, _ in frontier[r] or ():
@@ -353,8 +375,11 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 cov2u[eidx] = 0
                 cov2v[eidx] = 0
             for x in lst:
+                covered[x] = False
                 active[x] = False
                 frontier[x] = None
+        for b in g.boundaries:
+            covered[b] = True
 
     cs.radius2_log = clock
     cs.op_count = op_count

@@ -134,6 +134,29 @@ class DecodingGraph:
             object.__setattr__(self, "_min_weight", cached)
         return cached
 
+    def boundary_edges(self):
+        """Memoized edges at the boundaries: ``(light, between)``.
+
+        ``light[b]`` is ``(weights, entries)`` for boundary b: its edges to
+        detectors as ``(detector, weight)`` entries, lightest first, and
+        their weights in the same order, for bisection.
+        ``between`` lists the edges that join two boundaries as
+        ``(weight, edge_index, u, v)``.
+        """
+        cached = getattr(self, "_boundary_edges", None)
+        if cached is None:
+            is_boundary = self.is_boundary
+            light = {}
+            for b in self.boundaries:
+                entries = sorted((w, y) for y, w, _ in self.neighbors[b]
+                                 if not is_boundary[y])
+                light[b] = ([w for w, _ in entries], [(y, w) for w, y in entries])
+            between = tuple((e.weight, i, e.u, e.v) for i, e in enumerate(self.edges)
+                            if is_boundary[e.u] and is_boundary[e.v])
+            cached = (light, between)
+            object.__setattr__(self, "_boundary_edges", cached)
+        return cached
+
     def bare_distances(self):
         """Memoized shortest distances from the first boundary, plus their
         ascending (distance * num_nodes + node) keys.

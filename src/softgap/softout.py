@@ -29,11 +29,17 @@ paper's cost model while the wall time no longer scales with it.
 replay of its collisions;
 ``multi_boundary_extra_gap`` reads the same growth for every boundary pair.
 The four single estimators are thin wrappers over the two families.
+Every boundary lies in a part that grows from distance 0, so the growth
+records an edge between a detector and a boundary from the detector's
+side, and a boundary's own scan walks only its edges light enough to
+cover a detector, from a weight-sorted list memoized on the graph.
 
-``contract`` rebuilds no labels: the decoder's are flat (``cs.parent[x]``
-is the cluster root of every covered node and ``cs.members`` lists each
-cluster's nodes), so it copies them.  The covered-region search of
-``extra_cg`` walks only the edges of the parts the growth settled.
+``contract`` rebuilds and copies no labels: the decoder's are flat
+(``cs.parent[x]`` is the cluster root of every covered node and
+``cs.members`` lists each cluster's nodes), and a finished state never
+changes them, so the view reads ``cs.parent`` itself.  The covered-region
+search of ``extra_cg`` walks only the edges of the parts the growth
+settled.
 
 All values are scaled integers; every comparison is exact.  During extra
 growth each covered node remembers its nearest originating cluster, so a
@@ -82,8 +88,9 @@ class ContractedView:
 
     Nodes of the quotient are cluster roots plus unclustered detectors; the
     representative of a contracted cluster is its union-find root id.
-    ``sources`` lists the parts that grow during extra growth: every cluster
-    and every boundary, but not bare detectors.
+    ``rep`` is the cluster state's own ``parent`` list, not a copy: neither
+    ever writes to it.  ``sources`` lists the parts that grow during extra
+    growth: every cluster and every boundary, but not bare detectors.
     """
 
     def __init__(self, graph: DecodingGraph, rep, members, sources):
@@ -99,10 +106,11 @@ def contract(g: DecodingGraph, cs: ClusterState) -> ContractedView:
 
     The decoder keeps flat labels, so the part of every node is already
     ``cs.parent``: the cluster root of a covered node, the node itself
-    otherwise.  Every cluster root is a source.
+    otherwise.  The view reads that list itself; a finished state never
+    changes it.  Every cluster root is a source.
     """
     members = {r: sorted(lst) for r, lst in cs.members.items() if len(lst) > 1}
-    return ContractedView(g, cs.parent[:], members, tuple(sorted(cs.members)))
+    return ContractedView(g, cs.parent, members, tuple(sorted(cs.members)))
 
 
 def cluster_gaps(view: ContractedView, eps_max: int):
@@ -120,8 +128,9 @@ def cluster_gaps(view: ContractedView, eps_max: int):
     stops once it pops a distance beyond the gap less the lightest edge
     weight: such a part lowers nothing within the gap, so every distance
     up to the gap is final.  ``visited_nodes`` is then counted from the
-    bare (distance, node) keys by one bisection, corrected for the nodes
-    inside clusters and the lowered detectors.
+    bare (distance, node) keys by one bisection per limit, corrected for
+    the nodes inside clusters and the lowered detectors in one pass that
+    serves both limits.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
@@ -175,25 +184,31 @@ def cluster_gaps(view: ContractedView, eps_max: int):
                         stop = (gap - w_min + 1) * n
 
     # Parts with key <= limit, from the bare keys: drop the bare keys of the
-    # nodes in changed parts, add those parts' own keys.
-    changed = set(lowered).union(members)
-    replaced = [bare[x] * n + x for x in changed if x not in members]
-    for lst in members.values():
-        replaced.extend(bare[x] * n + x for x in lst)
-    current = [dist[x] * n + x for x in changed]
+    # nodes in changed parts, add those parts' own keys.  Both limits are
+    # counted in one pass; the bounded one, when the gap is beyond the
+    # threshold, lies below the cluster one, and -1 otherwise admits no key.
+    high = gap * n + b2
+    low = eps_max * n + n - 1 if gap > eps_max else -1
+    visited = bisect_right(bare_keys, high)
+    within = bisect_right(bare_keys, low)
+    for x in set(lowered).union(members):
+        for node in members.get(x, (x,)):
+            key = bare[node] * n + node
+            if key <= high:
+                visited -= 1
+                if key <= low:
+                    within -= 1
+        key = dist[x] * n + x
+        if key <= high:
+            visited += 1
+            if key <= low:
+                within += 1
 
-    def settled(limit):
-        return (bisect_right(bare_keys, limit)
-                - sum(1 for k in replaced if k <= limit)
-                + sum(1 for k in current if k <= limit))
-
-    visited = settled(gap * n + b2)
     cluster = GapResult("cluster", gap, visited_nodes=visited)
     if gap <= eps_max:
         bounded = GapResult("bounded", gap, visited_nodes=visited)
     else:
-        bounded = GapResult("bounded", None,
-                            visited_nodes=settled(eps_max * n + n - 1))
+        bounded = GapResult("bounded", None, visited_nodes=within)
     return cluster, bounded
 
 
@@ -237,41 +252,68 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     exact combined distance.  A part beyond the radius is never queued.
     A budget below the lightest edge weight returns the sources alone: no
     part is within the radius and no two sources can collide.
+
+    The search keeps its distances, origins and settled parts in dicts,
+    so its work is sized by what it covers.  Every boundary is in a
+    source part, at distance 0 and its own origin from the start, so an
+    edge from a detector to a boundary node is recorded by the detector's
+    scan, whether or not the boundary's part has settled.  A boundary
+    node's own scan then needs only its edges to detectors light enough
+    to cover them, 2w <= eps_max, from the graph's memoized weight-sorted
+    list; the edges between two boundaries are recorded once, from the
+    graph's memoized list of them.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
-    if eps_max < view.graph.min_weight():
+    graph = view.graph
+    if eps_max < graph.min_weight():
         return Growth([(x, 0) for x in sorted(set(view.sources))], [])
     rep = view.rep
     members = view.members
-    neighbors = view.graph.neighbors
+    neighbors = graph.neighbors
+    is_boundary = graph.is_boundary
+    light, between = graph.boundary_edges()
+    half = eps_max // 2                     # 2w <= eps_max exactly when w <= half
 
-    n = view.graph.num_nodes
-    dist = [None] * n
-    origin = [None] * n
-    is_settled = [False] * n
+    n = graph.num_nodes
+    dist = dict.fromkeys(view.sources, 0)
+    origin = {srt: srt for srt in view.sources}
+    done = set()
     settled = []
     collisions = []
-    heap = []
-    for srt in view.sources:
-        dist[srt] = 0
-        origin[srt] = srt
-        heap.append((0, srt))
+    for w, eidx, u, v in between:
+        a, b = rep[u], rep[v]
+        if a != b and w <= eps_max:
+            collisions.append((w, eidx, a, b) if a < b else (w, eidx, b, a))
+    heap = list(view.sources)               # keys d * n + part, here d = 0
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
 
     while heap:
-        d, x = heapq.heappop(heap)
-        if is_settled[x]:
+        d, x = divmod(pop(heap), n)
+        if x in done:
             continue
-        is_settled[x] = True
+        done.add(x)
         settled.append((x, d))
         ox = origin[x]
         for node in members.get(x, (x,)):
+            if is_boundary[node]:           # d == 0: relax the light edges
+                weights, entries = light[node]
+                for other, w in entries[:bisect_right(weights, half)]:
+                    y = rep[other]
+                    if y == x or y in done:
+                        continue
+                    old = dist.get(y)
+                    if old is None or w < old:
+                        dist[y] = w
+                        origin[y] = ox
+                        push(heap, w * n + y)
+                continue
             for other, w, eidx in neighbors[node]:
                 y = rep[other]
                 if y == x:
                     continue
-                if is_settled[y]:
+                if y in done or is_boundary[other]:
                     oy = origin[y]
                     if oy != ox:
                         eps_c = d + w + dist[y]
@@ -282,11 +324,11 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
                 nd = d + w
                 if 2 * nd > eps_max:        # beyond the radius: never covered
                     continue
-                old = dist[y]
+                old = dist.get(y)
                 if old is None or nd < old:
                     dist[y] = nd
                     origin[y] = ox
-                    heapq.heappush(heap, (nd, y))
+                    push(heap, nd * n + y)
 
     collisions.sort()
     return Growth(settled, collisions)

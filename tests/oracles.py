@@ -36,9 +36,10 @@ def oracle_contract(graph, cs):
     every node: members only for multi-node parts, sorted; sources are
     the sorted parts of the covered nodes."""
     rep = rep_map(graph, cs)
+    covered = cs.covered
     members = {}
     for x in range(graph.num_nodes):
-        if cs.covered[x]:
+        if covered[x]:
             members.setdefault(rep[x], []).append(x)
     sources = tuple(sorted(members))
     return rep, {r: lst for r, lst in members.items() if len(lst) > 1}, sources
@@ -170,7 +171,8 @@ def oracle_part_distances(graph, cs):
     rep = rep_map(graph, cs)
     parts = set(rep)
     qedges = quotient_edges(graph, rep)
-    sources = sorted({rep[x] for x in range(graph.num_nodes) if cs.covered[x]})
+    covered = cs.covered
+    sources = sorted({rep[x] for x in range(graph.num_nodes) if covered[x]})
     table = {}
     for srt in sources:
         dist = bellman_ford(parts, qedges, srt)
@@ -190,7 +192,8 @@ def oracle_covered_gap(graph, cs, eps_max):
     parts = set(rep)
     qedges = quotient_edges(graph, rep)
     label = {}
-    for srt in {rep[x] for x in range(graph.num_nodes) if cs.covered[x]}:
+    covered = cs.covered
+    for srt in {rep[x] for x in range(graph.num_nodes) if covered[x]}:
         for part, d in bellman_ford(parts, qedges, srt).items():
             if d is not None and 2 * d <= eps_max and d < label.get(part, d + 1):
                 label[part] = d
@@ -229,6 +232,47 @@ def oracle_bottleneck_gap(graph, cs, eps_max):
         if find(b1) == find(b2):
             return dist
     return None
+
+
+def oracle_growth(graph, cs, eps):
+    """(settled, collisions) of simultaneous growth of every grown part at
+    budget ``eps``, from a multi-source search that scans every edge of
+    every node of each part it settles, boundaries' included.
+
+    Parts settle in (distance, part id) order, each with the origin whose
+    ball reached it first; a part is queued only within eps/2.  An edge
+    between two settled parts of different origins is a collision at
+    d(a) + w + d(b) when that is within eps, recorded by the part that
+    settles second.  Collisions come sorted.
+    """
+    rep, _, sources = oracle_contract(graph, cs)
+    nodes = {}
+    for x in range(graph.num_nodes):
+        nodes.setdefault(rep[x], []).append(x)
+    dist = {srt: 0 for srt in sources}
+    origin = {srt: srt for srt in sources}
+    heap = [(0, srt) for srt in sources]
+    settled, collisions, done = [], [], set()
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x in done:
+            continue
+        done.add(x)
+        settled.append((x, d))
+        for node in nodes[x]:
+            for other, w, eidx in graph.neighbors[node]:
+                y = rep[other]
+                if y == x:
+                    continue
+                if y in done:
+                    if origin[y] != origin[x] and d + w + dist[y] <= eps:
+                        a, b = sorted((origin[x], origin[y]))
+                        collisions.append((d + w + dist[y], eidx, a, b))
+                elif 2 * (d + w) <= eps and d + w < dist.get(y, d + w + 1):
+                    dist[y] = d + w
+                    origin[y] = origin[x]
+                    heapq.heappush(heap, (d + w, y))
+    return settled, sorted(collisions)
 
 
 def oracle_syndrome(graph, flipped_edges):

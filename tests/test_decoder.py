@@ -498,6 +498,24 @@ class TestFlatLabels:
             assert list(cs.clusters().items()) == list(scan.items())
 
 
+def assert_root_invariants(g, cs):
+    """A root touches a boundary exactly when one of its members is a
+    boundary, and its rank is at most log2 of its cluster's size."""
+    touches, rank = cs.touches_boundary, cs.rank
+    for r, lst in cs.members.items():
+        assert touches[r] == any(g.is_boundary[x] for x in lst)
+        assert rank[r] <= math.log2(len(lst))
+
+
+class TestRootInvariants:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_boundary_flag_and_rank_bound(self, rnd):
+        g = random_rough_graph(rnd)
+        assert_root_invariants(g, decode(g, random_syndrome(rnd, g)))
+        assert_root_invariants(g, ClusterState.from_partition(g, random_groups(rnd, g)))
+
+
 def state_of(cs):
     """Everything a ClusterState holds, as values detached from it."""
     return (cs.parent[:], cs.rank[:], cs.covered[:],
@@ -508,6 +526,7 @@ def state_of(cs):
 def assert_scratch_clean(g):
     sc = g._decode_scratch
     n, m = g.num_nodes, g.num_edges
+    assert sc.covered == g.is_boundary
     assert sc.active == [False] * n and sc.frontier == [None] * n
     assert sc.closed == [False] * m
     assert sc.cov2u == [0] * m and sc.cov2v == [0] * m
@@ -547,6 +566,7 @@ class TestScratch:
             g = random_rough_graph(rnd)
             for _ in range(3):
                 decode(g, random_syndrome(rnd, g))
+                assert_scratch_clean(g)
                 sides = decoder._scratch(g).sides
                 assert len(sides) == g.num_nodes
                 for x in range(g.num_nodes):
@@ -574,8 +594,23 @@ class TestScratch:
         for _ in range(5):
             cs = decode(g, random_syndrome(rnd, g))
             kept.append((cs, state_of(cs)))
+        assert_scratch_clean(g)
         for cs, state in kept:
             assert state_of(cs) == state
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False))
+    def test_kept_views_survive_later_decodes(self, rnd):
+        # A view reads its state's own parent list: later decodes on the
+        # same graph must not change what it reads.
+        g = scratch_graph(rnd)
+        kept = []
+        for _ in range(5):
+            view = contract(g, decode(g, random_syndrome(rnd, g)))
+            kept.append((view, view.rep[:]))
+        assert_scratch_clean(g)
+        for view, rep in kept:
+            assert view.rep == rep
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.randoms(use_true_random=False))
@@ -586,6 +621,7 @@ class TestScratch:
         bad = random_syndrome(rnd, g).events | {rnd.choice(g.boundaries)}
         with pytest.raises(ValueError):
             decode(g, Syndrome(bad))
+        assert_scratch_clean(g)
         s = random_syndrome(rnd, g)
         assert state_of(decode(g, s)) == state_of(decode_fresh(pristine, s))
         # A failure part-way through a decode also leaves clean scratch.

@@ -34,6 +34,7 @@ from oracles import (
     oracle_bottleneck_gap,
     oracle_cluster_gap,
     oracle_covered_gap,
+    oracle_growth,
     oracle_visited,
     random_clusters,
     random_graph,
@@ -586,6 +587,55 @@ class TestExtraGaps:
                 seen["below" if eps < w else "at" if eps == w else "above"] += 1
                 seen["zero-weight graph"] += w == 0
         assert min(seen.values()) >= 100, seen
+
+
+def growth_cases(rng, count):
+    """(graph, state) pairs: random graphs, rough graphs with two to five
+    boundaries, zero-weight and parallel edges, and decoded samples of
+    small phenomenological graphs."""
+    for i in range(count):
+        kind = i % 3
+        if kind == 2:
+            d = rng.choice((3, 5))
+            g = build_phenomenological(d, d, rng.choice((0.01, 0.05, 0.2)))
+            yield g, decode(g, sample_syndrome(g, SeedSpec(77, i)))
+            continue
+        g = random_rough_graph(rng) if kind else random_graph(rng, max_nodes=60)
+        yield g, ClusterState.from_partition(g, random_groups(rng, g))
+
+
+class TestGrowthOracle:
+    def test_growth_matches_full_scan(self):
+        # The growth skips a boundary node's heavy edges and records each
+        # detector-boundary edge from the detector's side; the oracle scans
+        # every edge of every settled part.  Settle order and collisions
+        # must agree bit for bit.
+        rng = random.Random(5150)
+        seen = Counter()
+        for g, cs in growth_cases(rng, 600):
+            view = contract(g, cs)
+            w_min = g.min_weight()
+            is_b = g.is_boundary
+            for eps in sorted({0, max(w_min - 1, 0), w_min, 2 * w_min,
+                               db_to_scaled(20), db_to_scaled(40), db_to_scaled(60)}):
+                growth = grow_clusters(view, eps)
+                settled, collisions = oracle_growth(g, cs, eps)
+                assert growth.settled == settled
+                assert growth.collisions == collisions
+                rep = view.rep
+                edges = g.edges
+                label = dict(settled)
+                seen["boundary-boundary collision"] += any(
+                    is_b[edges[e].u] and is_b[edges[e].v] for _, e, _, _ in collisions)
+                seen["boundary in a multi-node part"] += eps >= w_min and any(
+                    is_b[x] for lst in view.members.values() for x in lst)
+                seen["light boundary edge covers a detector"] += any(
+                    rep[e.u] != rep[e.v] and is_b[e.u] != is_b[e.v]
+                    and 2 * e.weight <= eps and label.get(rep[e.u if is_b[e.v] else e.v]) is not None
+                    for e in edges)
+                seen["collision across a boundary edge"] += any(
+                    is_b[edges[e].u] != is_b[edges[e].v] for _, e, _, _ in collisions)
+        assert min(seen.values()) >= 100 and len(seen) == 4, seen
 
 
 class TestContractedView:
