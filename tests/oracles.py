@@ -5,16 +5,20 @@ paths come from plain Bellman-Ford relaxation (or exhaustive path
 enumeration on tiny graphs), bottleneck connectivity from threshold
 enumeration over all-pairs part distances, syndromes from a direct
 parity recount, each sample's random stream from a freshly built Philox,
-cluster roots from a tree union-find with path compression, and the
-contraction from a scan over every node.
+cluster roots from a tree union-find with path compression, the
+contraction from a scan over every node, and sweep CSV text from one
+list of strings per record, each float printed by ``repr(float(x))``.
 """
 
+import csv
 import heapq
+import io
 import random
 
 import numpy as np
 
 from softgap.graphs import DecodingGraph, Edge
+from softgap.harness import CSV_HEADER
 
 
 def quotient_edges(graph, rep):
@@ -287,6 +291,28 @@ def oracle_syndrome(graph, flipped_edges):
                 else:
                     odd.add(x)
     return frozenset(odd)
+
+
+def oracle_records_csv(records, metadata=None):
+    """``records_to_csv`` text, read field by field from each record's
+    attributes: one row of strings per record, each float formatted on
+    its own, one ``writerow`` call per row."""
+    def fmt(x):
+        return repr(float(x))
+
+    buf = io.StringIO()
+    if metadata:
+        for k in sorted(metadata):
+            buf.write(f"# {k}={metadata[k]}\n")
+    buf.write(CSV_HEADER + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for r in records:
+        writer.writerow([str(r.d), fmt(r.p), str(r.sample), r.method,
+                         "true" if r.defined else "false",
+                         "" if r.gap_db is None else fmt(r.gap_db),
+                         str(r.visited_nodes), str(r.extra_nodes),
+                         fmt(r.max_growth_db), str(r.nodes_in_clusters)])
+    return buf.getvalue()
 
 
 def random_graph(rng: random.Random, max_nodes=200,

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import re
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from softgap import harness, softout
 from softgap.graphs import build_phenomenological, db_to_scaled, scaled_to_db
@@ -22,12 +25,15 @@ from softgap.harness import (
     parse_csv_metadata,
     parse_records_csv,
     records_to_csv,
+    records_to_json,
     run_consistency,
     run_sweep,
     sweep_metadata,
     switch_check,
     wilson_interval,
 )
+
+from oracles import oracle_records_csv
 
 
 def small_cfg(**overrides):
@@ -111,6 +117,25 @@ class TestRunSweep:
         for r in run_sweep(small_cfg()):
             assert (r.gap_db is not None) == r.defined
 
+    def test_one_sample_syndrome_call_per_sample(self, monkeypatch):
+        # A one-worker sweep draws every sample through the harness's
+        # ``sample_syndrome``, empty ones and repeated ones included; the
+        # benchmark times a sweep by wrapping that call.
+        calls = []
+
+        def counted(g, seed):
+            syndrome = sample_syndrome(g, seed)
+            calls.append(bool(syndrome.events))
+            return syndrome
+
+        monkeypatch.setattr(harness, "sample_syndrome", counted)
+        cfg = small_cfg(distances=(3, 5), probs=(0.001, 0.01), samples=150,
+                        skip_empty_syndromes=True)
+        records = list(run_sweep(cfg, workers=1))
+        assert len(calls) == 4 * 150
+        assert 0 < sum(calls) < len(calls)
+        assert len(records) == 4 * sum(calls)
+
 
 class TestPinnedOutput:
     # sha256 of records_to_csv for d in {5, 9} x p in {0.1%, 1%}, 300
@@ -123,6 +148,15 @@ class TestPinnedOutput:
                           master_seed=1)
         text = records_to_csv(run_sweep(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_CSV_SHA256
+
+    # sha256 of records_to_json for the same sweep, with its metadata
+    SWEEP_JSON_SHA256 = "f89cbbfb54f0a758901cd62e0d1ed445054f74afe1a6ec566357e8216884c1b5"
+
+    def test_sweep_json_bytes(self):
+        cfg = SweepConfig(distances=(5, 9), probs=(0.001, 0.01), samples=300,
+                          master_seed=1)
+        text = records_to_json(list(run_sweep(cfg)), sweep_metadata(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_JSON_SHA256
 
     def test_one_search_and_one_growth_per_sample(self, monkeypatch):
         calls = Counter()
@@ -153,6 +187,25 @@ class TestPinnedOutput:
         assert evaluated >= 30
 
 
+# Floats that repeat within one record list, so the formatter's memo is
+# exercised: signed zeros, nan, infinities, int-valued and numpy floats.
+_FLOAT_POOL = (0.0, -0.0, math.nan, -math.inf, math.inf, 1, 3, 0.001, 0.01,
+               25.5, 5e-324, 1e300, np.float64(0.25), np.float64(-0.0))
+_floats = st.sampled_from(_FLOAT_POOL) | st.floats() | st.integers(-10**6, 10**6)
+_counts = st.integers(0, 10**9)
+_records = st.builds(
+    SweepRecord, d=st.integers(3, 99), p=_floats, sample=_counts,
+    method=st.sampled_from(METHODS) | st.text(st.sampled_from('ab,"\'\n\r '), max_size=6),
+    defined=st.booleans(), gap_db=st.none() | _floats, visited_nodes=_counts,
+    extra_nodes=_counts, max_growth_db=_floats, nodes_in_clusters=_counts)
+
+
+def _zeros_record(zero):
+    return SweepRecord(d=3, p=zero, sample=0, method="cluster", defined=True,
+                       gap_db=zero, visited_nodes=1, extra_nodes=0,
+                       max_growth_db=zero, nodes_in_clusters=2)
+
+
 class TestEmit:
     def test_csv_header_exact(self):
         assert CSV_HEADER == ("d,p,sample,method,defined,gap_db,visited_nodes,"
@@ -169,6 +222,17 @@ class TestEmit:
         parsed = parse_records_csv(text)
         assert parsed == records
         assert records_to_csv(parsed) == text
+
+    # No explain phase: on a failing example of these ten-field records it
+    # runs for minutes, after the shrink has already found the small case.
+    @settings(phases=[phase for phase in Phase if phase is not Phase.explain])
+    @given(records=st.lists(_records, max_size=12),
+           metadata=st.none() | st.dictionaries(st.sampled_from("abc"), st.integers()))
+    @example(records=[_zeros_record(0.0), _zeros_record(-0.0), _zeros_record(0.0)],
+             metadata=None)
+    def test_csv_matches_oracle(self, records, metadata):
+        assert records_to_csv(records, metadata) == oracle_records_csv(records, metadata)
+        assert records_to_csv(iter(records), metadata) == oracle_records_csv(records, metadata)
 
     def test_parse_header_only_text(self):
         # text, never a path: a header alone is a CSV with no records
@@ -243,14 +307,14 @@ class TestAggregate:
 
 def _bounded_off(view, eps):
     c, b = softout.cluster_gaps(view, eps)
-    return c, replace(b, value=c.value + 1)
+    return c, b._replace(value=c.value + 1)
 
 
 def _extra_off(extra=None, extra_cg=None):
     def patched(view, eps):
         e, cg = softout.extra_gaps(view, eps)
-        return (e if extra is None else replace(e, value=extra(e.value)),
-                cg if extra_cg is None else replace(cg, value=extra_cg(cg.value)))
+        return (e if extra is None else e._replace(value=extra(e.value)),
+                cg if extra_cg is None else cg._replace(value=extra_cg(cg.value)))
     return patched
 
 
@@ -382,7 +446,7 @@ class TestSwitchCheck:
                          attempted=2)
 
     def test_gap_exactly_at_threshold_counts(self):
-        records = [replace(r, gap_db=scaled_to_db(db_to_scaled(25.5)))
+        records = [r._replace(gap_db=scaled_to_db(db_to_scaled(25.5)))
                    for r in self._records([True, False])]
         chk = switch_check(records, 1.0, epsilon_max_db=25.5, attempted=2)
         assert chk.measured_rate == 0.5

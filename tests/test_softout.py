@@ -17,6 +17,7 @@ from softgap.sampling import SeedSpec, sample_syndrome
 from softgap.decoder import ClusterState, decode
 from softgap import softout
 from softgap.softout import (
+    GapResult,
     bounded_cluster_gap,
     cluster_gap,
     cluster_gaps,
@@ -440,28 +441,43 @@ class TestMultiBoundary:
         # pair (b_i, b_j) of the multi-boundary report must equal the
         # single-pair estimator on the same graph with b_i, b_j listed
         # first: every boundary grows in both, so the growth is the same.
+        # Each graph is also checked lifted, at a budget below its lightest
+        # edge, where the growth records no collision: a pair the decoder
+        # joined reads 0 with no extra nodes and every other pair is
+        # undefined, as the bottleneck oracle says.
         rng = random.Random(2718)
         seen = Counter()
         for _ in range(400):
             g = random_rough_graph(rng)
             groups = random_groups(rng, g)
-            cs = ClusterState.from_partition(g, groups)
-            report = multi_boundary_extra_gap(g, cs, EPS20)
-            view = contract(g, cs)
-            # zero-distance growth, which a joined pair must not count
-            zero_grown = any(d == 0 and part not in view.sources
-                             for part, d in grow_clusters(view, EPS20).settled)
-            for (a, b), result in report.items():
-                rest = [x for x in g.boundaries if x not in (a, b)]
-                g_ab = DecodingGraph(g.num_nodes, [a, b, *rest], g.edges)
-                cs_ab = ClusterState.from_partition(g_ab, groups)
-                assert result == extra_cluster_gap(g_ab, cs_ab, EPS20)
-                joined = view.rep[a] == view.rep[b]
-                seen["joined by the decoder"] += joined
-                seen["joined, zero-distance parts grown"] += joined and zero_grown
-                seen["joined by growth at budget 0"] += \
-                    not joined and result.value == 0
-        assert len(seen) == 3 and min(seen.values()) >= 100, seen
+            lift = lifted(g)
+            for h, eps in ((g, EPS20), (lift, lift.min_weight() - 1)):
+                cs = ClusterState.from_partition(h, groups)
+                report = multi_boundary_extra_gap(h, cs, eps)
+                view = contract(h, cs)
+                growth = grow_clusters(view, eps)
+                below = eps < h.min_weight()
+                assert not (below and growth.collisions)
+                # zero-distance growth, which a joined pair must not count
+                zero_grown = any(d == 0 and part not in view.sources
+                                 for part, d in growth.settled)
+                for (a, b), result in report.items():
+                    rest = [x for x in h.boundaries if x not in (a, b)]
+                    h_ab = DecodingGraph(h.num_nodes, [a, b, *rest], h.edges)
+                    cs_ab = ClusterState.from_partition(h_ab, groups)
+                    assert result == extra_cluster_gap(h_ab, cs_ab, eps)
+                    joined = view.rep[a] == view.rep[b]
+                    if below:
+                        assert result == GapResult("extra", 0 if joined else None)
+                        assert result.value == oracle_bottleneck_gap(h_ab, cs_ab, eps)
+                        seen["below the lightest edge, joined"] += joined
+                        seen["below the lightest edge, apart"] += not joined
+                        continue
+                    seen["joined by the decoder"] += joined
+                    seen["joined, zero-distance parts grown"] += joined and zero_grown
+                    seen["joined by growth at budget 0"] += \
+                        not joined and result.value == 0
+        assert len(seen) == 5 and min(seen.values()) >= 100, seen
 
     def test_eight_boundaries_single_pass(self, monkeypatch):
         # ring of 8 boundaries, neighbors bridged by one detector each
@@ -528,10 +544,16 @@ class TestExtraGaps:
         assert extra_cg == extra_cluster_gap_cg(g, cs, EPS20)
 
     def test_rules_on_rough_graphs(self):
+        # Each graph is also checked lifted, at a budget below its lightest
+        # edge, where the growth records no collision: joined by the
+        # decoder, both gaps are 0 with no extra nodes; apart, both are
+        # undefined.
         rng = random.Random(1618)
+        seen = Counter()
         for _ in range(400):
             g = random_rough_graph(rng)
-            cs = ClusterState.from_partition(g, random_groups(rng, g))
+            groups = random_groups(rng, g)
+            cs = ClusterState.from_partition(g, groups)
             view = contract(g, cs)
             g_c = cluster_gap(view).value
             for eps in (0, nat(1), nat(2.5), EPS20):
@@ -544,6 +566,20 @@ class TestExtraGaps:
                 if extra_cg.defined:
                     assert extra_cg.value >= g_c
                 assert extra.extra_nodes <= extra_cg.extra_nodes
+
+            lift = lifted(g)
+            cs = ClusterState.from_partition(lift, groups)
+            view = contract(lift, cs)
+            below = lift.min_weight() - 1
+            assert not grow_clusters(view, below).collisions
+            joined = view.boundary_parts[0] == view.boundary_parts[1]
+            value = 0 if joined else None
+            assert oracle_bottleneck_gap(lift, cs, below) == value
+            assert extra_gaps(view, below) == (
+                GapResult("extra", value),
+                GapResult("extra_cg", value, cluster_graph_invoked=joined))
+            seen["joined" if joined else "apart"] += 1
+        assert min(seen.values()) >= 30, seen
 
     def test_refined_gap_is_the_covered_region_distance(self):
         # The covered-region search walks only the settled parts' edges;
