@@ -8,7 +8,9 @@ block of one keyed stream.  Building a Philox and its Generator costs
 more than twice the draws at d = 9, so ``sample_errors`` keeps one bit
 generator per 64-bit key and, per sample, only resets its counter and
 clears its buffer and its uint32 carry, which is exactly the state a fresh
-construction starts in.
+construction starts in.  It compares the stream's raw 64-bit draws with
+per-edge integer thresholds, which flips exactly the edges whose
+``Generator.random`` draws fall below p, without making those floats.
 
 The value types are ``NamedTuple``s, not frozen dataclasses: a sweep makes
 a ``SeedSpec`` and a ``Syndrome`` per sample, and a frozen dataclass sets
@@ -48,8 +50,16 @@ class Syndrome(NamedTuple):
     events: frozenset
 
 
-def _prob_array(g: DecodingGraph) -> np.ndarray:
-    arr = getattr(g, "_prob_array", None)
+def _flip_thresholds(g: DecodingGraph) -> np.ndarray:
+    """Memoized per-edge uint64 thresholds: a raw draw below an edge's
+    threshold flips it.
+
+    ``Generator.random`` turns a raw 64-bit draw into ``(raw >> 11) * 2**-53``,
+    so it lies below p exactly when ``raw >> 11 < ceil(p * 2**53)``, that is
+    when ``raw < ceil(p * 2**53) << 11``.  Scaling by a power of two is exact
+    and p <= 0.5 keeps the threshold within 2**63; p <= 0 never flips.
+    """
+    arr = getattr(g, "_flip_thresholds", None)
     if arr is None:
         raw = [e.prob for e in g.edges]
         for i, p in enumerate(raw):
@@ -57,8 +67,9 @@ def _prob_array(g: DecodingGraph) -> np.ndarray:
                 e = g.edges[i]
                 raise MissingProbabilityError(
                     f"edge {i} ({e.u},{e.v}) has no probability; sampling needs p on every edge")
-        arr = np.asarray(raw, dtype=np.float64)
-        object.__setattr__(g, "_prob_array", arr)
+        steps = np.ceil(np.asarray(raw, dtype=np.float64) * 2.0**53)
+        arr = np.where(steps > 0, steps, 0).astype(np.uint64) << np.uint64(11)
+        object.__setattr__(g, "_flip_thresholds", arr)
     return arr
 
 
@@ -66,37 +77,41 @@ _MASK64 = 2**64 - 1
 
 
 class _Stream:
-    """One Philox bit generator and its Generator, rewound per sample."""
+    """One Philox bit generator, rewound per sample."""
 
     def __init__(self, key: int):
         self.bits = np.random.Philox(key=key)
-        self.rng = np.random.Generator(self.bits)
         self.state = self.bits.state           # fresh: empty buffer, no carry
         self.counter = self.state["state"]["counter"]
 
-    def at(self, sample_index: int) -> np.random.Generator:
-        """The generator positioned at the start of the sample's block."""
+    def at(self, sample_index: int) -> np.random.Philox:
+        """The bit generator positioned at the start of the sample's block."""
         if not 0 <= sample_index < 2**128:
             raise ValueError(f"sample_index must be in [0, 2**128), got {sample_index}")
         counter = self.counter
         counter[2] = sample_index & _MASK64    # counter = sample_index << 128
         counter[3] = sample_index >> 64
         self.bits.state = self.state
-        return self.rng
+        return self.bits
 
 
 _streams = {}                                  # 64-bit key -> _Stream
 
 
 def sample_errors(g: DecodingGraph, seed: SeedSpec) -> ErrorPattern:
-    """Flip each edge independently with its own probability."""
-    probs = _prob_array(g)
+    """Flip each edge independently with its own probability.
+
+    Edge i flips when the stream's i-th uniform draw is below its p; the
+    raw 64-bit draws are compared with ``_flip_thresholds`` instead, which
+    flips exactly the same edges without converting a draw to a float.
+    """
+    thresholds = _flip_thresholds(g)
     key = seed.master_seed & _MASK64
     stream = _streams.get(key)
     if stream is None:
         stream = _streams[key] = _Stream(key)
-    draws = stream.at(seed.sample_index).random(g.num_edges)
-    flipped = (draws < probs).nonzero()[0]
+    draws = stream.at(seed.sample_index).random_raw(g.num_edges)
+    flipped = (draws < thresholds).nonzero()[0]
     return ErrorPattern(frozenset(flipped.tolist()))
 
 

@@ -25,28 +25,33 @@ at the gap less the lightest edge weight.  The reported ``visited_nodes``
 is still the number of parts a plain Dijkstra search from b1 settles,
 rebuilt from the final distances, so for ``cluster`` it measures the
 paper's cost model while the wall time no longer scales with it.
-``extra_gaps`` returns the last two from one ``grow_clusters`` pass and one
-replay of its collisions;
+``extra_gaps`` returns the last two from at most one ``grow_clusters``
+pass and one replay of its collisions;
 ``multi_boundary_extra_gap`` reads the same growth for every boundary pair.
 The four single estimators are thin wrappers over the two families.
-Every boundary lies in a part that grows from distance 0, so the growth
+The growth stops as early as its budget allows, w being the graph's
+lightest edge weight.  Below w it can cover no part and join no two, so
+neither family runs it: the decoder's joins are the answer.  Below 2w it
+covers no part and joins sources only through a direct edge, so
+``grow_clusters`` returns the sources and those contacts from one scan
+of the sources' detector members, with no heap.  Beyond that, every
+boundary lies in a part that grows from distance 0, so the growth
 records an edge between a detector and a boundary from the detector's
 side, and a boundary's own scan walks only its edges light enough to
 cover a detector, from a weight-sorted list memoized on the graph.
 
-``contract`` rebuilds and copies no labels: the decoder's are flat
+``contract`` rebuilds, copies and sorts no labels: the decoder's are flat
 (``cs.parent[x]`` is the cluster root of every covered node and
 ``cs.members`` lists each cluster's nodes), and a finished state never
-changes them, so the view reads ``cs.parent`` itself.  The covered-region
-search of ``extra_cg`` walks only the edges of the parts the growth
-settled.
+changes them, so the view reads ``cs.parent`` and the member lists
+themselves.  The covered-region search of ``extra_cg`` walks only the
+edges of the parts the growth settled.
 
 All values are scaled integers; every comparison is exact.  During extra
 growth each covered node remembers its nearest originating cluster, so a
 collision between merged super-sets is attributed to the correct original
-pair.  A growth that records no collision, as on nearly every sample at
-low p, joins no pair the decoder left apart, so its replay builds no
-union-find.
+pair.  A growth that records no collision joins no pair the decoder left
+apart, so its replay builds no union-find.
 
 ``GapResult`` is a ``NamedTuple``, not a frozen dataclass: every sample
 makes four, and a frozen dataclass sets each field with one
@@ -95,16 +100,18 @@ class ContractedView:
 
     Nodes of the quotient are cluster roots plus unclustered detectors; the
     representative of a contracted cluster is its union-find root id.
-    ``rep`` is the cluster state's own ``parent`` list, not a copy: neither
-    ever writes to it.  ``sources`` lists the parts that grow during extra
-    growth: every cluster and every boundary, but not bare detectors.
+    ``rep`` is the cluster state's own ``parent`` list and ``members`` holds
+    its own member lists, not copies: nothing ever writes to them.
+    ``sources`` lists the parts that grow during extra growth: every
+    cluster and every boundary, but not bare detectors.  Member lists and
+    ``sources`` are in no particular order; no estimator reads it.
     """
 
     def __init__(self, graph: DecodingGraph, rep, members, sources):
         self.graph = graph
         self.rep = rep                    # node id -> part id
         self.members = members            # part id -> list of nodes (multi-node parts only)
-        self.sources = sources            # tuple of part ids that grow
+        self.sources = sources            # tuple of part ids that grow, unordered
         self.boundary_parts = tuple(rep[b] for b in graph.boundaries)
 
 
@@ -113,11 +120,14 @@ def contract(g: DecodingGraph, cs: ClusterState) -> ContractedView:
 
     The decoder keeps flat labels, so the part of every node is already
     ``cs.parent``: the cluster root of a covered node, the node itself
-    otherwise.  The view reads that list itself; a finished state never
-    changes it.  Every cluster root is a source.
+    otherwise.  The view reads that list and the member lists themselves;
+    a finished state never changes them.  Every cluster root is a source.
+    Nothing is sorted: the search relaxes within one part at a time, the
+    growth orders its parts by (distance, part id) and sorts its
+    collisions.
     """
-    members = {r: sorted(lst) for r, lst in cs.members.items() if len(lst) > 1}
-    return ContractedView(g, cs.parent, members, tuple(sorted(cs.members)))
+    members = {r: lst for r, lst in cs.members.items() if len(lst) > 1}
+    return ContractedView(g, cs.parent, members, tuple(cs.members))
 
 
 def cluster_gaps(view: ContractedView, eps_max: int):
@@ -257,8 +267,16 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     records the source whose ball reached it first, and every inter-origin
     edge whose two sides are both covered yields a collision event at the
     exact combined distance.  A part beyond the radius is never queued.
-    A budget below the lightest edge weight returns the sources alone: no
-    part is within the radius and no two sources can collide.
+
+    Two budget ranges need no search.  Below the lightest edge
+    weight w no part is within the radius and no two sources can collide,
+    so the growth is the sources alone, settled at 0 in id order.  Below
+    2w no part is within the radius either, and sources collide only
+    through a direct edge of weight <= eps_max: the growth is the same
+    settled list plus those contacts, from one scan of the sources'
+    detector members' edges, each edge recorded once, from its higher-id
+    part or from its detector end when it reaches a boundary.  A graph
+    with a zero-weight edge never takes either path.
 
     The search keeps its distances, origins and settled parts in dicts,
     so its work is sized by what it covers.  Every boundary is in a
@@ -273,8 +291,13 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
     graph = view.graph
-    if eps_max < graph.min_weight():
-        return Growth([(x, 0) for x in sorted(set(view.sources))], [])
+    w_min = graph.min_weight()
+    if eps_max < 2 * w_min:
+        sources = sorted(view.sources)
+        settled = [(x, 0) for x in sources]
+        if eps_max < w_min:
+            return Growth(settled, [])
+        return Growth(settled, _contacts(view, sources, eps_max))
     rep = view.rep
     members = view.members
     neighbors = graph.neighbors
@@ -287,11 +310,7 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     origin = {srt: srt for srt in view.sources}
     done = set()
     settled = []
-    collisions = []
-    for w, eidx, u, v in between:
-        a, b = rep[u], rep[v]
-        if a != b and w <= eps_max:
-            collisions.append((w, eidx, a, b) if a < b else (w, eidx, b, a))
+    collisions = _between_contacts(rep, between, eps_max)
     heap = list(view.sources)               # keys d * n + part, here d = 0
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -339,6 +358,50 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
 
     collisions.sort()
     return Growth(settled, collisions)
+
+
+def _between_contacts(rep, between, eps_max):
+    """Collisions through the edges that join two boundaries: the edge's
+    weight, when both ends lie in different parts and it fits the budget."""
+    collisions = []
+    for w, eidx, u, v in between:
+        a, b = rep[u], rep[v]
+        if a != b and w <= eps_max:
+            collisions.append((w, eidx, a, b) if a < b else (w, eidx, b, a))
+    return collisions
+
+
+def _contacts(view: ContractedView, sources, eps_max: int):
+    """Sorted collisions of a growth whose radius covers no part: every
+    edge of weight <= eps_max between two source parts, at its weight.
+
+    Each source's detector members scan their edges once.  A detector's
+    edge to a boundary is recorded from the detector; an edge between two
+    detectors from the part with the higher id, the one a growth would
+    settle second.  Boundary-boundary edges come from the memoized list.
+    """
+    rep = view.rep
+    members = view.members
+    neighbors = view.graph.neighbors
+    is_boundary = view.graph.is_boundary
+    grown = set(sources)
+    collisions = _between_contacts(rep, view.graph.boundary_edges()[1], eps_max)
+    for x in sources:
+        for node in members.get(x, (x,)):
+            if is_boundary[node]:
+                continue
+            for other, w, eidx in neighbors[node]:
+                if w > eps_max:
+                    continue
+                y = rep[other]
+                if y == x:
+                    continue
+                if is_boundary[other]:
+                    collisions.append((w, eidx, x, y) if x < y else (w, eidx, y, x))
+                elif y < x and y in grown:
+                    collisions.append((w, eidx, y, x))
+    collisions.sort()
+    return collisions
 
 
 class _PartUnion:
@@ -459,10 +522,15 @@ def _covered_distance(view: ContractedView, growth: Growth, eps_max: int):
     raise RuntimeError("growth reported a connection the covered region lacks")
 
 
+# (extra, extra_cg) when no growth can join the boundaries
+_JOINED = (GapResult("extra", 0), GapResult("extra_cg", 0, cluster_graph_invoked=True))
+_APART = (GapResult("extra", None), GapResult("extra_cg", None))
+
+
 def extra_gaps(view: ContractedView, eps_max: int):
     """The extra-cluster gap and its refinement through the graph of grown
-    clusters at budget ``eps_max`` (scaled), from one growth pass and one
-    replay of its collisions.  Returns (extra, extra_cg) GapResults.
+    clusters at budget ``eps_max`` (scaled), from at most one growth pass
+    and one replay of its collisions.  Returns (extra, extra_cg) GapResults.
 
     ``extra`` is the smallest budget at which simultaneous growth of the
     clusters and boundaries connects b1 to b2: the bottleneck (minimax
@@ -473,8 +541,16 @@ def extra_gaps(view: ContractedView, eps_max: int):
     That can exceed eps_max, but equals the cluster gap whenever the
     cluster gap is within the budget.  Its ``extra_nodes`` counts every
     node the growth covered.
+
+    Below the lightest edge weight no growth is run: it would cover no
+    part and record no collision, so the boundaries are joined, at 0,
+    exactly when the decoder joined them.
     """
+    if eps_max < 0:
+        raise ValueError("eps_max must be >= 0")
     b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
+    if eps_max < view.graph.min_weight():
+        return _JOINED if b1 == b2 else _APART
     growth = grow_clusters(view, eps_max)
     radii = _new_node_radii(view, growth.settled)
     extra, = _extra_results(growth, radii, [(b1, b2)])
@@ -503,16 +579,21 @@ def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
 
 def multi_boundary_extra_gap(g: DecodingGraph, cs: ClusterState,
                              eps_max: int) -> dict:
-    """Extra-cluster gaps for every pair among M boundaries from one growth
-    pass and one replay of its collisions.
+    """Extra-cluster gaps for every pair among M boundaries from at most one
+    growth pass and one replay of its collisions.
 
     Returns {(b_i, b_j): GapResult} for i < j in boundary order.  Each pair
     follows the rule of ``extra_cluster_gap``, including value 0 and no
-    extra nodes for a pair the decoder already joined.
+    extra nodes for a pair the decoder already joined, and no growth is
+    run below the lightest edge weight.
     """
+    if eps_max < 0:
+        raise ValueError("eps_max must be >= 0")
     view = contract(g, cs)
-    growth = grow_clusters(view, eps_max)
-    radii = _new_node_radii(view, growth.settled)
     pairs = list(combinations(view.boundary_parts, 2))
-    results = _extra_results(growth, radii, pairs)
+    if eps_max < g.min_weight():
+        results = [_JOINED[0] if a == b else _APART[0] for a, b in pairs]
+    else:
+        growth = grow_clusters(view, eps_max)
+        results = _extra_results(growth, _new_node_radii(view, growth.settled), pairs)
     return dict(zip(combinations(g.boundaries, 2), results))

@@ -463,7 +463,10 @@ def assert_flat_labels(g, cs):
         assert all(cs.parent[x] == r for x in lst)
     assert nodes_in_clusters(cs) == len(covered) - len(g.boundaries)
     view = contract(g, cs)
-    assert (view.rep, view.members, view.sources) == oracle_contract(g, cs)
+    rep, members, sources = oracle_contract(g, cs)
+    assert view.rep == rep
+    assert {r: sorted(lst) for r, lst in view.members.items()} == members
+    assert sorted(view.sources) == list(sources)       # in no particular order
 
 
 class TestFlatLabels:

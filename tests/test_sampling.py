@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from softgap import sampling
 from softgap.graphs import DecodingGraph, Edge, build_phenomenological, weight_from_prob
 from softgap.sampling import (
     ErrorPattern,
@@ -80,6 +82,50 @@ class TestStream:
             with pytest.raises(ValueError):
                 sample_errors(g, SeedSpec(1, idx))
         assert sample_errors(g, SeedSpec(1, 5)).flipped_edges == oracle_flipped_edges(g, 1, 5)
+
+    def test_raw_draws_flip_the_oracle_edges_at_the_extremes(self):
+        # p from 1e-9 up to 0.5, the largest key and the last counter block:
+        # the integer thresholds flip what the float draws flip.
+        graphs = [chain_graph([1e-9, 2**-53, 0.001, 0.3, 0.5 - 2**-54, 0.5, 0.0]),
+                  chain_graph([0.5] * 9), build_phenomenological(5, 3, 0.01)]
+        rng = random.Random(6173)
+        indices = [0, 1, 2**64 - 1, 2**64, 2**127, 2**128 - 1]
+        indices += [rng.randrange(2**128) for _ in range(250)]
+        for seed in (0, 2**64 - 1, -1, 12345):
+            for idx in indices:
+                for g in graphs:
+                    got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
+                    assert got == oracle_flipped_edges(g, seed, idx), (seed, idx, g.num_edges)
+
+    def test_thresholds_match_the_float_draw(self):
+        # Generator.random makes (raw >> 11) * 2**-53 of a raw draw, so a raw
+        # draw must fall below an edge's threshold exactly when that float
+        # falls below p, on either side of every threshold.
+        probs = [1e-9, 2**-53, 2**-54, 1 / 3, 0.001, 0.5 - 2**-54, 0.5, 0.0]
+        thresholds = sampling._flip_thresholds(chain_graph(probs)).tolist()
+        rng = random.Random(2053)
+        for p, t in zip(probs, thresholds):
+            raws = {0, 2**64 - 1, t - 2048, t - 1, t, t + 1, t + 2047, t + 2048}
+            raws |= {rng.randrange(2**64) for _ in range(200)}
+            raws |= {t + rng.randrange(-2**20, 2**20) for _ in range(200)}
+            for raw in raws:
+                if 0 <= raw < 2**64:
+                    assert ((raw >> 11) * 2.0**-53 < p) == (raw < t), (p, raw)
+
+    def test_draw_at_its_threshold_does_not_flip(self):
+        # A raw draw whose low 11 bits are 0 equals the threshold of the p
+        # its float draw equals, and the float is not below that p: the
+        # edge must not flip.  One step of 2**-53 higher, it must.
+        seed, idx = 99, 5
+        raws = np.random.Philox(key=seed, counter=idx << 128).random_raw(20_000).tolist()
+        j = next(i for i, r in enumerate(raws) if r % 2048 == 0 and 0 < r < 2**63)
+        for step, flips in ((0, False), (1, True)):
+            probs = [0.0] * (j + 1)
+            probs[j] = ((raws[j] >> 11) + step) * 2.0**-53
+            g = chain_graph(probs)
+            assert sampling._flip_thresholds(g).tolist()[j] == raws[j] + step * 2048
+            got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
+            assert got == oracle_flipped_edges(g, seed, idx) == ({j} if flips else set())
 
 
 class TestSyndromeOf:

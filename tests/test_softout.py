@@ -501,16 +501,20 @@ class TestMultiBoundary:
 
     def test_star_with_unreachable_pairs(self, monkeypatch):
         # four boundaries, each 6 nat from a central detector: pairwise
-        # bottleneck 12 nat > 20 dB budget, so every pair stays undefined
+        # bottleneck 12 nat, so every pair stays undefined at the 20 dB
+        # budget, which is below the lightest edge and runs no growth, and
+        # at 11 nat, which runs one
         calls = count_growths(monkeypatch)
         edges = [Edge(b, 4, nat(6)) for b in range(4)]
         g = DecodingGraph(5, (0, 1, 2, 3), edges)
         cs = ClusterState(g)
-        report = multi_boundary_extra_gap(g, cs, EPS20)
-        assert len(report) == 6
-        assert calls["grow_clusters"] == 1
-        for key in report:
-            assert report[key].value is None
+        for eps, passes in ((EPS20, 0), (nat(11), 1)):
+            calls.clear()
+            report = multi_boundary_extra_gap(g, cs, eps)
+            assert len(report) == 6
+            assert calls["grow_clusters"] == passes
+            for key in report:
+                assert report[key].value is None
 
     def test_pairs_joined_by_decoder_cluster_report_zero(self):
         edges = [Edge(b, 4, nat(6)) for b in range(4)]
@@ -594,35 +598,74 @@ class TestExtraGaps:
 
 
     def test_budget_below_lightest_edge_skips_growth(self, monkeypatch):
-        # Below the lightest edge weight no part is within the radius and no
-        # two sources collide, so the growth returns the sources without
-        # scanning an edge; with the shortcut disabled the full pass must
-        # give the same growth and gaps.  A zero-weight edge rules it out.
+        # Below twice the lightest edge weight w no part is within the
+        # radius, so the growth is the sources plus, from w on, their
+        # direct contacts, built without a heap; with the shortcut
+        # disabled the full pass must give the same growth and gaps.  A
+        # zero-weight edge rules it out.  Each graph is also checked
+        # lifted, which gives the rough graphs a contacts-only band.
         rng = random.Random(4242)
         seen = Counter()
         for i in range(400):
             g = random_rough_graph(rng) if i % 2 else random_graph(rng, max_nodes=60)
+            groups = random_groups(rng, g)
+            for h in (g, lifted(g)):
+                cs = ClusterState.from_partition(h, groups)
+                view = contract(h, cs)
+                w = h.min_weight()
+                assert w == min(e.weight for e in h.edges)
+                is_b = h.is_boundary
+                for eps in sorted({0, max(w - 1, 0), w, w + 1, max(2 * w - 1, 0),
+                                   2 * w, EPS20}):
+                    counter = CountingHeapq()
+                    with monkeypatch.context() as m:
+                        m.setattr(softout, "heapq", counter)
+                        fast = grow_clusters(view, eps)
+                    fast_gaps = extra_gaps(view, eps)
+                    skipped = counter.pushes == counter.pops == 0
+                    assert skipped == (eps < 2 * w)
+                    with monkeypatch.context() as m:
+                        m.setattr(DecodingGraph, "min_weight", lambda self: 0)
+                        full = grow_clusters(view, eps)
+                        full_gaps = extra_gaps(view, eps)
+                    assert (fast.settled, fast.collisions) == (full.settled, full.collisions)
+                    assert fast_gaps == full_gaps
+                    contacts = w <= eps < 2 * w
+                    seen["below" if eps < w else "contacts only" if contacts
+                         else "at 2w" if eps == 2 * w else "above"] += 1
+                    seen["contacts only, detector-boundary contact"] += contacts and any(
+                        is_b[h.edges[e].u] != is_b[h.edges[e].v] for _, e, _, _ in fast.collisions)
+                    seen["zero-weight graph"] += w == 0
+        assert len(seen) == 6 and min(seen.values()) >= 100, seen
+
+    def test_budget_below_lightest_edge_runs_no_growth(self, monkeypatch):
+        # Below the lightest edge weight neither family calls the growth;
+        # from that weight on each calls it once.
+        calls = count_growths(monkeypatch)
+        rng = random.Random(3141)
+        for _ in range(100):
+            g = lifted(random_rough_graph(rng))
             cs = ClusterState.from_partition(g, random_groups(rng, g))
             view = contract(g, cs)
             w = g.min_weight()
-            assert w == min(e.weight for e in g.edges)
-            for eps in sorted({0, max(w - 1, 0), w, w + 1, EPS20}):
-                counter = CountingHeapq()
-                with monkeypatch.context() as m:
-                    m.setattr(softout, "heapq", counter)
-                    fast = grow_clusters(view, eps)
-                fast_gaps = extra_gaps(view, eps)
-                skipped = counter.pops == 0
-                assert skipped == (eps < w)
-                with monkeypatch.context() as m:
-                    m.setattr(DecodingGraph, "min_weight", lambda self: 0)
-                    full = grow_clusters(view, eps)
-                    full_gaps = extra_gaps(view, eps)
-                assert (fast.settled, fast.collisions) == (full.settled, full.collisions)
-                assert fast_gaps == full_gaps
-                seen["below" if eps < w else "at" if eps == w else "above"] += 1
-                seen["zero-weight graph"] += w == 0
-        assert min(seen.values()) >= 100, seen
+            for eps in (0, w - 1, w, 2 * w):
+                calls.clear()
+                extra_gaps(view, eps)
+                multi_boundary_extra_gap(g, cs, eps)
+                assert calls["grow_clusters"] == (0 if eps < w else 2)
+
+    def test_negative_budget_is_rejected(self):
+        g, cs = overshoot_chain()
+        view = contract(g, cs)
+        calls = [lambda: cluster_gaps(view, -1),
+                 lambda: grow_clusters(view, -1),
+                 lambda: extra_gaps(view, -1),
+                 lambda: extra_cluster_gap(g, cs, -1),
+                 lambda: extra_cluster_gap_cg(g, cs, -1),
+                 lambda: multi_boundary_extra_gap(g, cs, -1)]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
 
 def growth_cases(rng, count):
@@ -643,35 +686,52 @@ def growth_cases(rng, count):
 class TestGrowthOracle:
     def test_growth_matches_full_scan(self):
         # The growth skips a boundary node's heavy edges and records each
-        # detector-boundary edge from the detector's side; the oracle scans
-        # every edge of every settled part.  Settle order and collisions
-        # must agree bit for bit.
+        # detector-boundary edge from the detector's side; below twice the
+        # lightest edge it builds the sources and their contacts without a
+        # search.  The oracle scans every edge of every settled part.
+        # Settle order and collisions must agree bit for bit.  Each rough
+        # graph is also checked lifted, so its many boundaries meet the
+        # contacts-only band.
         rng = random.Random(5150)
         seen = Counter()
-        for g, cs in growth_cases(rng, 600):
-            view = contract(g, cs)
-            w_min = g.min_weight()
-            is_b = g.is_boundary
-            for eps in sorted({0, max(w_min - 1, 0), w_min, 2 * w_min,
-                               db_to_scaled(20), db_to_scaled(40), db_to_scaled(60)}):
-                growth = grow_clusters(view, eps)
-                settled, collisions = oracle_growth(g, cs, eps)
-                assert growth.settled == settled
-                assert growth.collisions == collisions
-                rep = view.rep
-                edges = g.edges
-                label = dict(settled)
-                seen["boundary-boundary collision"] += any(
-                    is_b[edges[e].u] and is_b[edges[e].v] for _, e, _, _ in collisions)
-                seen["boundary in a multi-node part"] += eps >= w_min and any(
-                    is_b[x] for lst in view.members.values() for x in lst)
-                seen["light boundary edge covers a detector"] += any(
-                    rep[e.u] != rep[e.v] and is_b[e.u] != is_b[e.v]
-                    and 2 * e.weight <= eps and label.get(rep[e.u if is_b[e.v] else e.v]) is not None
-                    for e in edges)
-                seen["collision across a boundary edge"] += any(
-                    is_b[edges[e].u] != is_b[edges[e].v] for _, e, _, _ in collisions)
-        assert min(seen.values()) >= 100 and len(seen) == 4, seen
+        for i, (g, cs) in enumerate(growth_cases(rng, 600)):
+            cases = [(g, cs)]
+            if i % 3 == 1:
+                lift = lifted(g)
+                cases.append((lift, ClusterState.from_partition(lift, cs.clusters().values())))
+            for h, state in cases:
+                self._check(h, state, seen)
+        assert min(seen.values()) >= 100 and len(seen) == 8, seen
+
+    @staticmethod
+    def _check(g, cs, seen):
+        view = contract(g, cs)
+        w_min = g.min_weight()
+        is_b = g.is_boundary
+        for eps in sorted({0, max(w_min - 1, 0), w_min, max(2 * w_min - 1, 0), 2 * w_min,
+                           db_to_scaled(20), db_to_scaled(40), db_to_scaled(60)}):
+            growth = grow_clusters(view, eps)
+            settled, collisions = oracle_growth(g, cs, eps)
+            assert growth.settled == settled
+            assert growth.collisions == collisions
+            rep = view.rep
+            edges = g.edges
+            label = dict(settled)
+            seen["boundary-boundary collision"] += any(
+                is_b[edges[e].u] and is_b[edges[e].v] for _, e, _, _ in collisions)
+            seen["boundary in a multi-node part"] += eps >= w_min and any(
+                is_b[x] for lst in view.members.values() for x in lst)
+            seen["light boundary edge covers a detector"] += any(
+                rep[e.u] != rep[e.v] and is_b[e.u] != is_b[e.v]
+                and 2 * e.weight <= eps and label.get(rep[e.u if is_b[e.v] else e.v]) is not None
+                for e in edges)
+            seen["collision across a boundary edge"] += any(
+                is_b[edges[e].u] != is_b[edges[e].v] for _, e, _, _ in collisions)
+            contacts = w_min <= eps < 2 * w_min
+            seen["below the lightest edge"] += eps < w_min
+            seen["contacts only, with a contact"] += contacts and bool(collisions)
+            seen["contacts only, three or more boundaries"] += contacts and len(g.boundaries) > 2
+            seen["zero-weight graph"] += w_min == 0
 
 
 class TestContractedView:
