@@ -80,12 +80,13 @@ class _Scratch:
 
     ``e_u``, ``e_v`` and ``w2`` are the edges as flat lists (endpoints and
     weight in h-units).  ``sides[x]`` lists node x's ``(edge, side)``
-    entries, side 1 when x is the edge's ``v`` end: a seed's frontier
-    copies it and an absorption walks it.  ``parent0`` is the template a
-    new ``ClusterState`` copies.  The other lists are ``decode``'s own:
-    clean between decodes, because each decode resets the entries it
-    wrote.  Clean is False, 0 or None, except that ``covered`` holds the
-    graph's ``is_boundary``: boundaries are covered from the start.
+    entries in edge order, side 1 when x is the edge's ``v`` end, built in
+    one pass over the edges: a seed's frontier copies it and an absorption
+    walks it.  ``parent0`` is the template a new ``ClusterState`` copies.
+    The other lists are ``decode``'s own: clean between decodes, because
+    each decode resets the entries it wrote.  Clean is False, 0 or None,
+    except that ``covered`` holds the graph's ``is_boundary``: boundaries
+    are covered from the start.
     """
 
     __slots__ = ("e_u", "e_v", "w2", "sides", "parent0", "covered", "active",
@@ -94,10 +95,12 @@ class _Scratch:
     def __init__(self, graph: DecodingGraph):
         n, m = graph.num_nodes, graph.num_edges
         self.e_u = e_u = [e.u for e in graph.edges]
-        self.e_v = [e.v for e in graph.edges]
+        self.e_v = e_v = [e.v for e in graph.edges]
         self.w2 = [2 * e.weight for e in graph.edges]
-        self.sides = [tuple((eidx, int(e_u[eidx] != x)) for _, _, eidx in nbrs)
-                      for x, nbrs in enumerate(graph.neighbors)]
+        self.sides = sides = [[] for _ in range(n)]
+        for eidx in range(m):
+            sides[e_u[eidx]].append((eidx, 0))
+            sides[e_v[eidx]].append((eidx, 1))
         self.parent0 = list(range(n))
         self.covered = graph.is_boundary[:]
         self.active = [False] * n       # valid at roots

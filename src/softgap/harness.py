@@ -15,16 +15,20 @@ first sample that breaks one with a ``ConsistencyError`` naming it.
 one per sample and method, and a frozen dataclass sets each field with
 one ``object.__setattr__`` call.  Built by keyword with timeit on Python
 3.11 and a 2-core x86-64 host, a record cost 3.1 µs as a dataclass,
-1.4 µs as a named tuple.  ``records_to_csv``
-unpacks each record by position, in ``CSV_HEADER`` order, and formats
-each distinct float once per call.
+1.4 µs as a named tuple.  ``run_sweep`` builds its records with
+``tuple.__new__``, skipping the keyword binding of the named tuple's
+``__new__``, and converts each distinct scaled gap and growth radius to
+dB once per sweep.  ``records_to_csv`` unpacks each record by position,
+in ``CSV_HEADER`` order, and writes it as one f-string row; it formats
+each distinct float, and quotes each distinct method name as
+``csv.writer`` would, once per call.  Importing the package does not
+import ``multiprocessing``; only a sweep with a worker pool does.
 """
 
 import csv
 import io
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -107,25 +111,29 @@ class SweepRecord(NamedTuple):
     nodes_in_clusters: int
 
 
+# A method's place among the four gaps of a search and a growth pass.
+_SLOT = {m: i for i, m in enumerate(METHODS)}
+
+
 def evaluate_sample(graph: DecodingGraph, events, eps_scaled: int, methods):
     """Decode one syndrome and evaluate the requested methods on it.
 
     Returns (nodes_in_clusters, max_growth2, results) where results holds one
     (value_scaled, visited, extra, cg_invoked) tuple per requested method, in
-    order.  ``cluster`` and ``bounded`` come from one search, ``extra`` and
-    ``extra_cg`` from one growth pass.  Pure function of its arguments, so
-    results for identical syndromes can be reused.
+    order: its ``GapResult`` less the kind.  ``cluster`` and ``bounded``
+    come from one search, ``extra`` and ``extra_cg`` from one growth pass.
+    Pure function of its arguments, so results for identical syndromes can
+    be reused.
     """
     cs = decode(graph, Syndrome(frozenset(events)))
     view = contract(graph, cs)
-    gaps = {}
     if "cluster" in methods or "bounded" in methods:
-        gaps["cluster"], gaps["bounded"] = cluster_gaps(view, eps_scaled)
+        found = cluster_gaps(view, eps_scaled)
+    else:
+        found = (None, None)                # keeps the growth pair at _SLOT
     if "extra" in methods or "extra_cg" in methods:
-        gaps["extra"], gaps["extra_cg"] = extra_gaps(view, eps_scaled)
-    out = tuple((r.value, r.visited_nodes, r.extra_nodes, r.cluster_graph_invoked)
-                for r in map(gaps.__getitem__, methods))
-    return nodes_in_clusters(cs), cs.radius2_log, out
+        found += extra_gaps(view, eps_scaled)
+    return nodes_in_clusters(cs), cs.radius2_log, tuple([found[_SLOT[m]][1:] for m in methods])
 
 
 # Per-process caches for worker tasks: graphs by cell geometry and
@@ -190,6 +198,7 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
             for idx, res in _run_chunk(args):
                 yield cell_index, d, p, idx, res
     else:
+        import multiprocessing          # only a pool needs it
         with multiprocessing.Pool(processes=workers) as pool:
             for (args, cell_index, d, p), rows in zip(
                     tasks, pool.imap(_run_chunk, (t[0] for t in tasks))):
@@ -197,15 +206,25 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
                     yield cell_index, d, p, idx, res
 
 
+class _Decibels(dict):
+    """``scaled_to_db(x)`` per distinct scaled value x."""
+
+    def __missing__(self, x):
+        db = self[x] = scaled_to_db(x)
+        return db
+
+
 def run_sweep(cfg: SweepConfig, workers: int = 1):
     """Run the sweep; yields SweepRecord rows in deterministic order."""
     methods = tuple(m for m in METHODS if m in cfg.methods)
+    gap_db = _Decibels({None: None})
+    growth_db = _Decibels()
+    new = tuple.__new__
     for _, d, p, idx, (n_clustered, radius2, results) in _iter_sample_evals(cfg, workers):
-        growth_db = scaled_to_db(float(radius2) / 2.0)
+        growth = growth_db[float(radius2) / 2.0]
         for m, (value, visited, extra, _) in zip(methods, results):
-            yield SweepRecord(d, p, idx, m, value is not None,
-                              None if value is None else scaled_to_db(value),
-                              visited, extra, growth_db, n_clustered)
+            yield new(SweepRecord, (d, p, idx, m, value is not None, gap_db[value],
+                                    visited, extra, growth, n_clustered))
 
 
 @dataclass
@@ -403,20 +422,31 @@ def sweep_metadata(cfg: SweepConfig) -> dict:
             "skip_empty_syndromes": cfg.skip_empty_syndromes}
 
 
+class _CsvField(dict):
+    """A string field as ``csv.writer`` writes it between two others, per
+    distinct value: quoted only where it holds a comma, quote or line
+    break, with its quotes doubled."""
+
+    def __missing__(self, s):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((s, ""))
+        text = self[s] = buf.getvalue()[:-2]  # less the "," and "\n"
+        return text
+
+
 def records_to_csv(records, metadata: dict | None = None) -> str:
-    buf = io.StringIO()
+    lines = []
     if metadata:
         for k in sorted(metadata):
-            buf.write(f"# {k}={metadata[k]}\n")
-    buf.write(CSV_HEADER + "\n")
+            lines.append(f"# {k}={metadata[k]}\n")
+    lines.append(CSV_HEADER + "\n")
     text = _FloatText({None: ""})
-    # csv.writer writes an int field as str() does
-    csv.writer(buf, lineterminator="\n").writerows(
-        (d, text[p], sample, method, "true" if defined else "false", text[gap_db],
-         visited, extra, text[growth_db], n_clustered)
-        for (d, p, sample, method, defined, gap_db, visited, extra, growth_db,
-             n_clustered) in records)
-    return buf.getvalue()
+    field = _CsvField()
+    lines += [f"{d},{text[p]},{sample},{field[method]},{'true' if defined else 'false'},"
+              f"{text[gap_db]},{visited},{extra},{text[growth_db]},{n_clustered}\n"
+              for (d, p, sample, method, defined, gap_db, visited, extra, growth_db,
+                   n_clustered) in records]
+    return "".join(lines)
 
 
 def parse_records_csv(text: str) -> list:

@@ -243,9 +243,25 @@ class TestGraphValidation:
         with pytest.raises(InvalidParameterError):
             DecodingGraph(2, (0, 1), [Edge(0, 0, 1)])
 
+    def test_edges_from_a_generator(self):
+        # the constructor reads its edges once, so any iterable serves
+        g = build_phenomenological(5, 3, 0.01)
+        built = DecodingGraph(g.num_nodes, iter(g.boundaries), (e for e in g.edges))
+        assert built == g
+        assert built.edges == g.edges
+        assert built.neighbors == g.neighbors
+
     def test_rejects_inconsistent_prob_weight(self):
         with pytest.raises(InvalidParameterError):
             DecodingGraph(2, (0, 1), [Edge(0, 1, 123, prob=0.01)])
+
+    def test_rejects_inconsistent_weight_after_a_consistent_one(self):
+        # the weight of a probability is worked out once per graph, and every
+        # edge with that probability is still checked against it
+        w = weight_from_prob(0.01)
+        DecodingGraph(3, (0, 2), [Edge(0, 1, w, 0.01), Edge(1, 2, w, 0.01)])
+        with pytest.raises(InvalidParameterError, match=f"^edge 1: weight {w + 1} "):
+            DecodingGraph(3, (0, 2), [Edge(0, 1, w, 0.01), Edge(1, 2, w + 1, 0.01)])
 
     def test_rejects_non_integer_weight(self):
         # a float weight would make every distance and radius a float

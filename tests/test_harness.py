@@ -3,7 +3,10 @@ import json
 import math
 import multiprocessing
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +140,62 @@ class TestRunSweep:
         assert len(records) == 4 * sum(calls)
 
 
+    def test_records_match_field_by_field_records(self):
+        # Records built by keyword, one scaled_to_db call per value, as the
+        # benchmark's checker builds them, on a sweep with undefined bounded
+        # and extra gaps and with repeated syndromes.
+        cfg = SweepConfig(distances=(3, 5), probs=(0.02,), samples=300, master_seed=4)
+        eps = db_to_scaled(cfg.epsilon_max_db)
+        expected, seen, repeats = [], set(), 0
+        for cell, d, p in cfg.cells():
+            g = build_phenomenological(d, d, p)
+            for idx in range(cfg.samples):
+                events = sample_syndrome(g, SeedSpec(cfg.master_seed, cell * cfg.samples + idx)).events
+                if not events:
+                    continue
+                repeats += (d, events) in seen
+                seen.add((d, events))
+                n_clustered, radius2, results = harness.evaluate_sample(g, events, eps, METHODS)
+                growth_db = scaled_to_db(float(radius2) / 2.0)
+                expected += [SweepRecord(
+                    d=d, p=p, sample=idx, method=m, defined=value is not None,
+                    gap_db=None if value is None else scaled_to_db(value),
+                    visited_nodes=visited, extra_nodes=extra,
+                    max_growth_db=growth_db, nodes_in_clusters=n_clustered)
+                    for m, (value, visited, extra, _) in zip(METHODS, results)]
+        records = list(run_sweep(cfg))
+        assert records == expected
+        assert [type(r) for r in records] == [SweepRecord] * len(expected)
+        assert repeats > 0
+        for method in ("bounded", "extra"):
+            kinds = {r.defined for r in records if r.method == method}
+            assert kinds == {True, False}, method
+
+    def test_evaluate_sample_takes_any_sequence_of_methods(self):
+        g = build_phenomenological(5, 5, 0.02)
+        eps = db_to_scaled(20.0)
+        events = next(e for e in (sample_syndrome(g, SeedSpec(6, i)).events
+                                  for i in range(50)) if len(e) > 2)
+        n, radius2, full = harness.evaluate_sample(g, events, eps, METHODS)
+        by_method = dict(zip(METHODS, full))
+        for methods in (["extra_cg", "cluster"], ("bounded",), ("extra", "extra_cg"),
+                        ["extra_cg", "bounded", "extra", "cluster"]):
+            got = harness.evaluate_sample(g, events, eps, methods)
+            assert got == (n, radius2, tuple(by_method[m] for m in methods))
+
+
+class TestImport:
+    def test_import_does_not_load_multiprocessing(self):
+        # only a sweep with a worker pool needs it
+        src = Path(harness.__file__).resolve().parents[1]
+        code = ("import sys, softgap; "
+                "print(softgap.__file__); print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert Path(out[0]).resolve().parent == src / "softgap"
+        assert out[1] == "False"
+
+
 class TestPinnedOutput:
     # sha256 of records_to_csv for d in {5, 9} x p in {0.1%, 1%}, 300
     # samples per cell, seed 1, all four methods, empty samples skipped.
@@ -230,6 +289,8 @@ class TestEmit:
            metadata=st.none() | st.dictionaries(st.sampled_from("abc"), st.integers()))
     @example(records=[_zeros_record(0.0), _zeros_record(-0.0), _zeros_record(0.0)],
              metadata=None)
+    @example(records=[_zeros_record(0.0)._replace(method='a,"b"\n', sample=i)
+                      for i in range(20)], metadata={"a": 1})
     def test_csv_matches_oracle(self, records, metadata):
         assert records_to_csv(records, metadata) == oracle_records_csv(records, metadata)
         assert records_to_csv(iter(records), metadata) == oracle_records_csv(records, metadata)

@@ -10,10 +10,11 @@ from softgap.sampling import (
     MissingProbabilityError,
     SeedSpec,
     sample_errors,
+    sample_syndrome,
     syndrome_of,
 )
 
-from oracles import oracle_flipped_edges, oracle_syndrome
+from oracles import oracle_flipped_edges, oracle_syndrome, random_rough_graph
 
 
 def chain_graph(probs):
@@ -74,6 +75,26 @@ class TestStream:
                 got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
                 assert got == oracle_flipped_edges(g, seed, idx), (seed, idx, g.num_edges)
 
+    def test_rewind_after_a_partial_draw(self):
+        # A partial draw leaves words in the buffer and a 32-bit carry; the
+        # rewind must clear both and set the counter to index << 128.
+        key = 2**64 - 5
+        stream = sampling._Stream(key)
+        for idx in (0, 3, 2**64 + 9, 2**128 - 1):
+            bits = stream.at(123)
+            bits.random_raw(5)
+            np.random.Generator(bits).integers(2**32, dtype=np.uint32)
+            state = bits.state
+            assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+            got = stream.at(idx)
+            fresh = np.random.Philox(key=key, counter=idx << 128)
+            for name in ("buffer_pos", "has_uint32", "uinteger"):
+                assert got.state[name] == fresh.state[name]
+            assert got.random_raw(7).tolist() == fresh.random_raw(7).tolist()
+            ints = [np.random.Generator(b).integers(2**32, size=3, dtype=np.uint32)
+                    for b in (got, fresh)]
+            assert ints[0].tolist() == ints[1].tolist()
+
     def test_rejects_index_outside_the_counter(self):
         g = chain_graph([0.5])
         for idx in (-1, 2**128):
@@ -126,6 +147,45 @@ class TestStream:
             assert sampling._flip_thresholds(g).tolist()[j] == raws[j] + step * 2048
             got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
             assert got == oracle_flipped_edges(g, seed, idx) == ({j} if flips else set())
+
+
+class TestSampleSyndrome:
+    @staticmethod
+    def rough_graph_with_probs(rng):
+        """A ``random_rough_graph`` (parallel, zero-weight and
+        boundary-boundary edges) with a probability on every edge: p = 0.5
+        where the weight is 0, a random p with its own weight elsewhere."""
+        g = random_rough_graph(rng)
+        edges = []
+        for e in g.edges:
+            p = 0.5 if e.weight == 0 else rng.choice((0.05, 0.2, 0.4))
+            edges.append(Edge(e.u, e.v, weight_from_prob(p), p))
+        return DecodingGraph(g.num_nodes, g.boundaries, edges)
+
+    def test_is_the_syndrome_of_the_sampled_errors(self):
+        rng = random.Random(5309)
+        graphs = [self.rough_graph_with_probs(rng) for _ in range(40)]
+        assert any(g.is_boundary[e.u] and g.is_boundary[e.v]
+                   for g in graphs for e in g.edges)
+        graphs += [build_phenomenological(d, 2, p)
+                   for d in (3, 5) for p in (1e-9, 0.001, 0.5)]
+        seen = {"empty": 0, "events": 0}
+        for i, g in enumerate(graphs):
+            for idx in range(60):
+                seed = SeedSpec(i, rng.randrange(2**70))
+                got = sample_syndrome(g, seed)
+                flips = sample_errors(g, seed).flipped_edges
+                assert got == syndrome_of(g, ErrorPattern(flips)), (i, seed)
+                assert got.events == oracle_syndrome(g, flips), (i, seed)
+                seen["events" if got.events else "empty"] += 1
+        assert sum(seen.values()) >= 2000
+        assert min(seen.values()) >= 200, seen
+
+    def test_empty_sample_returns_the_shared_empty_syndrome(self):
+        g = build_phenomenological(3, 1, 1e-9)
+        for idx in range(20):
+            assert sample_syndrome(g, SeedSpec(2, idx)) is sampling._NO_EVENTS
+        assert sampling._NO_EVENTS.events == frozenset()
 
 
 class TestSyndromeOf:

@@ -1,4 +1,5 @@
-"""The per-sample value types are immutable named tuples.
+"""The per-sample value types and the graph's ``Edge`` are immutable
+named tuples.
 
 ``records_to_csv`` unpacks a ``SweepRecord`` by position, so its field
 order is the CSV column order; the reprs keep the format the types had as
@@ -7,6 +8,7 @@ frozen dataclasses.
 
 import pytest
 
+from softgap.graphs import Edge
 from softgap.harness import CSV_HEADER, SweepRecord
 from softgap.sampling import ErrorPattern, SeedSpec, Syndrome
 from softgap.softout import GapResult
@@ -31,6 +33,8 @@ CASES = [
      "SweepRecord(d=5, p=0.001, sample=9, method='extra_cg', defined=True, "
      "gap_db=18.5, visited_nodes=40, extra_nodes=2, max_growth_db=7.25, "
      "nodes_in_clusters=4)"),
+    (Edge, {"u": 0, "v": 1, "weight": 5, "prob": None}, ("weight", 6),
+     "Edge(u=0, v=1, weight=5, prob=None)"),
 ]
 
 FIELDS = {
@@ -39,6 +43,7 @@ FIELDS = {
     Syndrome: ("events",),
     GapResult: ("kind", "value", "visited_nodes", "extra_nodes", "cluster_graph_invoked"),
     SweepRecord: tuple(CSV_HEADER.split(",")),
+    Edge: ("u", "v", "weight", "prob"),
 }
 
 
@@ -71,3 +76,9 @@ def test_gap_result_defaults_and_defined():
     assert not GapResult("bounded", None).defined
     for cls in (SeedSpec, ErrorPattern, Syndrome, SweepRecord):
         assert cls._field_defaults == {}
+
+
+def test_edge_prob_defaults_to_none():
+    assert Edge._field_defaults == {"prob": None}
+    assert Edge(0, 1, 5) == Edge(0, 1, 5, None)
+    assert Edge(2, 3, 7, 0.01).prob == 0.01
