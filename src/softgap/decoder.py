@@ -80,13 +80,13 @@ class _Scratch:
 
     ``e_u``, ``e_v`` and ``w2`` are the edges as flat lists (endpoints and
     weight in h-units).  ``sides[x]`` lists node x's ``(edge, side)``
-    entries in edge order, side 1 when x is the edge's ``v`` end, built in
-    one pass over the edges: a seed's frontier copies it and an absorption
-    walks it.  ``parent0`` is the template a new ``ClusterState`` copies.
-    The other lists are ``decode``'s own: clean between decodes, because
-    each decode resets the entries it wrote.  Clean is False, 0 or None,
-    except that ``covered`` holds the graph's ``is_boundary``: boundaries
-    are covered from the start.
+    entries in edge order, side 1 when x is the edge's ``v`` end: a seed's
+    frontier copies it and an absorption walks it.  ``parent0`` is the
+    template a new ``ClusterState`` copies.  The other lists are
+    ``decode``'s own: clean between decodes, because each decode resets
+    the entries it wrote.  Clean is False, 0 or None, except that
+    ``covered`` holds the graph's ``is_boundary``: boundaries are covered
+    from the start.
     """
 
     __slots__ = ("e_u", "e_v", "w2", "sides", "parent0", "covered", "active",

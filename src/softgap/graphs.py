@@ -7,13 +7,9 @@ integers so that every comparison downstream is exact.
 
 ``Edge`` is a ``NamedTuple``, not a frozen dataclass: a graph is built in
 every sweep, and a frozen dataclass sets each field with one
-``object.__setattr__`` call.  Built by position with timeit on Python 3.11
-and a 2-core x86-64 host, an edge cost 0.96 µs as a dataclass and 0.69 µs
-as a named tuple.  ``DecodingGraph`` checks its edges, works out the
-weight of each distinct probability and fills its neighbour lists in one
-pass.  With the decoder's tables, a graph took 0.18, 0.94 and 3.1 ms at
-d = 5, 9 and 13 (rounds = d) on that host, against 0.33, 1.8 and 5.8 ms
-before.
+``object.__setattr__`` call.  ``DecodingGraph`` takes ``Edge``s only; it
+checks them, works out the weight of each distinct probability once and
+fills its neighbour lists in one pass.
 """
 
 import heapq
@@ -109,7 +105,10 @@ class DecodingGraph:
         edges = tuple(edges)
         neighbors = [[] for _ in range(num_nodes)]
         prob_weights = {}                      # weight_from_prob per distinct p
-        for i, (u, v, weight, prob) in enumerate(edges):
+        for i, e in enumerate(edges):
+            if type(e) is not Edge:
+                raise InvalidParameterError(f"edge {i} is not an Edge")
+            u, v, weight, prob = e
             if not (0 <= u < num_nodes) or not (0 <= v < num_nodes):
                 raise InvalidParameterError(f"edge {i} references node outside graph")
             if u == v:

@@ -15,12 +15,9 @@ first sample that breaks one with a ``ConsistencyError`` naming it.
 one per sample and method, and a frozen dataclass sets each field with
 one ``object.__setattr__`` call.  Built by keyword with timeit on Python
 3.11 and a 2-core x86-64 host, a record cost 3.1 µs as a dataclass,
-1.4 µs as a named tuple.  ``run_sweep`` builds its records with
-``tuple.__new__``, skipping the keyword binding of the named tuple's
-``__new__``, and converts each distinct scaled gap and growth radius to
-dB once per sweep.  ``records_to_csv`` unpacks each record by position,
-in ``CSV_HEADER`` order, and writes it as one f-string row; it formats
-each distinct float, and quotes each distinct method name as
+1.4 µs as a named tuple.  ``records_to_csv`` unpacks each record by
+position, in ``CSV_HEADER`` order, and writes it as one f-string row; it
+formats each distinct float, and quotes each distinct method name as
 ``csv.writer`` would, once per call.  Importing the package does not
 import ``multiprocessing``; only a sweep with a worker pool does.
 """
@@ -206,25 +203,15 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
                     yield cell_index, d, p, idx, res
 
 
-class _Decibels(dict):
-    """``scaled_to_db(x)`` per distinct scaled value x."""
-
-    def __missing__(self, x):
-        db = self[x] = scaled_to_db(x)
-        return db
-
-
 def run_sweep(cfg: SweepConfig, workers: int = 1):
     """Run the sweep; yields SweepRecord rows in deterministic order."""
     methods = tuple(m for m in METHODS if m in cfg.methods)
-    gap_db = _Decibels({None: None})
-    growth_db = _Decibels()
-    new = tuple.__new__
     for _, d, p, idx, (n_clustered, radius2, results) in _iter_sample_evals(cfg, workers):
-        growth = growth_db[float(radius2) / 2.0]
+        growth_db = scaled_to_db(float(radius2) / 2.0)
         for m, (value, visited, extra, _) in zip(methods, results):
-            yield new(SweepRecord, (d, p, idx, m, value is not None, gap_db[value],
-                                    visited, extra, growth, n_clustered))
+            yield SweepRecord(d, p, idx, m, value is not None,
+                              None if value is None else scaled_to_db(value),
+                              visited, extra, growth_db, n_clustered)
 
 
 @dataclass

@@ -18,15 +18,11 @@ without making those floats.
 ``sample_syndrome`` goes from the flipped edges to the detection events
 without building an ``ErrorPattern``, and returns one shared empty
 ``Syndrome`` when nothing flipped; it and ``syndrome_of`` share one parity
-helper.  With timeit on Python 3.11 and a 2-core x86-64 host, a call cost
-3.7 µs at d = 5 and 8.3 µs at d = 9 (p = 0.1%, rounds = d), against 5.0 and
-8.9 µs before, and a rewind 0.7 µs, against 1.5.
+helper.
 
 The value types are ``NamedTuple``s, not frozen dataclasses: a sweep makes
 a ``SeedSpec`` and a ``Syndrome`` per sample, and a frozen dataclass sets
-each field with one ``object.__setattr__`` call.  Built with timeit on the
-same host, a ``SeedSpec`` cost 1.0 µs and a ``Syndrome`` 0.8 µs as
-dataclasses, 0.5 µs each as named tuples.
+each field with one ``object.__setattr__`` call.
 """
 
 from typing import NamedTuple

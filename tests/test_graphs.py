@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -267,6 +268,14 @@ class TestGraphValidation:
         # a float weight would make every distance and radius a float
         with pytest.raises(InvalidParameterError, match=r"edge 1 \(1,2\).*2\.5"):
             DecodingGraph(3, (0, 2), [Edge(0, 1, 1), Edge(1, 2, 2.5)])
+
+    @pytest.mark.parametrize("edge", [(1, 2, 1, None), (1, 2, 1),
+                                      SimpleNamespace(u=1, v=2, weight=1, prob=None)])
+    def test_rejects_an_edge_that_is_not_an_Edge(self, edge):
+        # a plain tuple would be stored as given and fail far from here,
+        # wherever an edge's fields are read by name
+        with pytest.raises(InvalidParameterError, match="^edge 1 is not an Edge$"):
+            DecodingGraph(3, (0, 2), [Edge(0, 1, 1), edge])
 
     @pytest.mark.parametrize("boundaries, edges, message", [
         ((0, 0, 2), [Edge(0, 1, 1), Edge(1, 2, 1)], "duplicate boundary ids"),
