@@ -10,7 +10,6 @@ from softgap import (
     SeedSpec,
     build_phenomenological,
     decode,
-    max_growth_radius,
     nat_to_db,
     nodes_in_clusters,
     peel,
@@ -28,8 +27,8 @@ for idx in range(6):
     syndrome = syndrome_of(g, errors)
     cs = decode(g, syndrome)
 
-    clusters = [m for m in cs.clusters().values() if len(m) > 1]
-    radius_nat = scaled_to_nat(float(max_growth_radius(cs)))
+    clusters = [m for m in cs.members.values() if len(m) > 1]
+    radius_nat = scaled_to_nat(cs.radius2_log / 2)
     print(f"\nsample {idx}: {len(errors.flipped_edges)} errors,"
           f" {len(syndrome.events)} detection events")
     print(f"  clusters formed: {len(clusters)},"

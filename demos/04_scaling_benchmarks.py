@@ -15,7 +15,6 @@ from softgap import (
     emit,
     fit_exponential,
     fit_power_law,
-    run_consistency,
     run_sweep,
     sweep_metadata,
     switch_check,
@@ -61,11 +60,13 @@ chk = switch_check(d9, threshold=0.05, epsilon_max_db=cfg.epsilon_max_db,
 print(f"\nswitch check at d=9, p=0.003: rate={chk.measured_rate:.4f} "
       f"wilson=[{chk.wilson_low:.4f}, {chk.wilson_high:.4f}] -> {chk.verdict}")
 
-# Per-sample estimator consistency at small scale.  A broken rule would
+# Per-sample estimator consistency at small scale: a sweep of all four
+# methods that keeps empty samples checks every sample.  A broken rule would
 # raise ConsistencyError naming the sample; reaching the print means every
 # sample held all five.
-checked = run_consistency(SweepConfig(distances=(3, 5), probs=(0.01,), samples=400,
-                                      master_seed=5))
+checked = sum(1 for _ in run_sweep(SweepConfig(distances=(3, 5), probs=(0.01,),
+                                               samples=400, master_seed=5,
+                                               skip_empty_syndromes=False))) // 4
 print(f"\nconsistency: {checked} samples checked, every rule held")
 
 with tempfile.TemporaryDirectory() as tmp:

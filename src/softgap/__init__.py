@@ -38,7 +38,6 @@ from .decoder import (
     ClusterState,
     InvariantViolationError,
     decode,
-    max_growth_radius,
     nodes_in_clusters,
     peel,
 )
@@ -70,7 +69,6 @@ from .harness import (
     parse_records_csv,
     records_to_csv,
     records_to_json,
-    run_consistency,
     run_sweep,
     sweep_metadata,
     switch_check,

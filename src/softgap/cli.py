@@ -20,27 +20,6 @@ def _float_list(text):
     return tuple(float(x) for x in text.split(","))
 
 
-def _add_sweep_flags(sp):
-    sp.add_argument("--distances", type=_int_list, required=True,
-                    help="comma-separated odd code distances, e.g. 3,5,7")
-    sp.add_argument("--probs", type=_float_list, required=True,
-                    help="comma-separated physical error probabilities")
-    sp.add_argument("--samples", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--epsilon-max-db", type=float, default=20.0)
-    sp.add_argument("--rounds", type=int, default=None,
-                    help="measurement rounds (default: rounds = d)")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--out", required=True)
-
-
-def _config_from(args, **options) -> SweepConfig:
-    return SweepConfig(distances=args.distances, probs=args.probs,
-                       samples=args.samples, master_seed=args.seed,
-                       rounds=args.rounds, epsilon_max_db=args.epsilon_max_db,
-                       **options)
-
-
 def _read_sweep_csv(path, method):
     """The records of a sweep CSV and its samples_per_cell, cells and
     epsilon_max_db, as the sweep wrote them.  Empty samples it skipped
@@ -61,7 +40,11 @@ def _read_sweep_csv(path, method):
     if method not in methods:
         raise ConfigError(f"--method {method} was not swept; {path} holds "
                           f"{','.join(methods)}")
-    return parse_records_csv(text), samples, cells, epsilon_max_db
+    try:
+        records = parse_records_csv(text)
+    except ValueError as err:
+        raise SystemExit(f"{path}: {err}") from None
+    return records, samples, cells, epsilon_max_db
 
 
 def main(argv=None) -> int:
@@ -77,17 +60,22 @@ def main(argv=None) -> int:
     g.add_argument("--out", required=True)
 
     s = sub.add_parser("sweep", help="run a (d, p) sweep and write records")
-    _add_sweep_flags(s)
+    s.add_argument("--distances", type=_int_list, required=True,
+                   help="comma-separated odd code distances, e.g. 3,5,7")
+    s.add_argument("--probs", type=_float_list, required=True,
+                   help="comma-separated physical error probabilities")
+    s.add_argument("--samples", type=int, required=True)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--epsilon-max-db", type=float, default=20.0)
+    s.add_argument("--rounds", type=int, default=None,
+                   help="measurement rounds (default: rounds = d)")
+    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--out", required=True)
     s.add_argument("--methods", default=",".join(METHODS),
                    help="subset of cluster,bounded,extra,extra_cg")
     s.add_argument("--keep-empty", action="store_true",
                    help="emit records for empty-syndrome samples too")
     s.add_argument("--format", choices=("csv", "json", "svg-plot"), default="csv")
-
-    c = sub.add_parser("consistency",
-                       help="sweep all four methods on every sample, empty "
-                            "ones included, checking the estimator rules")
-    _add_sweep_flags(c)
 
     f = sub.add_parser("fit", help="fit a scaling law to aggregated sweep records")
     f.add_argument("--model", choices=("power", "exp"), required=True)
@@ -124,20 +112,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sweep":
-        cfg = _config_from(args, methods=tuple(args.methods.split(",")),
-                           skip_empty_syndromes=not args.keep_empty)
+        cfg = SweepConfig(distances=args.distances, probs=args.probs,
+                          samples=args.samples, master_seed=args.seed,
+                          rounds=args.rounds, epsilon_max_db=args.epsilon_max_db,
+                          methods=tuple(args.methods.split(",")),
+                          skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
         emit(records, args.format, args.out, metadata=sweep_metadata(cfg))
         print(f"wrote {len(records)} records to {args.out}")
-        return 0
-
-    if args.command == "consistency":
-        # all four methods, so run_sweep checks the rules on every sample
-        cfg = _config_from(args, methods=METHODS, skip_empty_syndromes=False)
-        records = list(run_sweep(cfg, workers=args.workers))
-        emit(records, "csv", args.out, metadata=sweep_metadata(cfg))
-        print(f"checked {len(records) // len(METHODS)} samples, every rule held; "
-              f"wrote {len(records)} records to {args.out}")
         return 0
 
     if args.command == "fit":

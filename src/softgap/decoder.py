@@ -149,33 +149,6 @@ class ClusterState:
     def find(self, x: int) -> int:
         return self.parent[x]
 
-    @property
-    def covered(self) -> list:
-        """Per node: whether it is in a cluster (a fresh list)."""
-        members = self.members
-        return [r in members for r in self.parent]
-
-    @property
-    def rank(self) -> list:
-        """Per node: its ``rank_of`` entry, 0 when absent (a fresh list)."""
-        get = self.rank_of.get
-        return [get(x, 0) for x in range(len(self.parent))]
-
-    @property
-    def touches_boundary(self) -> list:
-        """Per node: whether it is in ``boundary_roots`` (a fresh list)."""
-        flags = self.boundary_roots
-        return [x in flags for x in range(len(self.parent))]
-
-    def clusters(self) -> dict:
-        """Map root -> sorted covered members, one entry per cluster,
-        ordered by smallest member.
-
-        Includes boundary nodes' clusters (possibly still singletons).
-        """
-        parent = self.parent
-        return {parent[lst[0]]: lst for lst in sorted(map(sorted, self.members.values()))}
-
     @classmethod
     def from_partition(cls, graph: DecodingGraph, groups) -> "ClusterState":
         """Build a state with the given clusters, for externally supplied
@@ -387,14 +360,6 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     cs.radius2_log = clock
     cs.op_count = op_count
     return cs
-
-
-def max_growth_radius(cs: ClusterState):
-    """Largest growth radius any cluster used, in scaled weight units.
-
-    May be half-integral (frontiers meeting mid-edge); the value is exact.
-    """
-    return cs.radius2_log / 2
 
 
 def nodes_in_clusters(cs: ClusterState) -> int:

@@ -205,8 +205,6 @@ class DecodingGraph:
         return [n for n in range(self.num_nodes) if not self.is_boundary[n]]
 
     def _check_connected(self):
-        if self.num_nodes == 0:
-            return
         seen = [False] * self.num_nodes
         stack = [0]
         seen[0] = True

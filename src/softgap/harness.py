@@ -9,7 +9,8 @@ records are merged in sample order.
 
 A sweep of all four methods checks the five estimator rules
 (``rule_violations``) on each evaluation as it is made, and stops at the
-first sample that breaks one with a ``ConsistencyError`` naming it.
+first sample that breaks one with a ``ConsistencyError`` naming it; with
+``skip_empty_syndromes=False`` that is every sample.
 
 ``SweepRecord`` is a ``NamedTuple``, not a frozen dataclass: a sweep makes
 one per sample and method, and a frozen dataclass sets each field with
@@ -26,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
@@ -179,6 +180,8 @@ def _run_chunk(args):
 def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
     """Yield (cell_index, d, p, sample_index, eval_result) in sweep order."""
     cfg.validate()
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     methods = tuple(m for m in METHODS if m in cfg.methods)
     eps_scaled = db_to_scaled(cfg.epsilon_max_db)
     tasks = []
@@ -190,7 +193,7 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
                            cfg.master_seed, base, start, end,
                            cfg.skip_empty_syndromes), cell_index, d, p))
 
-    if workers <= 1:
+    if workers == 1:
         for args, cell_index, d, p in tasks:
             for idx, res in _run_chunk(args):
                 yield cell_index, d, p, idx, res
@@ -317,24 +320,6 @@ def rule_violations(gaps, eps: int) -> list:
     return broken
 
 
-def run_consistency(cfg: SweepConfig, workers: int = 1) -> int:
-    """Check the five estimator rules on every sample, whatever
-    ``cfg.methods`` and ``cfg.skip_empty_syndromes`` say; returns the
-    number of samples checked.
-
-    The rules bind the estimators together sample by sample (exact integer
-    comparisons on scaled gaps): the bounded search must agree with the
-    full search below threshold, extra growth can only undershoot the
-    cluster gap and never misses below-threshold samples, and the
-    cluster-graph variant can only overshoot and is exact below threshold.
-    The sweep loop checks each fresh evaluation and raises
-    ``ConsistencyError`` at the first broken rule; a repeated syndrome is a
-    cache hit, checked when it was first evaluated.  No records are built.
-    """
-    all_samples = replace(cfg, methods=METHODS, skip_empty_syndromes=False)
-    return sum(1 for _ in _iter_sample_evals(all_samples, workers))
-
-
 @dataclass(frozen=True)
 class SwitchCheck:
     measured_rate: float
@@ -437,10 +422,14 @@ def records_to_csv(records, metadata: dict | None = None) -> str:
 
 
 def parse_records_csv(text: str) -> list:
-    """Inverse of records_to_csv: the records in CSV text."""
+    """Inverse of records_to_csv: the records in CSV text.
+
+    A row with the wrong number of fields, a field that does not parse or
+    a method not in ``METHODS`` raises ValueError naming its line.
+    """
     records = []
     header_seen = False
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         if not header_seen:
@@ -449,12 +438,22 @@ def parse_records_csv(text: str) -> list:
             header_seen = True
             continue
         row = next(csv.reader([line]))
-        records.append(SweepRecord(
-            d=int(row[0]), p=float(row[1]), sample=int(row[2]), method=row[3],
-            defined=row[4] == "true",
-            gap_db=None if row[5] == "" else float(row[5]),
-            visited_nodes=int(row[6]), extra_nodes=int(row[7]),
-            max_growth_db=float(row[8]), nodes_in_clusters=int(row[9])))
+        if len(row) != len(SweepRecord._fields):
+            raise ValueError(f"line {lineno}: {len(row)} fields, "
+                             f"expected {len(SweepRecord._fields)}")
+        if row[3] not in METHODS:
+            raise ValueError(f"line {lineno}: unknown method {row[3]!r}")
+        if row[4] not in ("true", "false"):
+            raise ValueError(f"line {lineno}: defined must be true or false, got {row[4]!r}")
+        try:
+            records.append(SweepRecord(
+                d=int(row[0]), p=float(row[1]), sample=int(row[2]), method=row[3],
+                defined=row[4] == "true",
+                gap_db=None if row[5] == "" else float(row[5]),
+                visited_nodes=int(row[6]), extra_nodes=int(row[7]),
+                max_growth_db=float(row[8]), nodes_in_clusters=int(row[9])))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     if not header_seen:
         raise ValueError("missing CSV header")
     return records

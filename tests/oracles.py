@@ -8,6 +8,8 @@ parity recount, each sample's random stream from a freshly built Philox,
 cluster roots from a tree union-find with path compression, the
 contraction from a scan over every node, and sweep CSV text from one
 list of strings per record, each float printed by ``repr(float(x))``.
+The per-node views of a ``ClusterState`` (``state_covered`` and the
+others) are rebuilt here from its per-root fields.
 """
 
 import csv
@@ -35,12 +37,39 @@ def rep_map(graph, cs):
     return [cs.find(x) for x in range(graph.num_nodes)]
 
 
+# Per-node views of a ClusterState, rebuilt from its per-root fields.
+
+def state_covered(cs):
+    """Per node: whether it is in a cluster."""
+    members = cs.members
+    return [r in members for r in cs.parent]
+
+
+def state_rank(cs):
+    """Per node: its ``rank_of`` entry, 0 when absent."""
+    get = cs.rank_of.get
+    return [get(x, 0) for x in range(len(cs.parent))]
+
+
+def state_touches_boundary(cs):
+    """Per node: whether it is in ``boundary_roots``."""
+    flags = cs.boundary_roots
+    return [x in flags for x in range(len(cs.parent))]
+
+
+def state_clusters(cs):
+    """Map root -> sorted covered members, one entry per cluster (boundary
+    singletons included), ordered by smallest member."""
+    parent = cs.parent
+    return {parent[lst[0]]: lst for lst in sorted(map(sorted, cs.members.values()))}
+
+
 def oracle_contract(graph, cs):
     """(rep, members, sources) of the contraction, from ``cs.find`` over
     every node: members only for multi-node parts, sorted; sources are
     the sorted parts of the covered nodes."""
     rep = rep_map(graph, cs)
-    covered = cs.covered
+    covered = state_covered(cs)
     members = {}
     for x in range(graph.num_nodes):
         if covered[x]:
@@ -175,7 +204,7 @@ def oracle_part_distances(graph, cs):
     rep = rep_map(graph, cs)
     parts = set(rep)
     qedges = quotient_edges(graph, rep)
-    covered = cs.covered
+    covered = state_covered(cs)
     sources = sorted({rep[x] for x in range(graph.num_nodes) if covered[x]})
     table = {}
     for srt in sources:
@@ -196,7 +225,7 @@ def oracle_covered_gap(graph, cs, eps_max):
     parts = set(rep)
     qedges = quotient_edges(graph, rep)
     label = {}
-    covered = cs.covered
+    covered = state_covered(cs)
     for srt in {rep[x] for x in range(graph.num_nodes) if covered[x]}:
         for part, d in bellman_ford(parts, qedges, srt).items():
             if d is not None and 2 * d <= eps_max and d < label.get(part, d + 1):

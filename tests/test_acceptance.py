@@ -47,7 +47,7 @@ from softgap.softout import (
 )
 from softgap.graphs import DecodingGraph, Edge
 from softgap.fitting import fit_exponential, fit_power_law
-from softgap.harness import SweepConfig, aggregate, records_to_csv, run_consistency, run_sweep
+from softgap.harness import SweepConfig, aggregate, records_to_csv, run_sweep
 
 from oracles import oracle_bottleneck_gap, oracle_cluster_gap, random_clusters, random_graph
 
@@ -88,16 +88,17 @@ def threshold_sweep():
 def test_criterion_1_estimator_guarantees_exact():
     # d in {3,5,7,9} x p in {0.1%, 0.5%, 1%}, rounds = d, 1e5 samples per
     # cell, eps_max = 20 dB: zero violations of the five cross-estimator
-    # rules, every comparison an exact integer comparison.  A violation
-    # raises ConsistencyError naming the sample.
+    # rules, every comparison an exact integer comparison.  A sweep of all
+    # four methods that keeps empty samples checks every sample; a
+    # violation raises ConsistencyError naming the sample.
     cfg = SweepConfig(distances=(3, 5, 7, 9), probs=(0.001, 0.005, 0.01),
-                      samples=100_000, master_seed=424242)
+                      samples=100_000, master_seed=424242, skip_empty_syndromes=False)
     t0 = time.time()
-    checked = run_consistency(cfg, workers=WORKERS)
+    records = sum(1 for _ in run_sweep(cfg, workers=WORKERS))
     elapsed = time.time() - t0
-    assert checked == 12 * 100_000
+    assert records == 4 * 12 * 100_000
     _report("1 estimator-guarantees",
-            f"({checked} samples, 0 violations, {elapsed:.0f}s)")
+            f"({records // 4} samples, 0 violations, {elapsed:.0f}s)")
 
 
 def test_criterion_2_oracle_equivalence():

@@ -17,7 +17,6 @@ from softgap.decoder import (
     ClusterState,
     InvariantViolationError,
     decode,
-    max_growth_radius,
     nodes_in_clusters,
     peel,
 )
@@ -32,6 +31,10 @@ from oracles import (
     random_graph,
     random_groups,
     random_rough_graph,
+    state_clusters,
+    state_covered,
+    state_rank,
+    state_touches_boundary,
 )
 
 
@@ -65,9 +68,8 @@ class TestDecodeHandTraces:
         cs = decode(g, Syndrome(frozenset()))
         assert cs.radius2_log == 0
         assert nodes_in_clusters(cs) == 0
-        assert max_growth_radius(cs) == 0
         # only the two boundary singletons remain
-        assert set(cs.clusters()) == set(g.boundaries)
+        assert set(state_clusters(cs)) == set(g.boundaries)
 
     def test_two_adjacent_events_meet_mid_edge(self):
         g = build_phenomenological(3, 1, 0.001)
@@ -79,7 +81,6 @@ class TestDecodeHandTraces:
         assert sum(x in cs.events for x in cs.members[root]) == 2
         # both frontiers grow, so they meet at half the edge weight
         assert cs.radius2_log == e.weight
-        assert max_growth_radius(cs) == e.weight / 2
         assert nodes_in_clusters(cs) == 2
 
     def test_single_event_matches_boundary(self):
@@ -88,7 +89,7 @@ class TestDecodeHandTraces:
         det = next(x for x, _, _ in [(e.u, 0, 0) for e in g.edges if e.v == b1])
         cs = decode(g, Syndrome(frozenset({det})))
         root = cs.find(det)
-        assert cs.touches_boundary[root]
+        assert root in cs.boundary_roots
         assert cs.find(b1) == root
         # boundary is passive, so the event side covers the full half-edge
         w = g.edges[half_edge_of(g, det, b1)].weight
@@ -103,7 +104,7 @@ class TestDecodeHandTraces:
         cs = decode(g, Syndrome(frozenset({0})))
         assert cs.radius2_log == 2 * 3 * S
         assert cs.find(0) == cs.find(2)
-        assert not cs.covered[1]
+        assert not state_covered(cs)[1]
 
     def test_two_events_with_unequal_arms(self):
         # events at both ends of a 2-edge path: radii grow together, so the
@@ -137,7 +138,7 @@ class TestDecodeHandTraces:
         assert cs.forest == [0, 1, 3]
         assert cs.radius2_log == 200
         assert cs.coverage2 == {0: 2, 1: 10, 2: 192, 3: 200, 4: 6}
-        assert cs.find(0) == cs.find(2) == cs.find(4) and cs.touches_boundary[cs.find(0)]
+        assert cs.find(0) == cs.find(2) == cs.find(4) and cs.find(0) in cs.boundary_roots
         assert cs.find(3) == 3
 
 
@@ -224,10 +225,10 @@ class TestDecodeInvariants:
         g = build_phenomenological(d, d, p)
         for idx in range(300):
             cs = decode(g, sample_syndrome(g, SeedSpec(5, idx)))
-            for root in cs.clusters():
+            for root in state_clusters(cs):
                 r = cs.find(root)
                 events = sum(x in cs.events for x in cs.members[r])
-                assert events % 2 == 0 or cs.touches_boundary[r]
+                assert events % 2 == 0 or r in cs.boundary_roots
 
     @pytest.mark.parametrize("d,p", [(3, 0.08), (5, 0.03)])
     def test_covered_nodes_within_logged_radius(self, d, p):
@@ -239,7 +240,7 @@ class TestDecodeInvariants:
             if not s.events:
                 continue
             cs = decode(g, s)
-            for root, members in cs.clusters().items():
+            for root, members in state_clusters(cs).items():
                 evs = [x for x in members if x in cs.events]
                 if not evs:
                     continue
@@ -304,7 +305,7 @@ def state_digest(cells, seed=1, samples=200):
             cs = decode(g, sample_syndrome(g, SeedSpec(seed, idx)))
             coverage = tuple(cs.coverage2.get(i, 0) for i in range(g.num_edges))
             h.update(repr((tuple(cs.forest), cs.radius2_log,
-                           sorted(cs.clusters().items()), coverage)).encode())
+                           sorted(state_clusters(cs).items()), coverage)).encode())
     return h.hexdigest()
 
 
@@ -402,7 +403,8 @@ class TestGrowthRadius:
         g = build_phenomenological(5, 1, 0.001)
         cs = decode(g, Syndrome(frozenset({1})))
         dist = ball_distances(g, [1])
-        covered = {x for x in range(g.num_nodes) if cs.covered[x] and not g.is_boundary[x]}
+        covered = {x for x, flag in enumerate(state_covered(cs))
+                   if flag and not g.is_boundary[x]}
         radius = cs.radius2_log / 2
         interior = {x for x, dx in dist.items()
                     if dx < radius and not g.is_boundary[x]}
@@ -451,12 +453,13 @@ class TestIntegerClock:
 def assert_flat_labels(g, cs):
     """``parent`` maps every covered node to its root, ``members``
     partitions the covered nodes by root, and the contraction reads both."""
-    covered = [x for x in range(g.num_nodes) if cs.covered[x]]
+    flags = state_covered(cs)
+    covered = [x for x in range(g.num_nodes) if flags[x]]
     for x in range(g.num_nodes):
         r = cs.parent[x]
         assert cs.parent[r] == r
-        assert (r in cs.members) == cs.covered[x]
-        if not cs.covered[x]:
+        assert (r in cs.members) == flags[x]
+        if not flags[x]:
             assert r == x
     assert sorted(x for lst in cs.members.values() for x in lst) == covered
     for r, lst in cs.members.items():
@@ -494,17 +497,18 @@ class TestFlatLabels:
         g = build_phenomenological(5, 5, 0.03)
         for idx in range(50):
             cs = decode(g, sample_syndrome(g, SeedSpec(12, idx)))
+            flags = state_covered(cs)
             scan = {}
             for x in range(g.num_nodes):
-                if cs.covered[x]:
+                if flags[x]:
                     scan.setdefault(cs.parent[x], []).append(x)
-            assert list(cs.clusters().items()) == list(scan.items())
+            assert list(state_clusters(cs).items()) == list(scan.items())
 
 
 def assert_root_invariants(g, cs):
     """A root touches a boundary exactly when one of its members is a
     boundary, and its rank is at most log2 of its cluster's size."""
-    touches, rank = cs.touches_boundary, cs.rank
+    touches, rank = state_touches_boundary(cs), state_rank(cs)
     for r, lst in cs.members.items():
         assert touches[r] == any(g.is_boundary[x] for x in lst)
         assert rank[r] <= math.log2(len(lst))
@@ -521,8 +525,8 @@ class TestRootInvariants:
 
 def state_of(cs):
     """Everything a ClusterState holds, as values detached from it."""
-    return (cs.parent[:], cs.rank[:], cs.covered[:],
-            cs.touches_boundary[:], {r: lst[:] for r, lst in cs.members.items()},
+    return (cs.parent[:], state_rank(cs), state_covered(cs),
+            state_touches_boundary(cs), {r: lst[:] for r, lst in cs.members.items()},
             dict(cs.coverage2), cs.forest[:], cs.radius2_log, cs.op_count)
 
 

@@ -29,7 +29,6 @@ from softgap.harness import (
     parse_records_csv,
     records_to_csv,
     records_to_json,
-    run_consistency,
     run_sweep,
     sweep_metadata,
     switch_check,
@@ -58,6 +57,13 @@ class TestConfig:
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
             small_cfg(methods=("cluster", "mystery")).validate()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        # before any sample is drawn
+        monkeypatch.setattr(harness, "_run_chunk", None)
+        with pytest.raises(ConfigError, match=f"^workers must be >= 1, got {workers}$"):
+            next(run_sweep(small_cfg(), workers=workers))
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ConfigError):
@@ -298,6 +304,20 @@ class TestEmit:
     def test_parse_header_only_text(self):
         # text, never a path: a header alone is a CSV with no records
         assert parse_records_csv(CSV_HEADER) == []
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,0.01,0,cluster,true,1.5,2,0,0.5", "line 3: 9 fields, expected 10"),
+        ("3,0.01,0,cluster,true,1.5,2,0,0.5,1,7", "line 3: 11 fields, expected 10"),
+        ("3,0.01,x,cluster,true,1.5,2,0,0.5,1", "line 3: invalid literal for int()"),
+        ("3,0.01,0,cluster,true,1.5dB,2,0,0.5,1", "line 3: could not convert string"),
+        ("3,0.01,0,cluster,yes,1.5,2,0,0.5,1", "line 3: defined must be true or false"),
+        ("3,0.01,0,extra-cg,true,1.5,2,0,0.5,1", "line 3: unknown method 'extra-cg'"),
+    ])
+    def test_malformed_row_names_its_line(self, row, message):
+        text = f"# cells=1\n{CSV_HEADER}\n{row}\n"
+        with pytest.raises(ValueError) as err:
+            parse_records_csv(text)
+        assert str(err.value).startswith(message)
         assert parse_csv_metadata(CSV_HEADER) == {}
 
     def test_json_emission(self, tmp_path):
@@ -395,7 +415,8 @@ BREAKING = {
 
 class TestConsistency:
     def test_no_violations_on_small_grid(self):
-        assert run_consistency(small_cfg(samples=60)) == 4 * 60
+        # four methods on each of 4 cells x 60 samples, empty ones included
+        assert sum(1 for _ in run_sweep(small_cfg(samples=60))) == 4 * 4 * 60
 
     def test_rules_checked_once_per_fresh_evaluation(self, monkeypatch):
         # at p = 0.1% most samples are empty or repeat a syndrome: a cache
@@ -412,7 +433,7 @@ class TestConsistency:
         counted("rule_violations", harness.rule_violations)
         monkeypatch.setattr(harness, "_eval_cache", {})
         cfg = small_cfg(distances=(3, 5), probs=(0.001,), samples=300)
-        assert run_consistency(cfg) == 600
+        assert sum(1 for _ in run_sweep(cfg)) == 4 * 600
         assert calls["rule_violations"] == calls["evaluate_sample"]
         assert 0 < calls["evaluate_sample"] < 300
 
@@ -432,14 +453,9 @@ class TestConsistency:
         monkeypatch.setattr(harness, "_eval_cache", {})
         # forked workers inherit the patched estimator and the empty cache
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
-        messages = []
-        for run in (lambda: list(run_sweep(cfg, workers=workers)),
-                    lambda: run_consistency(cfg, workers=workers)):
-            with pytest.raises(ConsistencyError) as err:
-                run()
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        m = re.fullmatch(r"d=3 p=0\.02 sample=(\d+): (.+)", messages[0])
+        with pytest.raises(ConsistencyError) as err:
+            list(run_sweep(cfg, workers=workers))
+        m = re.fullmatch(r"d=3 p=0\.02 sample=(\d+): (.+)", str(err.value))
         assert m and rule in m[2].split(", ")
         # (master seed, cell, index) replays the sample: it breaks the rule,
         # and no earlier sample breaks any
@@ -557,20 +573,22 @@ class TestCli:
         (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
           "--methods", "cluster,mystery"],
          "softgap sweep: error: unknown method 'mystery'"),
-        (["consistency", "--distances", "4", "--probs", "0.01", "--samples", "5"],
-         "softgap consistency: error: distances must be odd and >= 3, got 4"),
-        (["consistency", "--distances", "3", "--probs", "0.01", "--samples", "5",
-          "--methods", "cluster,bounded", "--keep-empty"],
-         "softgap: error: unrecognized arguments: --methods cluster,bounded --keep-empty"),
+        (["sweep", "--keep-empty", "--distances", "4", "--probs", "0.01", "--samples", "5"],
+         "softgap sweep: error: distances must be odd and >= 3, got 4"),
+        (["consistency", "--distances", "3", "--probs", "0.01", "--samples", "5"],
+         "softgap: error: argument command: invalid choice: 'consistency'"),
         (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
           "--epsilon-max-db", "nan"],
          "softgap sweep: error: epsilon_max_db must be finite and > 0, got nan"),
-        (["consistency", "--distances", "3", "--probs", "0.01", "--samples", "5",
+        (["sweep", "--keep-empty", "--distances", "3", "--probs", "0.01", "--samples", "5",
           "--epsilon-max-db", "inf"],
-         "softgap consistency: error: epsilon_max_db must be finite and > 0, got inf"),
+         "softgap sweep: error: epsilon_max_db must be finite and > 0, got inf"),
         (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
           "--methods", "cluster,extra-cg"],
          "softgap sweep: error: unknown method 'extra-cg'"),
+        (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--workers", "-3"],
+         "softgap sweep: error: workers must be >= 1, got -3"),
     ])
     def test_bad_configuration_is_a_usage_error(self, tmp_path, capsys, argv, message):
         # a usage line and exit status 2, not a traceback; nothing is written
@@ -676,13 +694,13 @@ class TestCli:
         assert rates["cluster"] == rates["bounded"] == rates["extra_cg"] > 0
 
     def test_consistency_cli(self, tmp_path, capsys):
-        # a sweep CSV of all four methods, empty samples included, that the
-        # commands reading a sweep accept
+        # a sweep of all four methods, empty samples included, checks every
+        # sample and writes a CSV that the commands reading a sweep accept
         from softgap.cli import main
         out = tmp_path / "consistency.csv"
-        assert main(["consistency", "--distances", "3,5", "--probs", "0.02",
+        assert main(["sweep", "--keep-empty", "--distances", "3,5", "--probs", "0.02",
                      "--samples", "30", "--seed", "4", "--out", str(out)]) == 0
-        assert "checked 60 samples" in capsys.readouterr().out
+        assert f"wrote 240 records to {out}" in capsys.readouterr().out
         text = out.read_text()
         meta = parse_csv_metadata(text)
         assert (meta["samples_per_cell"], meta["cells"], meta["epsilon_max_db"],
@@ -696,7 +714,7 @@ class TestCli:
         assert main(["fit", "--model", "power", "--dmin", "3", "--in", str(out),
                      "--out", str(tmp_path / "fit.json")]) == 0
 
-    @pytest.mark.parametrize("command", [["sweep", "--keep-empty"], ["consistency"]])
+    @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--keep-empty"]])
     def test_broken_rule_exits_1(self, tmp_path, capsys, monkeypatch, command):
         # the message alone, no traceback, and nothing written
         from softgap.cli import main
@@ -720,6 +738,27 @@ class TestCli:
             main(["switch-check", "--threshold", "1.0", "--in", str(path)])
         assert exit_info.value.code == (
             f"{path}: no '# methods=' line; write it with `softgap sweep --format csv`")
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+        ["switch-check", "--threshold", "1.0"],
+    ])
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda row: row[:row.rindex(",")], "9 fields, expected 10"),
+        (lambda row: row.replace(",extra_cg,", ",extra_rg,"), "unknown method 'extra_rg'"),
+    ], ids=["truncated-last-row", "renamed-method"])
+    def test_malformed_csv_is_refused(self, tmp_path, command, corrupt, message):
+        # one line naming the file and the row, not a traceback
+        from softgap.cli import main
+        cfg = small_cfg(samples=5)
+        lines = records_to_csv(run_sweep(cfg), sweep_metadata(cfg)).splitlines(keepends=True)
+        assert lines[-1] != corrupt(lines[-1])
+        lines[-1] = corrupt(lines[-1])
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--in", str(path)])
+        assert exit_info.value.code == f"{path}: line {len(lines)}: {message}"
 
     def test_switch_check_without_records_of_the_method(self, tmp_path, capsys):
         # every sample is empty and skipped: the rate is 0 over 50 samples

@@ -41,6 +41,7 @@ from oracles import (
     random_graph,
     random_groups,
     random_rough_graph,
+    state_clusters,
 )
 
 EPS20 = db_to_scaled(20.0)
@@ -698,7 +699,7 @@ class TestGrowthOracle:
             cases = [(g, cs)]
             if i % 3 == 1:
                 lift = lifted(g)
-                cases.append((lift, ClusterState.from_partition(lift, cs.clusters().values())))
+                cases.append((lift, ClusterState.from_partition(lift, state_clusters(cs).values())))
             for h, state in cases:
                 self._check(h, state, seen)
         assert min(seen.values()) >= 100 and len(seen) == 8, seen
