@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import sys
 
 from .graphs import (InvalidParameterError, InvalidProbabilityError,
@@ -20,6 +21,20 @@ def _float_list(text):
     return tuple(float(x) for x in text.split(","))
 
 
+def _header_number(path, metadata, key, kind):
+    """The ``# key=`` value of a sweep CSV as a positive, finite ``kind``;
+    any other value ends the command with one line naming it."""
+    text = metadata[key]
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value < math.inf:
+        rule = "an integer >= 1" if kind is int else "a finite number > 0"
+        raise SystemExit(f"{path}: # {key}={text}: must be {rule}")
+    return value
+
+
 def _read_sweep_csv(path, method):
     """The records of a sweep CSV and its samples_per_cell, cells and
     epsilon_max_db, as the sweep wrote them.  Empty samples it skipped
@@ -30,9 +45,9 @@ def _read_sweep_csv(path, method):
         text = f.read()
     metadata = parse_csv_metadata(text)
     try:
-        samples = int(metadata["samples_per_cell"])
-        cells = int(metadata["cells"])
-        epsilon_max_db = float(metadata["epsilon_max_db"])
+        samples = _header_number(path, metadata, "samples_per_cell", int)
+        cells = _header_number(path, metadata, "cells", int)
+        epsilon_max_db = _header_number(path, metadata, "epsilon_max_db", float)
         methods = metadata["methods"].split(",")
     except KeyError as missing:
         raise SystemExit(f"{path}: no '# {missing.args[0]}=' line; "

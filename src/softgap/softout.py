@@ -50,8 +50,9 @@ edges of the parts the growth settled.
 All values are scaled integers; every comparison is exact.  During extra
 growth each covered node remembers its nearest originating cluster, so a
 collision between merged super-sets is attributed to the correct original
-pair.  A growth that records no collision joins no pair the decoder left
-apart, so its replay builds no union-find.
+pair.  The growth records the radii of the parts it newly covers as it
+settles them, and its collisions are replayed once, Kruskal-style, over a
+plain dict of merged parts.
 
 ``GapResult`` is a ``NamedTuple``, not a frozen dataclass: every sample
 makes four, and a frozen dataclass sets each field with one
@@ -253,11 +254,15 @@ class Growth:
     ``collisions``: (epsilon, edge_index, origin_a, origin_b) sorted events;
     epsilon is the exact budget at which the two origins' regions meet
     through that edge (covered length of both sides plus the edge weight).
+    ``radii``: twice the distance of each settled part that is not a
+    source, ascending.  Every such part is one bare detector, so
+    ``bisect_right(radii, t)`` nodes are newly covered within radius t/2.
     """
 
-    def __init__(self, settled, collisions):
+    def __init__(self, settled, collisions, radii):
         self.settled = settled
         self.collisions = collisions
+        self.radii = radii
 
 
 def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
@@ -267,16 +272,17 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     records the source whose ball reached it first, and every inter-origin
     edge whose two sides are both covered yields a collision event at the
     exact combined distance.  A part beyond the radius is never queued.
+    Each part settled from another part's origin adds twice its distance
+    to ``radii``; the heap settles them in distance order.
 
-    Two budget ranges need no search.  Below the lightest edge
-    weight w no part is within the radius and no two sources can collide,
-    so the growth is the sources alone, settled at 0 in id order.  Below
-    2w no part is within the radius either, and sources collide only
-    through a direct edge of weight <= eps_max: the growth is the same
-    settled list plus those contacts, from one scan of the sources'
-    detector members' edges, each edge recorded once, from its higher-id
-    part or from its detector end when it reaches a boundary.  A graph
-    with a zero-weight edge never takes either path.
+    Below twice the lightest edge weight w no search is needed: no part is
+    within the radius, and sources collide only through a direct edge of
+    weight <= eps_max, of which there is none below w.  The growth is the
+    sources, settled at 0 in id order with no radii, plus those contacts,
+    from one scan of the sources' detector members' edges, each edge
+    recorded once, from its higher-id part or from its detector end when
+    it reaches a boundary.  A graph with a zero-weight edge never takes
+    this path.
 
     The search keeps its distances, origins and settled parts in dicts,
     so its work is sized by what it covers.  Every boundary is in a
@@ -294,10 +300,7 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     w_min = graph.min_weight()
     if eps_max < 2 * w_min:
         sources = sorted(view.sources)
-        settled = [(x, 0) for x in sources]
-        if eps_max < w_min:
-            return Growth(settled, [])
-        return Growth(settled, _contacts(view, sources, eps_max))
+        return Growth([(x, 0) for x in sources], _contacts(view, sources, eps_max), [])
     rep = view.rep
     members = view.members
     neighbors = graph.neighbors
@@ -310,6 +313,7 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
     origin = {srt: srt for srt in view.sources}
     done = set()
     settled = []
+    radii = []
     collisions = _between_contacts(rep, between, eps_max)
     heap = list(view.sources)               # keys d * n + part, here d = 0
     heapq.heapify(heap)
@@ -322,6 +326,8 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
         done.add(x)
         settled.append((x, d))
         ox = origin[x]
+        if ox != x:
+            radii.append(2 * d)
         for node in members.get(x, (x,)):
             if is_boundary[node]:           # d == 0: relax the light edges
                 weights, entries = light[node]
@@ -357,7 +363,7 @@ def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
                     push(heap, nd * n + y)
 
     collisions.sort()
-    return Growth(settled, collisions)
+    return Growth(settled, collisions, radii)
 
 
 def _between_contacts(rep, between, eps_max):
@@ -404,80 +410,40 @@ def _contacts(view: ContractedView, sources, eps_max: int):
     return collisions
 
 
-class _PartUnion:
-    """Tiny union-find over sparse part ids."""
+def _extra_results(growth: Growth, pairs):
+    """Plain extra-cluster gaps for (part, part) pairs, from one Kruskal
+    replay of the sorted collisions over a dict of merged parts.
 
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        parent = self.parent
-        parent.setdefault(x, x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
-def _new_node_radii(view: ContractedView, settled):
-    """Twice the distance of each part the growth newly covered, ascending.
-
-    Sources were covered before growth, and every other part is one bare
-    detector, so ``bisect_right(radii, t)`` nodes are newly covered within
-    radius t/2.
-    """
-    sources = set(view.sources)
-    return [2 * d for part, d in settled if part not in sources]
-
-
-def _extra_results(growth: Growth, radii, pairs):
-    """Plain extra-cluster gaps for (part, part) pairs, from one replay of
-    the collisions through one union-find that stops once every pair has
-    joined.
-
-    A pair's value is the budget of the first collision after which both
-    parts share a merged set, None when that never happens within the
-    budget.  Its ``extra_nodes`` counts the nodes newly covered by that
-    instant, or within the growth radius when undefined.  A pair the
+    Only a collision that joins two sets can join a pair, so only then are
+    the waiting pairs checked, and the replay stops once none waits.  A
+    pair's value is the budget of that collision, None when it never comes
+    within the budget; its ``extra_nodes`` counts the nodes newly covered
+    by then, or within the growth radius when undefined.  A pair the
     decoder already joined needs no growth: value 0, no extra nodes.
-    With no collision every other pair stays apart, so the replay is
-    skipped.
     """
-    if not growth.collisions:
-        apart = GapResult("extra", None, extra_nodes=len(radii))
-        return [GapResult("extra", 0) if a == b else apart for a, b in pairs]
+    radii = growth.radii
     values = [0 if a == b else None for a, b in pairs]
     waiting = [i for i, (a, b) in enumerate(pairs) if a != b]
-    uf = _PartUnion()
-    find = uf.find
+    parent = {}                             # merged part -> smaller part of its set
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
     for eps_c, _, a, b in growth.collisions:
         if not waiting:
             break
-        uf.union(a, b)
-        still = []
-        for i in waiting:
-            if find(pairs[i][0]) == find(pairs[i][1]):
-                values[i] = eps_c
-            else:
-                still.append(i)
-        waiting = still
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            for i in waiting:
+                if find(pairs[i][0]) == find(pairs[i][1]):
+                    values[i] = eps_c
+            waiting = [i for i in waiting if values[i] is None]
     results = []
     for (a, b), v in zip(pairs, values):
-        if a == b:
-            nodes = 0
-        elif v is None:
-            nodes = len(radii)
-        else:
-            nodes = bisect_right(radii, v)
+        nodes = 0 if a == b else len(radii) if v is None else bisect_right(radii, v)
         results.append(GapResult("extra", v, extra_nodes=nodes))
     return results
 
@@ -535,7 +501,7 @@ def extra_gaps(view: ContractedView, eps_max: int):
     ``extra`` is the smallest budget at which simultaneous growth of the
     clusters and boundaries connects b1 to b2: the bottleneck (minimax
     consecutive-hop) distance between them over the contracted graph,
-    undefined beyond the budget.  Union-find only merges, so b1 and b2 end
+    undefined beyond the budget.  The replay only merges, so b1 and b2 end
     in one set exactly when ``extra`` is defined; only then does
     ``extra_cg`` search the covered region for the exact b1..b2 distance.
     That can exceed eps_max, but equals the cluster gap whenever the
@@ -552,12 +518,12 @@ def extra_gaps(view: ContractedView, eps_max: int):
     if eps_max < view.graph.min_weight():
         return _JOINED if b1 == b2 else _APART
     growth = grow_clusters(view, eps_max)
-    radii = _new_node_radii(view, growth.settled)
-    extra, = _extra_results(growth, radii, [(b1, b2)])
+    extra, = _extra_results(growth, [(b1, b2)])
+    covered = len(growth.radii)
     if extra.value is None:
-        return extra, GapResult("extra_cg", None, extra_nodes=len(radii))
+        return extra, GapResult("extra_cg", None, extra_nodes=covered)
     return extra, GapResult("extra_cg", _covered_distance(view, growth, eps_max),
-                            extra_nodes=len(radii), cluster_graph_invoked=True)
+                            extra_nodes=covered, cluster_graph_invoked=True)
 
 
 def extra_cluster_gap(g: DecodingGraph, cs: ClusterState, eps_max: int,
@@ -585,15 +551,15 @@ def multi_boundary_extra_gap(g: DecodingGraph, cs: ClusterState,
     Returns {(b_i, b_j): GapResult} for i < j in boundary order.  Each pair
     follows the rule of ``extra_cluster_gap``, including value 0 and no
     extra nodes for a pair the decoder already joined, and no growth is
-    run below the lightest edge weight.
+    run below the lightest edge weight: there the replay reads an empty
+    growth, which joins no pair.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
     view = contract(g, cs)
     pairs = list(combinations(view.boundary_parts, 2))
     if eps_max < g.min_weight():
-        results = [_JOINED[0] if a == b else _APART[0] for a, b in pairs]
+        growth = Growth([], [], [])
     else:
         growth = grow_clusters(view, eps_max)
-        results = _extra_results(growth, _new_node_radii(view, growth.settled), pairs)
-    return dict(zip(combinations(g.boundaries, 2), results))
+    return dict(zip(combinations(g.boundaries, 2), _extra_results(growth, pairs)))

@@ -69,6 +69,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(probs=(0.7,)).validate()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"distances": (3, 3), "probs": (0.05,)}, "distance 3 is given twice"),
+        ({"distances": (3, 5, 3)}, "distance 3 is given twice"),
+        ({"probs": (0.01, 0.05, 0.01)}, "probability 0.01 is given twice"),
+    ], ids=["distance-twice", "distance-apart", "probability-apart"])
+    def test_repeated_cell_rejected(self, fields, message):
+        # two cells with one (d, p) would share their rows' sample indices,
+        # and aggregate would count both against one cell's samples
+        with pytest.raises(ConfigError, match=f"^{message}; each cell is swept once$"):
+            small_cfg(**fields).validate()
+
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_nonpositive_rounds_rejected(self, rounds):
         # rejected up front, not inside a pool worker's graph build
@@ -589,6 +600,12 @@ class TestCli:
         (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
           "--workers", "-3"],
          "softgap sweep: error: workers must be >= 1, got -3"),
+        (["sweep", "--distances", "3,3", "--probs", "0.05", "--samples", "200",
+          "--seed", "4"],
+         "softgap sweep: error: distance 3 is given twice; each cell is swept once"),
+        (["sweep", "--distances", "3", "--probs", "0.05,0.02,0.05", "--samples", "5",
+          "--format", "svg-plot"],
+         "softgap sweep: error: probability 0.05 is given twice; each cell is swept once"),
     ])
     def test_bad_configuration_is_a_usage_error(self, tmp_path, capsys, argv, message):
         # a usage line and exit status 2, not a traceback; nothing is written
@@ -759,6 +776,34 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--in", str(path)])
         assert exit_info.value.code == f"{path}: line {len(lines)}: {message}"
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+        ["switch-check", "--threshold", "1.0"],
+    ])
+    @pytest.mark.parametrize("key, value, rule", [
+        ("samples_per_cell", "fifty", "an integer >= 1"),
+        ("samples_per_cell", "0", "an integer >= 1"),
+        ("cells", "2.5", "an integer >= 1"),
+        ("cells", "-1", "an integer >= 1"),
+        ("epsilon_max_db", "", "a finite number > 0"),
+        ("epsilon_max_db", "0", "a finite number > 0"),
+        ("epsilon_max_db", "inf", "a finite number > 0"),
+        ("epsilon_max_db", "nan", "a finite number > 0"),
+    ], ids=["samples_per_cell=fifty", "samples_per_cell=0", "cells=2.5", "cells=-1",
+            "epsilon_max_db=", "epsilon_max_db=0", "epsilon_max_db=inf", "epsilon_max_db=nan"])
+    def test_bad_header_value_is_refused(self, tmp_path, command, key, value, rule):
+        # one line naming the file and the header line, not a traceback
+        from softgap.cli import main
+        cfg = small_cfg(samples=5)
+        metadata = sweep_metadata(cfg)
+        metadata[key] = value
+        path = tmp_path / "bad_header.csv"
+        path.write_text(records_to_csv(run_sweep(cfg), metadata))
+        assert parse_csv_metadata(path.read_text())[key] == value
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--in", str(path)])
+        assert exit_info.value.code == f"{path}: # {key}={value}: must be {rule}"
 
     def test_switch_check_without_records_of_the_method(self, tmp_path, capsys):
         # every sample is empty and skipped: the rate is 0 over 50 samples

@@ -445,20 +445,27 @@ class TestMultiBoundary:
         # Each graph is also checked lifted, at a budget below its lightest
         # edge, where the growth records no collision: a pair the decoder
         # joined reads 0 with no extra nodes and every other pair is
-        # undefined, as the bottleneck oracle says.
+        # undefined, as the bottleneck oracle says.  Both graphs are also
+        # checked at twice their lightest edge weight w and one above, where
+        # the heap pass records many collisions for the replay to merge.
         rng = random.Random(2718)
         seen = Counter()
         for _ in range(400):
             g = random_rough_graph(rng)
             groups = random_groups(rng, g)
             lift = lifted(g)
-            for h, eps in ((g, EPS20), (lift, lift.min_weight() - 1)):
+            budgets = [(g, EPS20), (lift, lift.min_weight() - 1)]
+            budgets += [(h, 2 * h.min_weight() + k) for h in (g, lift) for k in (0, 1)]
+            for h, eps in budgets:
                 cs = ClusterState.from_partition(h, groups)
                 report = multi_boundary_extra_gap(h, cs, eps)
                 view = contract(h, cs)
                 growth = grow_clusters(view, eps)
                 below = eps < h.min_weight()
                 assert not (below and growth.collisions)
+                if not below:
+                    seen["three or more collisions"] += len(growth.collisions) >= 3
+                    seen["three or more boundaries"] += len(h.boundaries) >= 3
                 # zero-distance growth, which a joined pair must not count
                 zero_grown = any(d == 0 and part not in view.sources
                                  for part, d in growth.settled)
@@ -478,7 +485,7 @@ class TestMultiBoundary:
                     seen["joined, zero-distance parts grown"] += joined and zero_grown
                     seen["joined by growth at budget 0"] += \
                         not joined and result.value == 0
-        assert len(seen) == 5 and min(seen.values()) >= 100, seen
+        assert len(seen) == 7 and min(seen.values()) >= 100, seen
 
     def test_eight_boundaries_single_pass(self, monkeypatch):
         # ring of 8 boundaries, neighbors bridged by one detector each
@@ -715,6 +722,7 @@ class TestGrowthOracle:
             settled, collisions = oracle_growth(g, cs, eps)
             assert growth.settled == settled
             assert growth.collisions == collisions
+            assert growth.radii == [2 * d for part, d in settled if part not in view.sources]
             rep = view.rep
             edges = g.edges
             label = dict(settled)
