@@ -201,6 +201,63 @@ class TestRunSweep:
             assert got == (n, radius2, tuple(by_method[m] for m in methods))
 
 
+class TestCellSlot:
+    # A sweep process holds one cell: its key, graph and evaluations.
+
+    def test_serial_sweep_keeps_only_the_last_cell(self, monkeypatch):
+        monkeypatch.setattr(harness, "_cell", None)
+        cfg = small_cfg(distances=(3,), probs=(0.05, 0.02), samples=200)
+        list(run_sweep(cfg))
+        key, g, evals = harness._cell
+        assert key == (3, 3, 0.02, db_to_scaled(cfg.epsilon_max_db), METHODS)
+        assert {e.prob for e in g.edges} == {0.02}
+        cell = [sample_syndrome(g, SeedSpec(cfg.master_seed, cfg.samples + i)).events
+                for i in range(cfg.samples)]
+        assert evals and evals.keys() <= set(cell)
+        for events, result in evals.items():
+            assert result == harness.evaluate_sample(g, events, key[3], METHODS)
+
+    def test_stores_only_syndromes_of_at_most_four_events(self, monkeypatch):
+        monkeypatch.setattr(harness, "_cell", None)
+        cfg = small_cfg(distances=(5,), probs=(0.05,), samples=400)
+        g = build_phenomenological(5, 5, 0.05)
+        cell = {sample_syndrome(g, SeedSpec(cfg.master_seed, i)).events
+                for i in range(cfg.samples)}
+        sizes = {len(events) for events in cell if events}
+        assert min(sizes) <= 2 and max(sizes) >= 15
+        list(run_sweep(cfg))
+        evals = harness._cell[2]
+        assert max(len(events) for events in evals) == harness._CACHED_EVENTS == 4
+        assert evals.keys() == {events for events in cell if 0 < len(events) <= 4}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_equal_fresh_evaluations(self, monkeypatch, workers):
+        # Two cells of one distance share syndromes but not their gaps, and
+        # 50-sample chunks make each process move from cell to cell.
+        monkeypatch.setattr(harness, "_cell", None)
+        monkeypatch.setattr(harness, "_CHUNK", 50)
+        cfg = SweepConfig(distances=(3, 5), probs=(0.02, 0.05), samples=200,
+                          master_seed=12)
+        eps = db_to_scaled(cfg.epsilon_max_db)
+        expected, by_d = [], {}
+        for cell, d, p in cfg.cells():
+            g = build_phenomenological(d, d, p)
+            for idx in range(cfg.samples):
+                events = sample_syndrome(g, SeedSpec(cfg.master_seed, cell * cfg.samples + idx)).events
+                if not events:
+                    continue
+                by_d.setdefault((d, events), set()).add(p)
+                n_clustered, radius2, results = harness.evaluate_sample(g, events, eps, METHODS)
+                growth_db = scaled_to_db(float(radius2) / 2.0)
+                expected += [SweepRecord(
+                    d, p, idx, m, value is not None,
+                    None if value is None else scaled_to_db(value),
+                    visited, extra, growth_db, n_clustered)
+                    for m, (value, visited, extra, _) in zip(METHODS, results)]
+        assert sum(len(ps) == 2 for ps in by_d.values()) > 10
+        assert list(run_sweep(cfg, workers=workers)) == expected
+
+
 class TestImport:
     def test_import_does_not_load_multiprocessing(self):
         # only a sweep with a worker pool needs it
@@ -323,6 +380,15 @@ class TestEmit:
         ("3,0.01,0,cluster,true,1.5dB,2,0,0.5,1", "line 3: could not convert string"),
         ("3,0.01,0,cluster,yes,1.5,2,0,0.5,1", "line 3: defined must be true or false"),
         ("3,0.01,0,extra-cg,true,1.5,2,0,0.5,1", "line 3: unknown method 'extra-cg'"),
+        ("3,0.01,0,cluster,true,nan,2,0,0.5,1", "line 3: gap_db must be finite, got nan"),
+        ("3,0.01,0,cluster,true,-inf,2,0,0.5,1", "line 3: gap_db must be finite, got -inf"),
+        ("3,0.01,0,cluster,true,1.5,2,0,inf,1",
+         "line 3: max_growth_db must be finite, got inf"),
+        ("3,0.01,0,cluster,true,1.5,2,0,nan,1",
+         "line 3: max_growth_db must be finite, got nan"),
+        ("3,0.01,0,cluster,true,,2,0,0.5,1", "line 3: defined is true but gap_db is empty"),
+        ("3,0.01,0,cluster,false,1.5,2,0,0.5,1",
+         "line 3: defined is false but gap_db is '1.5'"),
     ])
     def test_malformed_row_names_its_line(self, row, message):
         text = f"# cells=1\n{CSV_HEADER}\n{row}\n"
@@ -442,7 +508,7 @@ class TestConsistency:
 
         counted("evaluate_sample", harness.evaluate_sample)
         counted("rule_violations", harness.rule_violations)
-        monkeypatch.setattr(harness, "_eval_cache", {})
+        monkeypatch.setattr(harness, "_cell", None)
         cfg = small_cfg(distances=(3, 5), probs=(0.001,), samples=300)
         assert sum(1 for _ in run_sweep(cfg)) == 4 * 600
         assert calls["rule_violations"] == calls["evaluate_sample"]
@@ -461,8 +527,8 @@ class TestConsistency:
                           epsilon_max_db=100.0, skip_empty_syndromes=False)
         eps = db_to_scaled(cfg.epsilon_max_db)
         monkeypatch.setattr(harness, *BREAKING[rule])
-        monkeypatch.setattr(harness, "_eval_cache", {})
-        # forked workers inherit the patched estimator and the empty cache
+        monkeypatch.setattr(harness, "_cell", None)
+        # forked workers inherit the patched estimator and the empty slot
         monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
         with pytest.raises(ConsistencyError) as err:
             list(run_sweep(cfg, workers=workers))
@@ -736,7 +802,7 @@ class TestCli:
         # the message alone, no traceback, and nothing written
         from softgap.cli import main
         monkeypatch.setattr(harness, *BREAKING["extra_not_above_cluster"])
-        monkeypatch.setattr(harness, "_eval_cache", {})
+        monkeypatch.setattr(harness, "_cell", None)
         out = tmp_path / "out.csv"
         assert main(command + ["--distances", "3", "--probs", "0.02", "--samples", "5",
                                "--seed", "4", "--out", str(out)]) == 1
@@ -776,6 +842,47 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--in", str(path)])
         assert exit_info.value.code == f"{path}: line {len(lines)}: {message}"
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+        ["switch-check", "--threshold", "1.0"],
+    ])
+    def test_concatenated_sweeps_are_refused(self, tmp_path, command):
+        # the rows of a second sweep appended to the first repeat its
+        # (d, p, sample, method) rows; they would count twice against one
+        # cell's samples
+        from softgap.cli import main
+        cfg = SweepConfig(distances=(3, 5), probs=(0.05,), samples=200, master_seed=4)
+        text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
+        lines = text.splitlines(keepends=True)
+        first = lines.index(CSV_HEADER + "\n") + 1
+        path = tmp_path / "twice.csv"
+        path.write_text(text + "".join(lines[first:]))
+        d, p, sample, method = lines[first].split(",")[:4]
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--in", str(path)])
+        assert exit_info.value.code == (
+            f"{path}: line {len(lines) + 1}: repeats d={d} p={p} sample={sample} "
+            f"method={method} of an earlier row")
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+        ["switch-check", "--threshold", "1.0"],
+    ])
+    @pytest.mark.parametrize("sample", [5, 6, -1])
+    def test_sample_index_out_of_range_is_refused(self, tmp_path, command, sample):
+        from softgap.cli import main
+        cfg = small_cfg(samples=5)
+        lines = records_to_csv(run_sweep(cfg), sweep_metadata(cfg)).splitlines(keepends=True)
+        fields = lines[-1].split(",")
+        lines[-1] = ",".join(fields[:2] + [str(sample)] + fields[3:])
+        path = tmp_path / "beyond.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--in", str(path)])
+        assert exit_info.value.code == (
+            f"{path}: line {len(lines)}: sample {sample} is outside 0..4 "
+            "(samples_per_cell=5)")
 
     @pytest.mark.parametrize("command", [
         ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
