@@ -40,10 +40,11 @@ def _read_sweep_csv(path, method):
     epsilon_max_db, as the sweep wrote them.  Empty samples it skipped
     leave no record, and gaps beyond its threshold are undefined, so the
     records alone cannot give a rate.  ``method`` must be one the sweep
-    ran: one with no record then has rate 0.  Rows that are not one
-    sweep's (a repeated (d, p, sample, method), as two sweeps
-    concatenated give, or a sample index beyond samples_per_cell) would
-    count against the wrong denominator, so they end the command too."""
+    ran: one with no record then has rate 0.  Rows ``parse_records_csv``
+    refuses as not one sweep's (a repeated (d, p, sample, method), as two
+    sweeps concatenated give, or a sample index beyond samples_per_cell)
+    would count against the wrong denominator, so they end the command
+    with one line naming the row."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     metadata = parse_csv_metadata(text)
@@ -59,7 +60,7 @@ def _read_sweep_csv(path, method):
         raise ConfigError(f"--method {method} was not swept; {path} holds "
                           f"{','.join(methods)}")
     try:
-        records = parse_records_csv(text, samples)
+        records = parse_records_csv(text)
     except ValueError as err:
         raise SystemExit(f"{path}: {err}") from None
     return records, samples, cells, epsilon_max_db

@@ -442,28 +442,44 @@ def records_to_csv(records, metadata: dict | None = None) -> str:
     return "".join(lines)
 
 
-def parse_records_csv(text: str, samples_per_cell: int | None = None) -> list:
-    """Inverse of records_to_csv: the records in CSV text.
+def parse_records_csv(text: str) -> list:
+    """Inverse of records_to_csv: the records in CSV text, which must be
+    one sweep's.
 
     A row with the wrong number of fields, a field that does not parse, a
-    method not in ``METHODS``, a non-finite ``gap_db`` or
-    ``max_growth_db``, or a ``defined`` flag that disagrees with its gap
-    field raises ValueError naming its line.  Given the sweep's
-    ``samples_per_cell``, the rows must be one sweep's: a sample index
-    outside ``range(samples_per_cell)``, or a (d, p, sample, method) of
-    an earlier row, raises too.
+    distance or probability no sweep runs, a method not in ``METHODS``, a
+    non-finite ``gap_db`` or ``max_growth_db``, a ``defined`` flag that
+    disagrees with its gap field, or a second header or the (d, p,
+    sample, method) of an earlier row (as two sweeps concatenated give)
+    raises ValueError naming its line.  A ``# samples_per_cell=`` line before the header
+    must hold an integer >= 1, and every sample index must then lie in
+    ``range(samples_per_cell)``.
     """
     records = []
-    seen = set()
+    samples_per_cell = None
+    samples_of = {}  # (d, p, method) -> the sample indices of its rows
     header_seen = False
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            if key == "samples_per_cell" and not header_seen:
+                try:
+                    samples_per_cell = int(value)
+                except ValueError:
+                    samples_per_cell = 0
+                if samples_per_cell < 1:
+                    raise ValueError(f"line {lineno}: samples_per_cell must be an "
+                                     f"integer >= 1, got {value!r}")
             continue
         if not header_seen:
             if line != CSV_HEADER:
                 raise ValueError(f"unexpected CSV header: {line!r}")
             header_seen = True
             continue
+        if line == CSV_HEADER:
+            raise ValueError(f"line {lineno}: a second CSV header")
         row = next(csv.reader([line]))
         if len(row) != len(SweepRecord._fields):
             raise ValueError(f"line {lineno}: {len(row)} fields, "
@@ -484,20 +500,23 @@ def parse_records_csv(text: str, samples_per_cell: int | None = None) -> list:
                 max_growth_db=float(row[8]), nodes_in_clusters=int(row[9]))
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
+        if r.d < 3 or r.d % 2 == 0:
+            raise ValueError(f"line {lineno}: d must be odd and >= 3, got {r.d}")
+        if not 0.0 < r.p <= 0.5:
+            raise ValueError(f"line {lineno}: p must be in (0, 0.5], got {r.p!r}")
         for name in ("gap_db", "max_growth_db"):
             value = getattr(r, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"line {lineno}: {name} must be finite, got {value!r}")
-        if samples_per_cell is not None:
-            if not 0 <= r.sample < samples_per_cell:
-                raise ValueError(f"line {lineno}: sample {r.sample} is outside "
-                                 f"0..{samples_per_cell - 1} (samples_per_cell="
-                                 f"{samples_per_cell})")
-            key = (r.d, r.p, r.sample, r.method)
-            if key in seen:
-                raise ValueError(f"line {lineno}: repeats d={r.d} p={r.p!r} "
-                                 f"sample={r.sample} method={r.method} of an earlier row")
-            seen.add(key)
+        if samples_per_cell is not None and not 0 <= r.sample < samples_per_cell:
+            raise ValueError(f"line {lineno}: sample {r.sample} is outside "
+                             f"0..{samples_per_cell - 1} (samples_per_cell="
+                             f"{samples_per_cell})")
+        samples = samples_of.setdefault((r.d, r.p, r.method), set())
+        if r.sample in samples:
+            raise ValueError(f"line {lineno}: repeats d={r.d} p={r.p!r} "
+                             f"sample={r.sample} method={r.method} of an earlier row")
+        samples.add(r.sample)
         records.append(r)
     if not header_seen:
         raise ValueError("missing CSV header")

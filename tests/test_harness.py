@@ -389,6 +389,12 @@ class TestEmit:
         ("3,0.01,0,cluster,true,,2,0,0.5,1", "line 3: defined is true but gap_db is empty"),
         ("3,0.01,0,cluster,false,1.5,2,0,0.5,1",
          "line 3: defined is false but gap_db is '1.5'"),
+        ("4,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 3: d must be odd and >= 3, got 4"),
+        ("-3,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 3: d must be odd and >= 3, got -3"),
+        ("3,nan,0,cluster,true,1.5,2,0,0.5,1", "line 3: p must be in (0, 0.5], got nan"),
+        ("3,0,0,cluster,true,1.5,2,0,0.5,1", "line 3: p must be in (0, 0.5], got 0.0"),
+        ("3,0.6,0,cluster,true,1.5,2,0,0.5,1", "line 3: p must be in (0, 0.5], got 0.6"),
+        (f"{CSV_HEADER}", "line 3: a second CSV header"),
     ])
     def test_malformed_row_names_its_line(self, row, message):
         text = f"# cells=1\n{CSV_HEADER}\n{row}\n"
@@ -396,6 +402,41 @@ class TestEmit:
             parse_records_csv(text)
         assert str(err.value).startswith(message)
         assert parse_csv_metadata(CSV_HEADER) == {}
+
+    def test_joined_sweeps_are_refused(self):
+        # two sweeps joined, with or without the second one's header lines:
+        # each cell's rows would count twice against its samples
+        cfg = SweepConfig(distances=(3,), probs=(0.05,), samples=50, master_seed=4)
+        text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
+        lines = text.splitlines(keepends=True)
+        first = lines.index(CSV_HEADER + "\n") + 1
+        d, p, sample, method = lines[first].split(",")[:4]
+        repeat = (f"line {len(lines) + 1}: repeats d={d} p={p} sample={sample} "
+                  f"method={method} of an earlier row")
+        for joined, message in [
+            (text + "".join(lines[first:]), repeat),
+            ("".join(lines[first - 1:]) + "".join(lines[first:]), repeat.replace(
+                f"line {len(lines) + 1}", f"line {len(lines) - first + 2}")),
+            (text + text, f"line {first + len(lines)}: a second CSV header"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                parse_records_csv(joined)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("header, sample, message", [
+        ("# samples_per_cell=5", 5, "line 3: sample 5 is outside 0..4 (samples_per_cell=5)"),
+        ("# samples_per_cell=5", -1, "line 3: sample -1 is outside 0..4 (samples_per_cell=5)"),
+        ("# samples_per_cell=0", 0, "line 1: samples_per_cell must be an integer >= 1, got '0'"),
+        ("# samples_per_cell=fifty", 0,
+         "line 1: samples_per_cell must be an integer >= 1, got 'fifty'"),
+    ])
+    def test_sample_index_bound_comes_from_the_text(self, header, sample, message):
+        text = f"{header}\n{CSV_HEADER}\n3,0.01,{sample},cluster,true,1.5,2,0,0.5,1\n"
+        with pytest.raises(ValueError) as err:
+            parse_records_csv(text)
+        assert str(err.value) == message
+        # no such line, no bound
+        assert parse_records_csv(text.replace(header, "# cells=1"))[0].sample == sample
 
     def test_json_emission(self, tmp_path):
         records = list(run_sweep(small_cfg(samples=10)))
