@@ -44,7 +44,6 @@ from .decoder import (
 from .softout import (
     ContractedView,
     GapResult,
-    Growth,
     bounded_cluster_gap,
     cluster_gap,
     cluster_gaps,

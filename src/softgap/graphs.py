@@ -144,29 +144,6 @@ class DecodingGraph:
             object.__setattr__(self, "_min_weight", cached)
         return cached
 
-    def boundary_edges(self):
-        """Memoized edges at the boundaries: ``(light, between)``.
-
-        ``light[b]`` is ``(weights, entries)`` for boundary b: its edges to
-        detectors as ``(detector, weight)`` entries, lightest first, and
-        their weights in the same order, for bisection.
-        ``between`` lists the edges that join two boundaries as
-        ``(weight, edge_index, u, v)``.
-        """
-        cached = getattr(self, "_boundary_edges", None)
-        if cached is None:
-            is_boundary = self.is_boundary
-            light = {}
-            for b in self.boundaries:
-                entries = sorted((w, y) for y, w, _ in self.neighbors[b]
-                                 if not is_boundary[y])
-                light[b] = ([w for w, _ in entries], [(y, w) for w, y in entries])
-            between = tuple((e.weight, i, e.u, e.v) for i, e in enumerate(self.edges)
-                            if is_boundary[e.u] and is_boundary[e.v])
-            cached = (light, between)
-            object.__setattr__(self, "_boundary_edges", cached)
-        return cached
-
     def bare_distances(self):
         """Memoized shortest distances from the first boundary, plus their
         ascending (distance * num_nodes + node) keys.
@@ -342,9 +319,12 @@ def load_graph(path) -> DecodingGraph:
                     w_nat = float(spec[2:])
                 except ValueError:
                     raise GraphFormatError(f"line {lineno}: bad weight value") from None
+                scaled = w_nat * SCALED_PER_NAT
+                if not math.isfinite(scaled):   # nan, inf, or too large to scale
+                    raise GraphFormatError(f"line {lineno}: weight must be a finite number")
                 if w_nat < 0:
                     raise GraphFormatError(f"line {lineno}: negative weight")
-                edges.append(Edge(u, v, round(w_nat * SCALED_PER_NAT), None))
+                edges.append(Edge(u, v, round(scaled), None))
             elif spec.startswith("p="):
                 try:
                     prob = float(spec[2:])

@@ -78,7 +78,8 @@ class SweepConfig:
         for p in self.probs:
             if not (0.0 < p <= 0.5):
                 raise ConfigError(f"probabilities must be in (0, 0.5], got {p}")
-        for name, values in (("distance", self.distances), ("probability", self.probs)):
+        for name, values in (("distance", self.distances), ("probability", self.probs),
+                             ("method", self.methods)):
             for i, v in enumerate(values):
                 if v in values[:i]:
                     raise ConfigError(f"{name} {v} is given twice; each cell is swept once")

@@ -26,33 +26,29 @@ is still the number of parts a plain Dijkstra search from b1 settles,
 rebuilt from the final distances, so for ``cluster`` it measures the
 paper's cost model while the wall time no longer scales with it.
 ``extra_gaps`` returns the last two from at most one ``grow_clusters``
-pass and one replay of its collisions;
-``multi_boundary_extra_gap`` reads the same growth for every boundary pair.
-The four single estimators are thin wrappers over the two families.
-The growth stops as early as its budget allows, w being the graph's
-lightest edge weight.  Below w it can cover no part and join no two, so
-neither family runs it: the decoder's joins are the answer.  Below 2w it
-covers no part and joins sources only through a direct edge, so
-``grow_clusters`` returns the sources and those contacts from one scan
-of the sources' detector members, with no heap.  Beyond that, every
-boundary lies in a part that grows from distance 0, so the growth
-records an edge between a detector and a boundary from the detector's
-side, and a boundary's own scan walks only its edges light enough to
-cover a detector, from a weight-sorted list memoized on the graph.
+pass; ``multi_boundary_extra_gap`` reads the same growth for every
+boundary pair.  The four single estimators are thin wrappers over the two
+families.
+
+The growth returns distances only: each part within half the budget, with
+its distance to the nearest cluster or boundary.  Every gap is read from
+them by a search over the covered edges, the edges with
+d(x) + w + d(y) within the budget.  ``extra`` is the bottleneck (minimax)
+distance over them, each edge costing d(x) + w + d(y), the budget at
+which the growth from both sides meets on it; ``extra_cg`` is the
+shortest-path distance over them.  The growth stops as early as its budget
+allows, w being the graph's lightest edge weight.  Below w it can cover
+no part and no edge, so neither family runs it: the decoder's joins are
+the answer.  Below 2w it covers no part but the sources, so
+``grow_clusters`` returns them with no scan.
 
 ``contract`` rebuilds, copies and sorts no labels: the decoder's are flat
 (``cs.parent[x]`` is the cluster root of every covered node and
 ``cs.members`` lists each cluster's nodes), and a finished state never
 changes them, so the view reads ``cs.parent`` and the member lists
-themselves.  The covered-region search of ``extra_cg`` walks only the
-edges of the parts the growth settled.
-
-All values are scaled integers; every comparison is exact.  During extra
-growth each covered node remembers its nearest originating cluster, so a
-collision between merged super-sets is attributed to the correct original
-pair.  The growth records the radii of the parts it newly covers as it
-settles them, and its collisions are replayed once, Kruskal-style, over a
-plain dict of merged parts.
+themselves.  The searches over the covered region walk only the edges of
+covered parts.  All values are scaled integers; every comparison is
+exact.
 
 ``GapResult`` is a ``NamedTuple``, not a frozen dataclass: every sample
 makes four, and a frozen dataclass sets each field with one
@@ -123,9 +119,7 @@ def contract(g: DecodingGraph, cs: ClusterState) -> ContractedView:
     ``cs.parent``: the cluster root of a covered node, the node itself
     otherwise.  The view reads that list and the member lists themselves;
     a finished state never changes them.  Every cluster root is a source.
-    Nothing is sorted: the search relaxes within one part at a time, the
-    growth orders its parts by (distance, part id) and sorts its
-    collisions.
+    Nothing is sorted: every search relaxes within one part at a time.
     """
     members = {r: lst for r, lst in cs.members.items() if len(lst) > 1}
     return ContractedView(g, cs.parent, members, tuple(cs.members))
@@ -245,219 +239,130 @@ def bounded_cluster_gap(view: ContractedView, eps_max: int) -> GapResult:
     return cluster_gaps(view, eps_max)[1]
 
 
-class Growth:
-    """Result of one simultaneous-growth pass over a contracted view.
-
-    ``settled``: (part, distance) pairs in settle order, distance being the
-    exact contracted-graph distance to the nearest source (<= eps_max/2,
-    enforced), so no node beyond half the budget is ever covered.
-    ``collisions``: (epsilon, edge_index, origin_a, origin_b) sorted events;
-    epsilon is the exact budget at which the two origins' regions meet
-    through that edge (covered length of both sides plus the edge weight).
-    ``radii``: twice the distance of each settled part that is not a
-    source, ascending.  Every such part is one bare detector, so
-    ``bisect_right(radii, t)`` nodes are newly covered within radius t/2.
-    """
-
-    def __init__(self, settled, collisions, radii):
-        self.settled = settled
-        self.collisions = collisions
-        self.radii = radii
-
-
-def grow_clusters(view: ContractedView, eps_max: int) -> Growth:
+def grow_clusters(view: ContractedView, eps_max: int) -> dict:
     """Grow all source parts simultaneously up to radius eps_max/2.
 
-    Multi-source bounded search with origin tracking: each covered part
-    records the source whose ball reached it first, and every inter-origin
-    edge whose two sides are both covered yields a collision event at the
-    exact combined distance.  A part beyond the radius is never queued.
-    Each part settled from another part's origin adds twice its distance
-    to ``radii``; the heap settles them in distance order.
+    Returns ``{part: distance}`` for every part within eps_max/2 of its
+    nearest source, that distance being exact on the contracted graph; the
+    sources are at 0.  A part beyond the radius is never queued.
 
-    Below twice the lightest edge weight w no search is needed: no part is
-    within the radius, and sources collide only through a direct edge of
-    weight <= eps_max, of which there is none below w.  The growth is the
-    sources, settled at 0 in id order with no radii, plus those contacts,
-    from one scan of the sources' detector members' edges, each edge
-    recorded once, from its higher-id part or from its detector end when
-    it reaches a boundary.  A graph with a zero-weight edge never takes
-    this path.
-
-    The search keeps its distances, origins and settled parts in dicts,
-    so its work is sized by what it covers.  Every boundary is in a
-    source part, at distance 0 and its own origin from the start, so an
-    edge from a detector to a boundary node is recorded by the detector's
-    scan, whether or not the boundary's part has settled.  A boundary
-    node's own scan then needs only its edges to detectors light enough
-    to cover them, 2w <= eps_max, from the graph's memoized weight-sorted
-    list; the edges between two boundaries are recorded once, from the
-    graph's memoized list of them.
+    Below twice the lightest edge weight w no part but a source is within
+    the radius, so the growth is the sources alone, built with no scan.  A
+    graph with a zero-weight edge never takes this path.  Otherwise one
+    multi-source Dijkstra pass scans the edges of each part it settles; its
+    distances live in a dict, so its work is sized by what it covers.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
+    radius = dict.fromkeys(view.sources, 0)
     graph = view.graph
-    w_min = graph.min_weight()
-    if eps_max < 2 * w_min:
-        sources = sorted(view.sources)
-        return Growth([(x, 0) for x in sources], _contacts(view, sources, eps_max), [])
+    if eps_max < 2 * graph.min_weight():
+        return radius
     rep = view.rep
     members = view.members
     neighbors = graph.neighbors
-    is_boundary = graph.is_boundary
-    light, between = graph.boundary_edges()
-    half = eps_max // 2                     # 2w <= eps_max exactly when w <= half
-
+    half = eps_max // 2                     # 2 * d <= eps_max exactly when d <= half
     n = graph.num_nodes
-    dist = dict.fromkeys(view.sources, 0)
-    origin = {srt: srt for srt in view.sources}
-    done = set()
-    settled = []
-    radii = []
-    collisions = _between_contacts(rep, between, eps_max)
+    get = radius.get
     heap = list(view.sources)               # keys d * n + part, here d = 0
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-
     while heap:
         d, x = divmod(pop(heap), n)
-        if x in done:
+        if d > radius[x]:
             continue
-        done.add(x)
-        settled.append((x, d))
-        ox = origin[x]
-        if ox != x:
-            radii.append(2 * d)
+        room = half - d
         for node in members.get(x, (x,)):
-            if is_boundary[node]:           # d == 0: relax the light edges
-                weights, entries = light[node]
-                for other, w in entries[:bisect_right(weights, half)]:
-                    y = rep[other]
-                    if y == x or y in done:
-                        continue
-                    old = dist.get(y)
-                    if old is None or w < old:
-                        dist[y] = w
-                        origin[y] = ox
-                        push(heap, w * n + y)
-                continue
-            for other, w, eidx in neighbors[node]:
+            for other, w, _ in neighbors[node]:
+                if w > room:
+                    continue
                 y = rep[other]
-                if y == x:
-                    continue
-                if y in done or is_boundary[other]:
-                    oy = origin[y]
-                    if oy != ox:
-                        eps_c = d + w + dist[y]
-                        if eps_c <= eps_max:
-                            a, b = (ox, oy) if ox < oy else (oy, ox)
-                            collisions.append((eps_c, eidx, a, b))
-                    continue
                 nd = d + w
-                if 2 * nd > eps_max:        # beyond the radius: never covered
-                    continue
-                old = dist.get(y)
+                old = get(y)
                 if old is None or nd < old:
-                    dist[y] = nd
-                    origin[y] = ox
+                    radius[y] = nd
                     push(heap, nd * n + y)
-
-    collisions.sort()
-    return Growth(settled, collisions, radii)
+    return radius
 
 
-def _between_contacts(rep, between, eps_max):
-    """Collisions through the edges that join two boundaries: the edge's
-    weight, when both ends lie in different parts and it fits the budget."""
-    collisions = []
-    for w, eidx, u, v in between:
-        a, b = rep[u], rep[v]
-        if a != b and w <= eps_max:
-            collisions.append((w, eidx, a, b) if a < b else (w, eidx, b, a))
-    return collisions
+def _bottleneck(view: ContractedView, radius: dict, eps_max: int, start, targets):
+    """Bottleneck (minimax) distances from part ``start`` to the parts in
+    ``targets`` over the region a growth covered: ``{target: value}`` for
+    each target the region joins to ``start``.
 
-
-def _contacts(view: ContractedView, sources, eps_max: int):
-    """Sorted collisions of a growth whose radius covers no part: every
-    edge of weight <= eps_max between two source parts, at its weight.
-
-    Each source's detector members scan their edges once.  A detector's
-    edge to a boundary is recorded from the detector; an edge between two
-    detectors from the part with the higher id, the one a growth would
-    settle second.  Boundary-boundary edges come from the memoized list.
+    An edge between covered parts x and y costs d(x) + w + d(y), the budget
+    at which the growth from both sides meets on it, d being the distance
+    in ``radius``; it is covered when that is <= eps_max.  A path's cost is
+    its costliest edge.  The search pops parts in order of that cost and
+    stops once it has popped every target.
     """
     rep = view.rep
     members = view.members
     neighbors = view.graph.neighbors
-    is_boundary = view.graph.is_boundary
-    grown = set(sources)
-    collisions = _between_contacts(rep, view.graph.boundary_edges()[1], eps_max)
-    for x in sources:
+    n = view.graph.num_nodes
+    covered = radius.get
+    waiting = set(targets)
+    found = {}
+    best = {start: 0}
+    heap = [start]                          # keys cost * n + part, here cost = 0
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        c, x = divmod(pop(heap), n)
+        if c > best[x]:
+            continue
+        if x in waiting:
+            found[x] = c
+            waiting.remove(x)
+            if not waiting:
+                break
+        dx = radius[x]
+        room = eps_max - dx
         for node in members.get(x, (x,)):
-            if is_boundary[node]:
-                continue
-            for other, w, eidx in neighbors[node]:
-                if w > eps_max:
-                    continue
+            for other, w, _ in neighbors[node]:
                 y = rep[other]
-                if y == x:
+                dy = covered(y)
+                if dy is None:
                     continue
-                if is_boundary[other]:
-                    collisions.append((w, eidx, x, y) if x < y else (w, eidx, y, x))
-                elif y < x and y in grown:
-                    collisions.append((w, eidx, y, x))
-    collisions.sort()
-    return collisions
+                nc = w + dy
+                if nc > room:
+                    continue
+                nc += dx
+                if nc < c:
+                    nc = c
+                old = best.get(y)
+                if old is None or nc < old:
+                    best[y] = nc
+                    push(heap, nc * n + y)
+    return found
 
 
-def _extra_results(growth: Growth, pairs):
-    """Plain extra-cluster gaps for (part, part) pairs, from one Kruskal
-    replay of the sorted collisions over a dict of merged parts.
+def _extra(view: ContractedView, radius: dict, a, b, value) -> GapResult:
+    """The ``extra`` result of parts a and b at bottleneck ``value``.
 
-    Only a collision that joins two sets can join a pair, so only then are
-    the waiting pairs checked, and the replay stops once none waits.  A
-    pair's value is the budget of that collision, None when it never comes
-    within the budget; its ``extra_nodes`` counts the nodes newly covered
-    by then, or within the growth radius when undefined.  A pair the
-    decoder already joined needs no growth: value 0, no extra nodes.
+    ``extra_nodes`` counts the non-source parts the growth covers by then,
+    those within value/2, or every one it covers when ``value`` is None.  A
+    pair the decoder already joined needs no growth: value 0, no extra
+    nodes.
     """
-    radii = growth.radii
-    values = [0 if a == b else None for a, b in pairs]
-    waiting = [i for i, (a, b) in enumerate(pairs) if a != b]
-    parent = {}                             # merged part -> smaller part of its set
-
-    def find(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
-    for eps_c, _, a, b in growth.collisions:
-        if not waiting:
-            break
-        a, b = find(a), find(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-            for i in waiting:
-                if find(pairs[i][0]) == find(pairs[i][1]):
-                    values[i] = eps_c
-            waiting = [i for i in waiting if values[i] is None]
-    results = []
-    for (a, b), v in zip(pairs, values):
-        nodes = 0 if a == b else len(radii) if v is None else bisect_right(radii, v)
-        results.append(GapResult("extra", v, extra_nodes=nodes))
-    return results
+    if a == b:
+        return GapResult("extra", 0)
+    if value is None:
+        covered = len(radius)
+    else:
+        half = value // 2
+        covered = len([d for d in radius.values() if d <= half])
+    return GapResult("extra", value, extra_nodes=covered - len(view.sources))
 
 
-def _covered_distance(view: ContractedView, growth: Growth, eps_max: int):
+def _covered_distance(view: ContractedView, radius: dict, eps_max: int):
     """Exact b1..b2 distance over the region the growth covered.
 
     An edge of the contracted graph is fully covered exactly when
-    d(u) + w + d(v) <= eps_max, d being the recorded distance to the
-    nearest original cluster/boundary, so the search walks only the
-    incident edges of settled parts and keeps those the labels cover.
+    d(u) + w + d(v) <= eps_max, d being the distance in ``radius``, so the
+    search walks only the incident edges of covered parts and keeps those
+    the distances cover.
     """
     b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
-    label = dict(growth.settled)
     rep = view.rep
     members = view.members
     neighbors = view.graph.neighbors
@@ -472,13 +377,13 @@ def _covered_distance(view: ContractedView, growth: Growth, eps_max: int):
         done.add(x)
         if x == b2:
             return d
-        room = eps_max - label[x]
+        room = eps_max - radius[x]
         for node in members.get(x, (x,)):
             for other, w, _ in neighbors[node]:
                 y = rep[other]
                 if y == x or y in done:
                     continue
-                dy = label.get(y)
+                dy = radius.get(y)
                 if dy is None or w + dy > room:
                     continue
                 nd = d + w
@@ -495,34 +400,33 @@ _APART = (GapResult("extra", None), GapResult("extra_cg", None))
 
 def extra_gaps(view: ContractedView, eps_max: int):
     """The extra-cluster gap and its refinement through the graph of grown
-    clusters at budget ``eps_max`` (scaled), from at most one growth pass
-    and one replay of its collisions.  Returns (extra, extra_cg) GapResults.
+    clusters at budget ``eps_max`` (scaled), from at most one growth pass.
+    Returns (extra, extra_cg) GapResults.
 
     ``extra`` is the smallest budget at which simultaneous growth of the
-    clusters and boundaries connects b1 to b2: the bottleneck (minimax
-    consecutive-hop) distance between them over the contracted graph,
-    undefined beyond the budget.  The replay only merges, so b1 and b2 end
-    in one set exactly when ``extra`` is defined; only then does
-    ``extra_cg`` search the covered region for the exact b1..b2 distance.
-    That can exceed eps_max, but equals the cluster gap whenever the
-    cluster gap is within the budget.  Its ``extra_nodes`` counts every
-    node the growth covered.
+    clusters and boundaries connects b1 to b2: the bottleneck distance
+    between them over the region the growth covers, undefined beyond the
+    budget.  Only when it is defined does ``extra_cg`` search the covered
+    region for the exact b1..b2 distance.  That can exceed eps_max, but
+    equals the cluster gap whenever the cluster gap is within the budget.
+    Its ``extra_nodes`` counts every node the growth covered.
 
     Below the lightest edge weight no growth is run: it would cover no
-    part and record no collision, so the boundaries are joined, at 0,
-    exactly when the decoder joined them.
+    part and no edge, so the boundaries are joined, at 0, exactly when the
+    decoder joined them.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
     b1, b2 = view.boundary_parts[0], view.boundary_parts[1]
     if eps_max < view.graph.min_weight():
         return _JOINED if b1 == b2 else _APART
-    growth = grow_clusters(view, eps_max)
-    extra, = _extra_results(growth, [(b1, b2)])
-    covered = len(growth.radii)
+    radius = grow_clusters(view, eps_max)
+    extra = _extra(view, radius, b1, b2,
+                   _bottleneck(view, radius, eps_max, b1, (b2,)).get(b2))
+    covered = len(radius) - len(view.sources)
     if extra.value is None:
         return extra, GapResult("extra_cg", None, extra_nodes=covered)
-    return extra, GapResult("extra_cg", _covered_distance(view, growth, eps_max),
+    return extra, GapResult("extra_cg", _covered_distance(view, radius, eps_max),
                             extra_nodes=covered, cluster_graph_invoked=True)
 
 
@@ -546,20 +450,25 @@ def extra_cluster_gap_cg(g: DecodingGraph, cs: ClusterState, eps_max: int,
 def multi_boundary_extra_gap(g: DecodingGraph, cs: ClusterState,
                              eps_max: int) -> dict:
     """Extra-cluster gaps for every pair among M boundaries from at most one
-    growth pass and one replay of its collisions.
+    growth pass, then one bottleneck search from each boundary's part
+    toward the parts of the boundaries after it.
 
     Returns {(b_i, b_j): GapResult} for i < j in boundary order.  Each pair
     follows the rule of ``extra_cluster_gap``, including value 0 and no
     extra nodes for a pair the decoder already joined, and no growth is
-    run below the lightest edge weight: there the replay reads an empty
-    growth, which joins no pair.
+    run below the lightest edge weight, where no other pair is joined.
     """
     if eps_max < 0:
         raise ValueError("eps_max must be >= 0")
     view = contract(g, cs)
-    pairs = list(combinations(view.boundary_parts, 2))
+    parts = view.boundary_parts
+    pairs = list(combinations(range(len(parts)), 2))
     if eps_max < g.min_weight():
-        growth = Growth([], [], [])
-    else:
-        growth = grow_clusters(view, eps_max)
-    return dict(zip(combinations(g.boundaries, 2), _extra_results(growth, pairs)))
+        return {(g.boundaries[i], g.boundaries[j]):
+                GapResult("extra", 0 if parts[i] == parts[j] else None) for i, j in pairs}
+    radius = grow_clusters(view, eps_max)
+    found = [_bottleneck(view, radius, eps_max, a, parts[i + 1:])
+             for i, a in enumerate(parts[:-1])]
+    return {(g.boundaries[i], g.boundaries[j]):
+            _extra(view, radius, parts[i], parts[j], found[i].get(parts[j]))
+            for i, j in pairs}

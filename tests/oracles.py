@@ -215,12 +215,11 @@ def oracle_part_distances(graph, cs):
     return sources, table
 
 
-def oracle_covered_gap(graph, cs, eps_max):
-    """Shortest b1..b2 distance over the region that simultaneous growth of
-    every grown part covers at budget ``eps_max``: the parts within
-    eps_max/2 of their nearest grown part, joined by the edges with
-    d(a) + w + d(b) <= eps_max.  None when that region does not join them.
-    """
+def oracle_covered_labels(graph, cs, eps_max):
+    """{part: distance to the nearest grown part} for every part within
+    eps_max/2 of one, from one Bellman-Ford per grown part (cluster or
+    boundary): what simultaneous growth of every grown part covers at
+    budget ``eps_max``."""
     rep = rep_map(graph, cs)
     parts = set(rep)
     qedges = quotient_edges(graph, rep)
@@ -230,7 +229,18 @@ def oracle_covered_gap(graph, cs, eps_max):
         for part, d in bellman_ford(parts, qedges, srt).items():
             if d is not None and 2 * d <= eps_max and d < label.get(part, d + 1):
                 label[part] = d
-    covered = [(a, b, w) for a, b, w in qedges
+    return label
+
+
+def oracle_covered_gap(graph, cs, eps_max):
+    """Shortest b1..b2 distance over the region that simultaneous growth of
+    every grown part covers at budget ``eps_max``: the parts within
+    eps_max/2 of their nearest grown part, joined by the edges with
+    d(a) + w + d(b) <= eps_max.  None when that region does not join them.
+    """
+    rep = rep_map(graph, cs)
+    label = oracle_covered_labels(graph, cs, eps_max)
+    covered = [(a, b, w) for a, b, w in quotient_edges(graph, rep)
                if a in label and b in label and label[a] + w + label[b] <= eps_max]
     b1, b2 = rep[graph.boundaries[0]], rep[graph.boundaries[1]]
     return bellman_ford(set(label), covered, b1)[b2]
@@ -265,47 +275,6 @@ def oracle_bottleneck_gap(graph, cs, eps_max):
         if find(b1) == find(b2):
             return dist
     return None
-
-
-def oracle_growth(graph, cs, eps):
-    """(settled, collisions) of simultaneous growth of every grown part at
-    budget ``eps``, from a multi-source search that scans every edge of
-    every node of each part it settles, boundaries' included.
-
-    Parts settle in (distance, part id) order, each with the origin whose
-    ball reached it first; a part is queued only within eps/2.  An edge
-    between two settled parts of different origins is a collision at
-    d(a) + w + d(b) when that is within eps, recorded by the part that
-    settles second.  Collisions come sorted.
-    """
-    rep, _, sources = oracle_contract(graph, cs)
-    nodes = {}
-    for x in range(graph.num_nodes):
-        nodes.setdefault(rep[x], []).append(x)
-    dist = {srt: 0 for srt in sources}
-    origin = {srt: srt for srt in sources}
-    heap = [(0, srt) for srt in sources]
-    settled, collisions, done = [], [], set()
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        done.add(x)
-        settled.append((x, d))
-        for node in nodes[x]:
-            for other, w, eidx in graph.neighbors[node]:
-                y = rep[other]
-                if y == x:
-                    continue
-                if y in done:
-                    if origin[y] != origin[x] and d + w + dist[y] <= eps:
-                        a, b = sorted((origin[x], origin[y]))
-                        collisions.append((d + w + dist[y], eidx, a, b))
-                elif 2 * (d + w) <= eps and d + w < dist.get(y, d + w + 1):
-                    dist[y] = d + w
-                    origin[y] = origin[x]
-                    heapq.heappush(heap, (d + w, y))
-    return settled, sorted(collisions)
 
 
 def oracle_syndrome(graph, flipped_edges):

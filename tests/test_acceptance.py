@@ -193,8 +193,7 @@ def test_criterion_5_growth_radius_cap():
             if scaled_to_db(float(cs.radius2_log) / 2.0) > 20.0:
                 exceeded[p] += 1
             view = contract(g, cs)
-            growth = grow_clusters(view, EPS20)
-            for _, dist in growth.settled:
+            for dist in grow_clusters(view, EPS20).values():
                 if 2 * dist > EPS20:
                     cap_violations += 1
     assert cap_violations == 0

@@ -220,6 +220,12 @@ class TestGraphFile:
          "bad probability value"),
         (["graph v1 nodes=2 boundaries=0,1", "edge 0 1 q=0.1"], 2,
          "edge needs exactly one of w= or p="),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 1 w=nan"], 2,
+         "weight must be a finite number"),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 1 w=inf"], 2,
+         "weight must be a finite number"),
+        (["graph v1 nodes=2 boundaries=0,1", "edge 0 1 w=1e400"], 2,
+         "weight must be a finite number"),
     ])
     def test_format_errors_name_the_line(self, tmp_path, lines, lineno, message):
         path = tmp_path / "bad.graph"

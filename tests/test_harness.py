@@ -73,10 +73,12 @@ class TestConfig:
         ({"distances": (3, 3), "probs": (0.05,)}, "distance 3 is given twice"),
         ({"distances": (3, 5, 3)}, "distance 3 is given twice"),
         ({"probs": (0.01, 0.05, 0.01)}, "probability 0.01 is given twice"),
-    ], ids=["distance-twice", "distance-apart", "probability-apart"])
+        ({"methods": ("extra", "extra")}, "method extra is given twice"),
+    ], ids=["distance-twice", "distance-apart", "probability-apart", "method-twice"])
     def test_repeated_cell_rejected(self, fields, message):
         # two cells with one (d, p) would share their rows' sample indices,
-        # and aggregate would count both against one cell's samples
+        # and aggregate would count both against one cell's samples; a
+        # method given twice would write each of its rows twice
         with pytest.raises(ConfigError, match=f"^{message}; each cell is swept once$"):
             small_cfg(**fields).validate()
 
@@ -300,7 +302,7 @@ class TestPinnedOutput:
                 return fn(*args, **kwargs)
             return wrapper
 
-        names = ("cluster_gaps", "extra_gaps", "grow_clusters", "_extra_results")
+        names = ("cluster_gaps", "extra_gaps", "grow_clusters", "_bottleneck")
         for name in names:
             wrapper = counted(name, getattr(softout, name))
             monkeypatch.setattr(softout, name, wrapper)
@@ -713,6 +715,9 @@ class TestCli:
         (["sweep", "--distances", "3", "--probs", "0.05,0.02,0.05", "--samples", "5",
           "--format", "svg-plot"],
          "softgap sweep: error: probability 0.05 is given twice; each cell is swept once"),
+        (["sweep", "--distances", "3", "--probs", "0.05", "--samples", "5",
+          "--methods", "extra,extra"],
+         "softgap sweep: error: method extra is given twice; each cell is swept once"),
     ])
     def test_bad_configuration_is_a_usage_error(self, tmp_path, capsys, argv, message):
         # a usage line and exit status 2, not a traceback; nothing is written

@@ -35,7 +35,7 @@ from oracles import (
     oracle_bottleneck_gap,
     oracle_cluster_gap,
     oracle_covered_gap,
-    oracle_growth,
+    oracle_covered_labels,
     oracle_visited,
     random_clusters,
     random_graph,
@@ -57,6 +57,22 @@ def lifted(g, unit=1_000_000):
     weights, so its lightest edge is positive."""
     return DecodingGraph(g.num_nodes, g.boundaries,
                          [Edge(e.u, e.v, e.weight + unit) for e in g.edges])
+
+
+def covered_edges(view, label, eps):
+    """The edges between two parts that a growth with distances ``label``
+    covers at budget ``eps``: d(a) + w + d(b) <= eps."""
+    rep = view.rep
+    return [e for e in view.graph.edges
+            if rep[e.u] != rep[e.v] and rep[e.u] in label and rep[e.v] in label
+            and label[rep[e.u]] + e.weight + label[rep[e.v]] <= eps]
+
+
+def newly_covered(label, sources, value):
+    """The non-source parts a growth with distances ``label`` covers by
+    budget ``value``, every one when ``value`` is None."""
+    return sum(part not in sources and (value is None or 2 * d <= value)
+               for part, d in label.items())
 
 
 class RecordingHeapq(CountingHeapq):
@@ -319,8 +335,7 @@ class TestExtraClusterGap:
             g = random_graph(rng, max_nodes=60)
             cs = ClusterState.from_partition(g, random_clusters(rng, g))
             view = contract(g, cs)
-            growth = grow_clusters(view, EPS20)
-            for part, dist in growth.settled:
+            for dist in grow_clusters(view, EPS20).values():
                 assert 2 * dist <= EPS20
 
 
@@ -443,11 +458,11 @@ class TestMultiBoundary:
         # single-pair estimator on the same graph with b_i, b_j listed
         # first: every boundary grows in both, so the growth is the same.
         # Each graph is also checked lifted, at a budget below its lightest
-        # edge, where the growth records no collision: a pair the decoder
+        # edge, where the growth covers no edge: a pair the decoder
         # joined reads 0 with no extra nodes and every other pair is
         # undefined, as the bottleneck oracle says.  Both graphs are also
         # checked at twice their lightest edge weight w and one above, where
-        # the heap pass records many collisions for the replay to merge.
+        # the heap pass covers many edges for the searches to cross.
         rng = random.Random(2718)
         seen = Counter()
         for _ in range(400):
@@ -460,15 +475,16 @@ class TestMultiBoundary:
                 cs = ClusterState.from_partition(h, groups)
                 report = multi_boundary_extra_gap(h, cs, eps)
                 view = contract(h, cs)
-                growth = grow_clusters(view, eps)
+                radius = grow_clusters(view, eps)
+                covered = covered_edges(view, radius, eps)
                 below = eps < h.min_weight()
-                assert not (below and growth.collisions)
+                assert not (below and covered)
                 if not below:
-                    seen["three or more collisions"] += len(growth.collisions) >= 3
+                    seen["three or more covered edges"] += len(covered) >= 3
                     seen["three or more boundaries"] += len(h.boundaries) >= 3
                 # zero-distance growth, which a joined pair must not count
                 zero_grown = any(d == 0 and part not in view.sources
-                                 for part, d in growth.settled)
+                                 for part, d in radius.items())
                 for (a, b), result in report.items():
                     rest = [x for x in h.boundaries if x not in (a, b)]
                     h_ab = DecodingGraph(h.num_nodes, [a, b, *rest], h.edges)
@@ -539,7 +555,7 @@ class TestMultiBoundary:
         edges = [Edge(0, 2, nat(1)), Edge(2, 1, nat(1)), Edge(2, 3, 0)]
         g = DecodingGraph(4, (0, 1), edges)
         cs = ClusterState.from_partition(g, [[0, 2, 1]])
-        assert grow_clusters(contract(g, cs), EPS20).settled[-1] == (3, 0)
+        assert grow_clusters(contract(g, cs), EPS20)[3] == 0
         report = multi_boundary_extra_gap(g, cs, EPS20)
         assert report[(0, 1)] == extra_cluster_gap(g, cs, EPS20)
         assert report[(0, 1)].extra_nodes == 0
@@ -557,7 +573,7 @@ class TestExtraGaps:
 
     def test_rules_on_rough_graphs(self):
         # Each graph is also checked lifted, at a budget below its lightest
-        # edge, where the growth records no collision: joined by the
+        # edge, where the growth is the sources alone: joined by the
         # decoder, both gaps are 0 with no extra nodes; apart, both are
         # undefined.
         rng = random.Random(1618)
@@ -583,7 +599,7 @@ class TestExtraGaps:
             cs = ClusterState.from_partition(lift, groups)
             view = contract(lift, cs)
             below = lift.min_weight() - 1
-            assert not grow_clusters(view, below).collisions
+            assert grow_clusters(view, below) == dict.fromkeys(view.sources, 0)
             joined = view.boundary_parts[0] == view.boundary_parts[1]
             value = 0 if joined else None
             assert oracle_bottleneck_gap(lift, cs, below) == value
@@ -607,11 +623,11 @@ class TestExtraGaps:
 
     def test_budget_below_lightest_edge_skips_growth(self, monkeypatch):
         # Below twice the lightest edge weight w no part is within the
-        # radius, so the growth is the sources plus, from w on, their
-        # direct contacts, built without a heap; with the shortcut
-        # disabled the full pass must give the same growth and gaps.  A
-        # zero-weight edge rules it out.  Each graph is also checked
-        # lifted, which gives the rough graphs a contacts-only band.
+        # radius, so the growth is the sources alone, built without a heap;
+        # from w on they meet through their direct edges.  With the
+        # shortcut disabled the full pass must give the same growth and
+        # gaps.  A zero-weight edge rules it out.  Each graph is also
+        # checked lifted, which gives the rough graphs a sources-only band.
         rng = random.Random(4242)
         seen = Counter()
         for i in range(400):
@@ -636,13 +652,13 @@ class TestExtraGaps:
                         m.setattr(DecodingGraph, "min_weight", lambda self: 0)
                         full = grow_clusters(view, eps)
                         full_gaps = extra_gaps(view, eps)
-                    assert (fast.settled, fast.collisions) == (full.settled, full.collisions)
+                    assert fast == full
                     assert fast_gaps == full_gaps
-                    contacts = w <= eps < 2 * w
-                    seen["below" if eps < w else "contacts only" if contacts
+                    sources_only = w <= eps < 2 * w
+                    seen["below" if eps < w else "sources only" if sources_only
                          else "at 2w" if eps == 2 * w else "above"] += 1
-                    seen["contacts only, detector-boundary contact"] += contacts and any(
-                        is_b[h.edges[e].u] != is_b[h.edges[e].v] for _, e, _, _ in fast.collisions)
+                    seen["sources only, detector-boundary edge covered"] += sources_only and any(
+                        is_b[e.u] != is_b[e.v] for e in covered_edges(view, fast, eps))
                     seen["zero-weight graph"] += w == 0
         assert len(seen) == 6 and min(seen.values()) >= 100, seen
 
@@ -693,13 +709,12 @@ def growth_cases(rng, count):
 
 class TestGrowthOracle:
     def test_growth_matches_full_scan(self):
-        # The growth skips a boundary node's heavy edges and records each
-        # detector-boundary edge from the detector's side; below twice the
-        # lightest edge it builds the sources and their contacts without a
-        # search.  The oracle scans every edge of every settled part.
-        # Settle order and collisions must agree bit for bit.  Each rough
-        # graph is also checked lifted, so its many boundaries meet the
-        # contacts-only band.
+        # Below twice the lightest edge the growth is the sources, built
+        # without a search.  The oracle runs one Bellman-Ford from every
+        # grown part over every edge of the graph.  The distances must
+        # agree, and so must the extra nodes of every extra gap, read from
+        # them.  Each rough graph is also checked lifted, so its many
+        # boundaries meet the sources-only band.
         rng = random.Random(5150)
         seen = Counter()
         for i, (g, cs) in enumerate(growth_cases(rng, 600)):
@@ -716,30 +731,36 @@ class TestGrowthOracle:
         view = contract(g, cs)
         w_min = g.min_weight()
         is_b = g.is_boundary
+        rep = view.rep
+        sources = set(view.sources)
         for eps in sorted({0, max(w_min - 1, 0), w_min, max(2 * w_min - 1, 0), 2 * w_min,
                            db_to_scaled(20), db_to_scaled(40), db_to_scaled(60)}):
-            growth = grow_clusters(view, eps)
-            settled, collisions = oracle_growth(g, cs, eps)
-            assert growth.settled == settled
-            assert growth.collisions == collisions
-            assert growth.radii == [2 * d for part, d in settled if part not in view.sources]
-            rep = view.rep
-            edges = g.edges
-            label = dict(settled)
-            seen["boundary-boundary collision"] += any(
-                is_b[edges[e].u] and is_b[edges[e].v] for _, e, _, _ in collisions)
+            label = oracle_covered_labels(g, cs, eps)
+            assert grow_clusters(view, eps) == label
+            b1, b2 = view.boundary_parts[:2]
+            extra, extra_cg = extra_gaps(view, eps)
+            assert extra.extra_nodes == (0 if b1 == b2
+                                         else newly_covered(label, sources, extra.value))
+            assert extra_cg.extra_nodes == newly_covered(label, sources, None)
+            for (a, b), result in multi_boundary_extra_gap(g, cs, eps).items():
+                joined = rep[a] == rep[b]
+                assert result.extra_nodes == (0 if joined
+                                              else newly_covered(label, sources, result.value))
+            covered = covered_edges(view, label, eps)
+            seen["covered boundary-boundary edge"] += any(
+                is_b[e.u] and is_b[e.v] for e in covered)
             seen["boundary in a multi-node part"] += eps >= w_min and any(
                 is_b[x] for lst in view.members.values() for x in lst)
             seen["light boundary edge covers a detector"] += any(
                 rep[e.u] != rep[e.v] and is_b[e.u] != is_b[e.v]
                 and 2 * e.weight <= eps and label.get(rep[e.u if is_b[e.v] else e.v]) is not None
-                for e in edges)
-            seen["collision across a boundary edge"] += any(
-                is_b[edges[e].u] != is_b[edges[e].v] for _, e, _, _ in collisions)
-            contacts = w_min <= eps < 2 * w_min
+                for e in g.edges)
+            seen["covered boundary-detector edge"] += any(
+                is_b[e.u] != is_b[e.v] for e in covered)
+            sources_only = w_min <= eps < 2 * w_min
             seen["below the lightest edge"] += eps < w_min
-            seen["contacts only, with a contact"] += contacts and bool(collisions)
-            seen["contacts only, three or more boundaries"] += contacts and len(g.boundaries) > 2
+            seen["sources only, with a covered edge"] += sources_only and bool(covered)
+            seen["sources only, three or more boundaries"] += sources_only and len(g.boundaries) > 2
             seen["zero-weight graph"] += w_min == 0
 
 
