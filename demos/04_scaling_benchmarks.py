@@ -16,7 +16,6 @@ from softgap import (
     fit_exponential,
     fit_power_law,
     run_sweep,
-    sweep_metadata,
     switch_check,
 )
 
@@ -60,8 +59,9 @@ chk = switch_check(d9, threshold=0.05, epsilon_max_db=cfg.epsilon_max_db,
 print(f"\nswitch check at d=9, p=0.003: rate={chk.measured_rate:.4f} "
       f"wilson=[{chk.wilson_low:.4f}, {chk.wilson_high:.4f}] -> {chk.verdict}")
 
-# Per-sample estimator consistency at small scale: a sweep of all four
-# methods that keeps empty samples checks every sample.  A broken rule would
+# Per-sample estimator consistency at small scale: every sweep checks the
+# five rules on each sample it evaluates, whichever methods it writes, and
+# one that keeps empty samples checks every sample.  A broken rule would
 # raise ConsistencyError naming the sample; reaching the print means every
 # sample held all five.
 checked = sum(1 for _ in run_sweep(SweepConfig(distances=(3, 5), probs=(0.01,),
@@ -71,5 +71,5 @@ print(f"\nconsistency: {checked} samples checked, every rule held")
 
 with tempfile.TemporaryDirectory() as tmp:
     chart = Path(tmp) / "visited.svg"
-    emit(records, "svg-plot", chart, metadata=sweep_metadata(cfg))
+    emit(records, "svg-plot", chart, cfg)
     print(f"\nSVG chart written ({chart.stat().st_size} bytes)")

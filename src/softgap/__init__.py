@@ -60,12 +60,12 @@ from .harness import (
     ConfigError,
     ConsistencyError,
     SweepConfig,
+    SweepFile,
     SweepRecord,
     SwitchCheck,
     aggregate,
     emit,
-    parse_csv_metadata,
-    parse_records_csv,
+    read_sweep,
     records_to_csv,
     records_to_json,
     run_sweep,

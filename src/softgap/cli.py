@@ -2,15 +2,13 @@
 
 import argparse
 import json
-import math
 import sys
 
 from .graphs import (InvalidParameterError, InvalidProbabilityError,
                      build_phenomenological, save_graph)
 from .fitting import InsufficientDataError, fit_power_law, fit_exponential
 from .harness import (ConfigError, ConsistencyError, SweepConfig, run_sweep,
-                      switch_check, aggregate, emit, parse_csv_metadata,
-                      parse_records_csv, sweep_metadata, METHODS)
+                      switch_check, aggregate, emit, read_sweep, METHODS)
 
 
 def _int_list(text):
@@ -21,49 +19,23 @@ def _float_list(text):
     return tuple(float(x) for x in text.split(","))
 
 
-def _header_number(path, metadata, key, kind):
-    """The ``# key=`` value of a sweep CSV as a positive, finite ``kind``;
-    any other value ends the command with one line naming it."""
-    text = metadata[key]
-    try:
-        value = kind(text)
-    except ValueError:
-        value = None
-    if value is None or not 0 < value < math.inf:
-        rule = "an integer >= 1" if kind is int else "a finite number > 0"
-        raise SystemExit(f"{path}: # {key}={text}: must be {rule}")
-    return value
-
-
 def _read_sweep_csv(path, method):
-    """The records of a sweep CSV and its samples_per_cell, cells and
-    epsilon_max_db, as the sweep wrote them.  Empty samples it skipped
-    leave no record, and gaps beyond its threshold are undefined, so the
-    records alone cannot give a rate.  ``method`` must be one the sweep
-    ran: one with no record then has rate 0.  Rows ``parse_records_csv``
-    refuses as not one sweep's (a repeated (d, p, sample, method), as two
-    sweeps concatenated give, or a sample index beyond samples_per_cell)
-    would count against the wrong denominator, so they end the command
-    with one line naming the row."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    metadata = parse_csv_metadata(text)
+    """The sweep CSV at ``path``, read by ``read_sweep``.  Empty samples
+    the sweep skipped leave no record, and gaps beyond its threshold are
+    undefined, so the records alone cannot give a rate: the header's
+    samples_per_cell, cells and epsilon_max_db do.  ``method`` must be one
+    the sweep ran: one with no record then has rate 0.  A file that
+    cannot be read as UTF-8 text, or that ``read_sweep`` refuses, ends the
+    command with one line, the path and the reason."""
     try:
-        samples = _header_number(path, metadata, "samples_per_cell", int)
-        cells = _header_number(path, metadata, "cells", int)
-        epsilon_max_db = _header_number(path, metadata, "epsilon_max_db", float)
-        methods = metadata["methods"].split(",")
-    except KeyError as missing:
-        raise SystemExit(f"{path}: no '# {missing.args[0]}=' line; "
-                         "write it with `softgap sweep --format csv`") from None
-    if method not in methods:
-        raise ConfigError(f"--method {method} was not swept; {path} holds "
-                          f"{','.join(methods)}")
-    try:
-        records = parse_records_csv(text)
-    except ValueError as err:
+        with open(path, "r", encoding="utf-8") as f:
+            sweep = read_sweep(f.read())
+    except (OSError, ValueError) as err:
         raise SystemExit(f"{path}: {err}") from None
-    return records, samples, cells, epsilon_max_db
+    if method not in sweep.methods:
+        raise ConfigError(f"--method {method} was not swept; {path} holds "
+                          f"{','.join(sweep.methods)}")
+    return sweep
 
 
 def main(argv=None) -> int:
@@ -137,13 +109,14 @@ def _run(args) -> int:
                           methods=tuple(args.methods.split(",")),
                           skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
-        emit(records, args.format, args.out, metadata=sweep_metadata(cfg))
+        emit(records, args.format, args.out, cfg)
         print(f"wrote {len(records)} records to {args.out}")
         return 0
 
     if args.command == "fit":
-        records, samples, _, epsilon_max_db = _read_sweep_csv(args.infile, args.method)
-        rows = [r for r in aggregate(records, samples, epsilon_max_db)
+        sweep = _read_sweep_csv(args.infile, args.method)
+        rows = [r for r in aggregate(sweep.records, sweep.samples_per_cell,
+                                     sweep.epsilon_max_db)
                 if r.method == args.method]
         if not rows:
             raise ConfigError(f"--method {args.method}: {args.infile} holds no record "
@@ -169,9 +142,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "switch-check":
-        records, samples, cells, epsilon_max_db = _read_sweep_csv(args.infile, args.method)
-        chk = switch_check(records, args.threshold, epsilon_max_db,
-                           attempted=samples * cells, method=args.method)
+        sweep = _read_sweep_csv(args.infile, args.method)
+        chk = switch_check(sweep.records, args.threshold, sweep.epsilon_max_db,
+                           attempted=sweep.samples_per_cell * sweep.cells,
+                           method=args.method)
         print(f"measured_rate={chk.measured_rate!r} threshold={chk.user_threshold!r} "
               f"wilson=[{chk.wilson_low:.3g}, {chk.wilson_high:.3g}] "
               f"n={chk.n} verdict={chk.verdict}")

@@ -7,10 +7,11 @@ deterministic for a fixed master seed regardless of worker count: per-sample
 randomness is a pure function of (master_seed, global sample counter), and
 records are merged in sample order.
 
-A sweep of all four methods checks the five estimator rules
-(``rule_violations``) on each evaluation as it is made, and stops at the
-first sample that breaks one with a ``ConsistencyError`` naming it; with
-``skip_empty_syndromes=False`` that is every sample.
+Every sweep evaluates all four methods, whichever it writes, checks the
+five estimator rules (``rule_violations``) on each evaluation as it is
+made, and stops at the first sample that breaks one with a
+``ConsistencyError`` naming it; with ``skip_empty_syndromes=False`` that
+is every sample.
 
 ``SweepRecord`` is a ``NamedTuple``, not a frozen dataclass: a sweep makes
 one per sample and method, and a frozen dataclass sets each field with
@@ -129,24 +130,19 @@ def evaluate_sample(graph: DecodingGraph, events, eps_scaled: int, methods):
 
     Returns (nodes_in_clusters, max_growth2, results) where results holds one
     (value_scaled, visited, extra, cg_invoked) tuple per requested method, in
-    order: its ``GapResult`` less the kind.  ``cluster`` and ``bounded``
-    come from one search, ``extra`` and ``extra_cg`` from one growth pass.
-    Pure function of its arguments, so results for identical syndromes can
-    be reused.
+    order: its ``GapResult`` less the kind.  All four gaps are computed
+    whichever are requested: ``cluster`` and ``bounded`` come from one
+    search, ``extra`` and ``extra_cg`` from one growth pass.  Pure function
+    of its arguments, so results for identical syndromes can be reused.
     """
     cs = decode(graph, Syndrome(frozenset(events)))
     view = contract(graph, cs)
-    if "cluster" in methods or "bounded" in methods:
-        found = cluster_gaps(view, eps_scaled)
-    else:
-        found = (None, None)                # keeps the growth pair at _SLOT
-    if "extra" in methods or "extra_cg" in methods:
-        found += extra_gaps(view, eps_scaled)
+    found = cluster_gaps(view, eps_scaled) + extra_gaps(view, eps_scaled)
     return nodes_in_clusters(cs), cs.radius2_log, tuple([found[_SLOT[m]][1:] for m in methods])
 
 
 # Per-process cache: one slot, the cell the last chunk belonged to.  It
-# holds the cell's key (d, rounds, p, eps_scaled, methods), its graph, on
+# holds the cell's key (d, rounds, p, eps_scaled), its graph, on
 # which the decoder scratch, bare distances and flip thresholds are
 # memoized, and its evaluations by syndrome (decode and all gap values are
 # pure functions of the graph and the syndrome).  A chunk of another cell
@@ -172,9 +168,8 @@ _CHUNK = 2000                          # samples per worker task
 
 def _run_chunk(args):
     global _cell
-    (d, p, rounds, eps_scaled, methods, master_seed,
-     base_index, start, end, skip_empty) = args
-    key = (d, rounds, p, eps_scaled, methods)
+    d, p, rounds, eps_scaled, master_seed, base_index, start, end, skip_empty = args
+    key = (d, rounds, p, eps_scaled)
     if _cell is None or _cell[0] != key:
         _cell = None                   # free the last cell before the next is built
         _cell = (key, build_phenomenological(d, rounds, p), {})
@@ -187,12 +182,10 @@ def _run_chunk(args):
             continue
         hit = evals.get(events)
         if hit is None:
-            hit = evaluate_sample(g, events, eps_scaled, methods)
-            if methods == METHODS:
-                broken = rule_violations([r[0] for r in hit[2]], eps_scaled)
-                if broken:
-                    raise ConsistencyError(
-                        f"d={d} p={p!r} sample={idx}: {', '.join(broken)}")
+            hit = evaluate_sample(g, events, eps_scaled, METHODS)
+            broken = rule_violations([r[0] for r in hit[2]], eps_scaled)
+            if broken:
+                raise ConsistencyError(f"d={d} p={p!r} sample={idx}: {', '.join(broken)}")
             if len(events) <= _CACHED_EVENTS and len(evals) < _EVAL_CACHE_CAP:
                 evals[events] = hit
         out.append((idx, hit))
@@ -204,16 +197,14 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
     cfg.validate()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    methods = tuple(m for m in METHODS if m in cfg.methods)
     eps_scaled = db_to_scaled(cfg.epsilon_max_db)
     tasks = []
     for cell_index, d, p in cfg.cells():
         base = cell_index * cfg.samples
         for start in range(0, cfg.samples, _CHUNK):
             end = min(start + _CHUNK, cfg.samples)
-            tasks.append(((d, p, cfg.rounds_for(d), eps_scaled, methods,
-                           cfg.master_seed, base, start, end,
-                           cfg.skip_empty_syndromes), cell_index, d, p))
+            tasks.append(((d, p, cfg.rounds_for(d), eps_scaled, cfg.master_seed,
+                           base, start, end, cfg.skip_empty_syndromes), cell_index, d, p))
 
     if workers == 1:
         for args, cell_index, d, p in tasks:
@@ -229,11 +220,13 @@ def _iter_sample_evals(cfg: SweepConfig, workers: int = 1):
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1):
-    """Run the sweep; yields SweepRecord rows in deterministic order."""
-    methods = tuple(m for m in METHODS if m in cfg.methods)
+    """Run the sweep; yields SweepRecord rows in deterministic order, those
+    of ``cfg.methods`` in ``METHODS`` order."""
+    written = [(m, _SLOT[m]) for m in METHODS if m in cfg.methods]
     for _, d, p, idx, (n_clustered, radius2, results) in _iter_sample_evals(cfg, workers):
         growth_db = scaled_to_db(float(radius2) / 2.0)
-        for m, (value, visited, extra, _) in zip(methods, results):
+        for m, slot in written:
+            value, visited, extra, _ = results[slot]
             yield SweepRecord(d, p, idx, m, value is not None,
                               None if value is None else scaled_to_db(value),
                               visited, extra, growth_db, n_clustered)
@@ -443,50 +436,89 @@ def records_to_csv(records, metadata: dict | None = None) -> str:
     return "".join(lines)
 
 
-def parse_records_csv(text: str) -> list:
-    """Inverse of records_to_csv: the records in CSV text, which must be
-    one sweep's.
+class SweepFile(NamedTuple):
+    """A sweep's CSV read back by ``read_sweep``: the header values every
+    rate takes its denominator (``samples_per_cell`` times ``cells``) and
+    its threshold from, the swept methods, and the records."""
+    samples_per_cell: int
+    cells: int
+    epsilon_max_db: float
+    methods: tuple
+    records: list
 
-    A row with the wrong number of fields, a field that does not parse, a
-    distance or probability no sweep runs, a method not in ``METHODS``, a
+
+def read_sweep(text: str) -> SweepFile:
+    """Inverse of ``emit(records, "csv", path, cfg)``: the header values
+    and records of CSV text, which must be one sweep's.  Read the file
+    first.
+
+    The ``#`` lines before the CSV header must give ``samples_per_cell``
+    and ``cells`` as integers >= 1, ``epsilon_max_db`` as a finite number
+    > 0 and ``methods`` as distinct names from ``METHODS``, each once.
+    Every row is checked against them and against the earlier rows.  A
+    row with the wrong number of fields, a field that does not parse, a
+    distance or probability no sweep runs, a method not in ``methods``, a
     non-finite ``gap_db`` or ``max_growth_db``, a ``defined`` flag that
-    disagrees with its gap field, or a second header or the (d, p,
-    sample, method) of an earlier row (as two sweeps concatenated give)
-    raises ValueError naming its line.  A ``# samples_per_cell=`` line before the header
-    must hold an integer >= 1, and every sample index must then lie in
-    ``range(samples_per_cell)``.
+    disagrees with its gap field, a sample index outside
+    ``range(samples_per_cell)``, a (d, p) beyond ``cells`` distinct ones,
+    or the (d, p, sample, method) of an earlier row is refused, and so is
+    a second header or a ``#`` line among the rows (as two sweeps
+    concatenated give).  Each refusal raises ValueError naming the header
+    line or the row's line.
     """
+    lines = text.splitlines()
+    header = {}
+    for lineno, line in enumerate(lines, 1):
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            if key in header:
+                raise ValueError(f"line {lineno}: a second '# {key}=' line")
+            header[key] = value
+        elif line:
+            break
+    else:
+        raise ValueError("missing CSV header")
+    if line != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header: {line!r}")
+    for key in ("samples_per_cell", "cells", "epsilon_max_db", "methods"):
+        if key not in header:
+            raise ValueError(f"no '# {key}=' line; write it with `softgap sweep --format csv`")
+
+    def number(key, kind):
+        try:
+            value = kind(header[key])
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            rule = "an integer >= 1" if kind is int else "a finite number > 0"
+            raise ValueError(f"# {key}={header[key]}: must be {rule}")
+        return value
+
+    samples_per_cell = number("samples_per_cell", int)
+    cells = number("cells", int)
+    epsilon_max_db = number("epsilon_max_db", float)
+    methods = tuple(header["methods"].split(","))
+    if not set(methods) <= set(METHODS) or len(set(methods)) < len(methods):
+        raise ValueError(f"# methods={header['methods']}: must be distinct names "
+                         f"from {','.join(METHODS)}")
+
     records = []
-    samples_per_cell = None
-    samples_of = {}  # (d, p, method) -> the sample indices of its rows
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), 1):
+    rows_of = {}  # (d, p) -> the (sample, method) of its rows
+    for lineno, line in enumerate(lines[lineno:], lineno + 1):
         if not line:
             continue
         if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            if key == "samples_per_cell" and not header_seen:
-                try:
-                    samples_per_cell = int(value)
-                except ValueError:
-                    samples_per_cell = 0
-                if samples_per_cell < 1:
-                    raise ValueError(f"line {lineno}: samples_per_cell must be an "
-                                     f"integer >= 1, got {value!r}")
-            continue
-        if not header_seen:
-            if line != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header: {line!r}")
-            header_seen = True
-            continue
+            raise ValueError(f"line {lineno}: a '#' line after the CSV header")
         if line == CSV_HEADER:
             raise ValueError(f"line {lineno}: a second CSV header")
         row = next(csv.reader([line]))
         if len(row) != len(SweepRecord._fields):
             raise ValueError(f"line {lineno}: {len(row)} fields, "
                              f"expected {len(SweepRecord._fields)}")
-        if row[3] not in METHODS:
-            raise ValueError(f"line {lineno}: unknown method {row[3]!r}")
+        if row[3] not in methods:
+            problem = (f"method {row[3]!r} is not among # methods={header['methods']}"
+                       if row[3] in METHODS else f"unknown method {row[3]!r}")
+            raise ValueError(f"line {lineno}: {problem}")
         if row[4] not in ("true", "false"):
             raise ValueError(f"line {lineno}: defined must be true or false, got {row[4]!r}")
         defined = row[4] == "true"
@@ -509,32 +541,22 @@ def parse_records_csv(text: str) -> list:
             value = getattr(r, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"line {lineno}: {name} must be finite, got {value!r}")
-        if samples_per_cell is not None and not 0 <= r.sample < samples_per_cell:
+        if not 0 <= r.sample < samples_per_cell:
             raise ValueError(f"line {lineno}: sample {r.sample} is outside "
                              f"0..{samples_per_cell - 1} (samples_per_cell="
                              f"{samples_per_cell})")
-        samples = samples_of.setdefault((r.d, r.p, r.method), set())
-        if r.sample in samples:
+        seen = rows_of.get((r.d, r.p))
+        if seen is None:
+            if len(rows_of) == cells:
+                raise ValueError(f"line {lineno}: d={r.d} p={r.p!r} would be cell "
+                                 f"{cells + 1}, but cells={cells}")
+            seen = rows_of[r.d, r.p] = set()
+        if (r.sample, r.method) in seen:
             raise ValueError(f"line {lineno}: repeats d={r.d} p={r.p!r} "
                              f"sample={r.sample} method={r.method} of an earlier row")
-        samples.add(r.sample)
+        seen.add((r.sample, r.method))
         records.append(r)
-    if not header_seen:
-        raise ValueError("missing CSV header")
-    return records
-
-
-def parse_csv_metadata(text: str) -> dict:
-    """The ``# key=value`` lines records_to_csv writes before the header,
-    as a dict of strings."""
-    metadata = {}
-    for line in text.splitlines():
-        if not line.startswith("#"):
-            break
-        key, sep, value = line[1:].strip().partition("=")
-        if sep:
-            metadata[key] = value
-    return metadata
+    return SweepFile(samples_per_cell, cells, epsilon_max_db, methods, records)
 
 
 def records_to_json(records, metadata: dict | None = None) -> str:
@@ -596,25 +618,22 @@ def _svg_line_chart(series: dict, title: str, x_label: str, y_label: str,
     return "\n".join(out)
 
 
-def emit(records, fmt: str, path, metadata: dict | None = None) -> None:
-    """Write records as csv, json, or an svg-plot of the aggregates.
+def emit(records, fmt: str, path, cfg: SweepConfig) -> None:
+    """Write the records of the sweep ``cfg`` ran as csv or json, each with
+    the sweep's header (``sweep_metadata``), or as an svg-plot of the
+    aggregates.
 
     The svg plot draws one series per (p, method) with x = d and a log y
-    axis over the mean visited nodes; it aggregates at the
-    ``samples_per_cell`` and ``epsilon_max_db`` of ``metadata`` (see
-    ``sweep_metadata``).
+    axis over the mean visited nodes, aggregated at the sweep's samples per
+    cell and threshold.
     """
     records = list(records)
     if fmt == "csv":
-        text = records_to_csv(records, metadata)
+        text = records_to_csv(records, sweep_metadata(cfg))
     elif fmt == "json":
-        text = records_to_json(records, metadata)
+        text = records_to_json(records, sweep_metadata(cfg))
     elif fmt == "svg-plot":
-        if not metadata or not {"samples_per_cell", "epsilon_max_db"} <= metadata.keys():
-            raise ValueError("svg-plot needs samples_per_cell and epsilon_max_db "
-                             "in the metadata")
-        rows = aggregate(records, int(metadata["samples_per_cell"]),
-                         float(metadata["epsilon_max_db"]))
+        rows = aggregate(records, cfg.samples, cfg.epsilon_max_db)
         series = {}
         for row in rows:
             label = f"p={row.p:g} {row.method}"

@@ -88,9 +88,9 @@ def threshold_sweep():
 def test_criterion_1_estimator_guarantees_exact():
     # d in {3,5,7,9} x p in {0.1%, 0.5%, 1%}, rounds = d, 1e5 samples per
     # cell, eps_max = 20 dB: zero violations of the five cross-estimator
-    # rules, every comparison an exact integer comparison.  A sweep of all
-    # four methods that keeps empty samples checks every sample; a
-    # violation raises ConsistencyError naming the sample.
+    # rules, every comparison an exact integer comparison.  A sweep that
+    # keeps empty samples checks every sample; a violation raises
+    # ConsistencyError naming the sample.
     cfg = SweepConfig(distances=(3, 5, 7, 9), probs=(0.001, 0.005, 0.01),
                       samples=100_000, master_seed=424242, skip_empty_syndromes=False)
     t0 = time.time()

@@ -62,6 +62,25 @@ def ball_distances(g, sources):
     return dist
 
 
+class TestIdRange:
+    # An id just outside 0..num_nodes-1 raises the documented ValueError,
+    # not the IndexError of reading past a node list.
+    @pytest.mark.parametrize("past_end", [False, True], ids=["-1", "num_nodes"])
+    def test_partition_member_out_of_range(self, past_end):
+        g = build_phenomenological(3, 1, 0.001)
+        x = g.num_nodes if past_end else -1
+        with pytest.raises(ValueError, match=f"^cluster member {x} out of range$"):
+            ClusterState.from_partition(g, [[0, x]])
+
+    @pytest.mark.parametrize("past_end", [False, True], ids=["-1", "num_nodes"])
+    def test_event_out_of_range(self, past_end):
+        g = build_phenomenological(3, 1, 0.001)
+        x = g.num_nodes if past_end else -1
+        with pytest.raises(ValueError,
+                           match=f"^detection event {x} is not a detector of this graph$"):
+            decode(g, Syndrome(frozenset({0, x})))
+
+
 class TestDecodeHandTraces:
     def test_empty_syndrome(self):
         g = build_phenomenological(3, 1, 0.001)

@@ -22,11 +22,11 @@ from softgap.harness import (
     ConfigError,
     ConsistencyError,
     SweepConfig,
+    SweepFile,
     SweepRecord,
     aggregate,
     emit,
-    parse_csv_metadata,
-    parse_records_csv,
+    read_sweep,
     records_to_csv,
     records_to_json,
     run_sweep,
@@ -43,6 +43,17 @@ def small_cfg(**overrides):
                 master_seed=11, skip_empty_syndromes=False)
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def one_cell_text(*rows, **header):
+    """CSV text of a one-cell sweep (d = 3, p = 1%, 5 samples, all four
+    methods) holding ``rows``, with ``header`` values in place of the
+    sweep's and a value of None dropping its line.  The full header takes
+    lines 1-7, so the first row is line 8."""
+    cfg = SweepConfig(distances=(3,), probs=(0.01,), samples=5)
+    metadata = {**sweep_metadata(cfg), **header}
+    metadata = {k: v for k, v in metadata.items() if v is not None}
+    return records_to_csv([], metadata) + "".join(f"{row}\n" for row in rows)
 
 
 class TestConfig:
@@ -211,7 +222,7 @@ class TestCellSlot:
         cfg = small_cfg(distances=(3,), probs=(0.05, 0.02), samples=200)
         list(run_sweep(cfg))
         key, g, evals = harness._cell
-        assert key == (3, 3, 0.02, db_to_scaled(cfg.epsilon_max_db), METHODS)
+        assert key == (3, 3, 0.02, db_to_scaled(cfg.epsilon_max_db))
         assert {e.prob for e in g.edges} == {0.02}
         cell = [sample_syndrome(g, SeedSpec(cfg.master_seed, cfg.samples + i)).events
                 for i in range(cfg.samples)]
@@ -348,15 +359,17 @@ class TestEmit:
 
     def test_empty_record_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit([], "csv", path)
-        assert path.read_text() == CSV_HEADER + "\n"
+        emit([], "csv", path, small_cfg())
+        assert path.read_text().endswith("\n" + CSV_HEADER + "\n")
+        assert read_sweep(path.read_text()) == SweepFile(40, 4, 20.0, METHODS, [])
 
     def test_csv_round_trip_identity(self, tmp_path):
-        records = list(run_sweep(small_cfg()))
-        text = records_to_csv(records)
-        parsed = parse_records_csv(text)
-        assert parsed == records
-        assert records_to_csv(parsed) == text
+        cfg = small_cfg()
+        records = list(run_sweep(cfg))
+        text = records_to_csv(records, sweep_metadata(cfg))
+        sweep = read_sweep(text)
+        assert sweep == SweepFile(40, 4, 20.0, METHODS, records)
+        assert records_to_csv(sweep.records, sweep_metadata(cfg)) == text
 
     # No explain phase: on a failing example of these ten-field records it
     # runs for minutes, after the shrink has already found the small case.
@@ -372,106 +385,119 @@ class TestEmit:
         assert records_to_csv(iter(records), metadata) == oracle_records_csv(records, metadata)
 
     def test_parse_header_only_text(self):
-        # text, never a path: a header alone is a CSV with no records
-        assert parse_records_csv(CSV_HEADER) == []
+        # text, never a path: a header alone is a sweep with no records
+        assert read_sweep(one_cell_text()) == SweepFile(5, 1, 20.0, METHODS, [])
 
     @pytest.mark.parametrize("row, message", [
-        ("3,0.01,0,cluster,true,1.5,2,0,0.5", "line 3: 9 fields, expected 10"),
-        ("3,0.01,0,cluster,true,1.5,2,0,0.5,1,7", "line 3: 11 fields, expected 10"),
-        ("3,0.01,x,cluster,true,1.5,2,0,0.5,1", "line 3: invalid literal for int()"),
-        ("3,0.01,0,cluster,true,1.5dB,2,0,0.5,1", "line 3: could not convert string"),
-        ("3,0.01,0,cluster,yes,1.5,2,0,0.5,1", "line 3: defined must be true or false"),
-        ("3,0.01,0,extra-cg,true,1.5,2,0,0.5,1", "line 3: unknown method 'extra-cg'"),
-        ("3,0.01,0,cluster,true,nan,2,0,0.5,1", "line 3: gap_db must be finite, got nan"),
-        ("3,0.01,0,cluster,true,-inf,2,0,0.5,1", "line 3: gap_db must be finite, got -inf"),
+        ("3,0.01,0,cluster,true,1.5,2,0,0.5", "line 8: 9 fields, expected 10"),
+        ("3,0.01,0,cluster,true,1.5,2,0,0.5,1,7", "line 8: 11 fields, expected 10"),
+        ("3,0.01,x,cluster,true,1.5,2,0,0.5,1", "line 8: invalid literal for int()"),
+        ("3,0.01,0,cluster,true,1.5dB,2,0,0.5,1", "line 8: could not convert string"),
+        ("3,0.01,0,cluster,yes,1.5,2,0,0.5,1", "line 8: defined must be true or false"),
+        ("3,0.01,0,extra-cg,true,1.5,2,0,0.5,1", "line 8: unknown method 'extra-cg'"),
+        ("3,0.01,0,cluster,true,nan,2,0,0.5,1", "line 8: gap_db must be finite, got nan"),
+        ("3,0.01,0,cluster,true,-inf,2,0,0.5,1", "line 8: gap_db must be finite, got -inf"),
         ("3,0.01,0,cluster,true,1.5,2,0,inf,1",
-         "line 3: max_growth_db must be finite, got inf"),
+         "line 8: max_growth_db must be finite, got inf"),
         ("3,0.01,0,cluster,true,1.5,2,0,nan,1",
-         "line 3: max_growth_db must be finite, got nan"),
-        ("3,0.01,0,cluster,true,,2,0,0.5,1", "line 3: defined is true but gap_db is empty"),
+         "line 8: max_growth_db must be finite, got nan"),
+        ("3,0.01,0,cluster,true,,2,0,0.5,1", "line 8: defined is true but gap_db is empty"),
         ("3,0.01,0,cluster,false,1.5,2,0,0.5,1",
-         "line 3: defined is false but gap_db is '1.5'"),
-        ("4,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 3: d must be odd and >= 3, got 4"),
-        ("-3,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 3: d must be odd and >= 3, got -3"),
-        ("3,nan,0,cluster,true,1.5,2,0,0.5,1", "line 3: p must be in (0, 0.5], got nan"),
-        ("3,0,0,cluster,true,1.5,2,0,0.5,1", "line 3: p must be in (0, 0.5], got 0.0"),
-        ("3,0.6,0,cluster,true,1.5,2,0,0.5,1", "line 3: p must be in (0, 0.5], got 0.6"),
-        (f"{CSV_HEADER}", "line 3: a second CSV header"),
+         "line 8: defined is false but gap_db is '1.5'"),
+        ("4,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 8: d must be odd and >= 3, got 4"),
+        ("-3,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 8: d must be odd and >= 3, got -3"),
+        ("3,nan,0,cluster,true,1.5,2,0,0.5,1", "line 8: p must be in (0, 0.5], got nan"),
+        ("3,0,0,cluster,true,1.5,2,0,0.5,1", "line 8: p must be in (0, 0.5], got 0.0"),
+        ("3,0.6,0,cluster,true,1.5,2,0,0.5,1", "line 8: p must be in (0, 0.5], got 0.6"),
+        (f"{CSV_HEADER}", "line 8: a second CSV header"),
     ])
     def test_malformed_row_names_its_line(self, row, message):
-        text = f"# cells=1\n{CSV_HEADER}\n{row}\n"
         with pytest.raises(ValueError) as err:
-            parse_records_csv(text)
+            read_sweep(one_cell_text(row))
         assert str(err.value).startswith(message)
-        assert parse_csv_metadata(CSV_HEADER) == {}
 
     def test_joined_sweeps_are_refused(self):
-        # two sweeps joined, with or without the second one's header lines:
-        # each cell's rows would count twice against its samples
+        # two sweeps joined, with none, one or all of the second one's
+        # header lines: each cell's rows would count twice against its samples
         cfg = SweepConfig(distances=(3,), probs=(0.05,), samples=50, master_seed=4)
         text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
         lines = text.splitlines(keepends=True)
         first = lines.index(CSV_HEADER + "\n") + 1
         d, p, sample, method = lines[first].split(",")[:4]
-        repeat = (f"line {len(lines) + 1}: repeats d={d} p={p} sample={sample} "
-                  f"method={method} of an earlier row")
+        at = f"line {len(lines) + 1}: "
         for joined, message in [
-            (text + "".join(lines[first:]), repeat),
-            ("".join(lines[first - 1:]) + "".join(lines[first:]), repeat.replace(
-                f"line {len(lines) + 1}", f"line {len(lines) - first + 2}")),
-            (text + text, f"line {first + len(lines)}: a second CSV header"),
+            (text + "".join(lines[first:]),
+             f"{at}repeats d={d} p={p} sample={sample} method={method} of an earlier row"),
+            (text + "".join(lines[first - 1:]), f"{at}a second CSV header"),
+            (text + text, f"{at}a '#' line after the CSV header"),
         ]:
             with pytest.raises(ValueError) as err:
-                parse_records_csv(joined)
+                read_sweep(joined)
             assert str(err.value) == message
 
     @pytest.mark.parametrize("header, sample, message", [
-        ("# samples_per_cell=5", 5, "line 3: sample 5 is outside 0..4 (samples_per_cell=5)"),
-        ("# samples_per_cell=5", -1, "line 3: sample -1 is outside 0..4 (samples_per_cell=5)"),
-        ("# samples_per_cell=0", 0, "line 1: samples_per_cell must be an integer >= 1, got '0'"),
-        ("# samples_per_cell=fifty", 0,
-         "line 1: samples_per_cell must be an integer >= 1, got 'fifty'"),
+        ("# samples_per_cell=5", 5, "line 8: sample 5 is outside 0..4 (samples_per_cell=5)"),
+        ("# samples_per_cell=5", -1, "line 8: sample -1 is outside 0..4 (samples_per_cell=5)"),
+        ("# samples_per_cell=0", 0, "# samples_per_cell=0: must be an integer >= 1"),
+        ("# samples_per_cell=fifty", 0, "# samples_per_cell=fifty: must be an integer >= 1"),
     ])
     def test_sample_index_bound_comes_from_the_text(self, header, sample, message):
-        text = f"{header}\n{CSV_HEADER}\n3,0.01,{sample},cluster,true,1.5,2,0,0.5,1\n"
+        text = one_cell_text(f"3,0.01,{sample},cluster,true,1.5,2,0,0.5,1",
+                             samples_per_cell=header.partition("=")[2])
         with pytest.raises(ValueError) as err:
-            parse_records_csv(text)
+            read_sweep(text)
         assert str(err.value) == message
-        # no such line, no bound
-        assert parse_records_csv(text.replace(header, "# cells=1"))[0].sample == sample
+
+    @pytest.mark.parametrize("key", ["samples_per_cell", "cells", "epsilon_max_db", "methods"])
+    def test_header_without_a_rate_value_is_refused(self, key):
+        with pytest.raises(ValueError) as err:
+            read_sweep(one_cell_text(**{key: None}))
+        assert str(err.value) == (f"no '# {key}=' line; "
+                                  "write it with `softgap sweep --format csv`")
+
+    @pytest.mark.parametrize("text, message", [
+        (one_cell_text().replace(CSV_HEADER, f"# cells=1\n{CSV_HEADER}"),
+         "line 7: a second '# cells=' line"),
+        (one_cell_text().replace(CSV_HEADER, CSV_HEADER.replace(",", ";")),
+         f"unexpected CSV header: {CSV_HEADER.replace(',', ';')!r}"),
+        (one_cell_text().replace(CSV_HEADER, ""), "missing CSV header"),
+        ("", "missing CSV header"),
+    ], ids=["repeated-key", "other-header", "header-lines-only", "empty"])
+    def test_malformed_header_is_refused(self, text, message):
+        with pytest.raises(ValueError) as err:
+            read_sweep(text)
+        assert str(err.value) == message
+
+    def test_rows_at_the_header_bounds_are_read(self):
+        # d = 3, p = 0.5, the last sample index and the last of the cells
+        rows = ["3,0.5,4,extra_cg,true,1.5,2,0,0.5,1", "5,0.01,0,extra_cg,false,,2,0,0.5,1"]
+        sweep = read_sweep(one_cell_text(*rows, cells=2, methods="extra_cg"))
+        assert sweep[:4] == (5, 2, 20.0, ("extra_cg",))
+        assert [r[:4] for r in sweep.records] == [(3, 0.5, 4, "extra_cg"),
+                                                  (5, 0.01, 0, "extra_cg")]
 
     def test_json_emission(self, tmp_path):
-        records = list(run_sweep(small_cfg(samples=10)))
+        cfg = small_cfg(samples=10)
+        records = list(run_sweep(cfg))
         path = tmp_path / "r.json"
-        emit(records, "json", path, metadata={"seed": 11})
+        emit(records, "json", path, cfg)
         payload = json.loads(path.read_text())
-        assert payload["metadata"] == {"seed": 11}
+        assert payload["metadata"] == sweep_metadata(cfg)
         assert len(payload["records"]) == len(records)
 
     def test_svg_plot_one_polyline_per_series(self, tmp_path):
         cfg = small_cfg(methods=("cluster",))
         records = list(run_sweep(cfg))
         path = tmp_path / "chart.svg"
-        emit(records, "svg-plot", path, metadata=sweep_metadata(cfg))
+        emit(records, "svg-plot", path, cfg)
         text = path.read_text()
         assert text.startswith("<svg")
         # one polyline per probability value
         assert text.count("<polyline") == 2
 
-    def test_svg_plot_reads_samples_per_cell_from_metadata(self, tmp_path):
-        # as strings, the way parse_csv_metadata returns a CSV's header
-        records = list(run_sweep(small_cfg(methods=("cluster",))))
-        path = tmp_path / "chart.svg"
-        emit(records, "svg-plot", path,
-             metadata={"samples_per_cell": "40", "epsilon_max_db": "20.0"})
-        assert path.read_text().count("<polyline") == 2
-        for metadata in (None, {"samples_per_cell": 40}, {"epsilon_max_db": 20.0}):
-            with pytest.raises(ValueError, match="svg-plot needs samples_per_cell"):
-                emit(records, "svg-plot", path, metadata=metadata)
-
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            emit([], "yaml", tmp_path / "x")
+            emit([], "yaml", tmp_path / "x", small_cfg())
 
 
 class TestAggregate:
@@ -557,11 +583,12 @@ class TestConsistency:
         assert calls["rule_violations"] == calls["evaluate_sample"]
         assert 0 < calls["evaluate_sample"] < 300
 
-        # a sweep of fewer methods is not checked
+        # a sweep of fewer methods is checked alike
         calls.clear()
+        monkeypatch.setattr(harness, "_cell", None)
         records = list(run_sweep(replace(cfg, methods=("cluster", "bounded"))))
         assert len(records) == 2 * 600 and calls["evaluate_sample"] > 0
-        assert calls["rule_violations"] == 0
+        assert calls["rule_violations"] == calls["evaluate_sample"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("rule", BREAKING)
@@ -649,6 +676,9 @@ class TestSwitchCheck:
         assert chk.measured_rate == 0.5
 
 
+_METHOD_RULE = "distinct names from cluster,bounded,extra,extra_cg"
+
+
 class TestCli:
     def test_gen_graph_and_sweep(self, tmp_path):
         from softgap.cli import main
@@ -663,7 +693,7 @@ class TestCli:
         assert main(["sweep", "--distances", "3", "--probs", "0.01",
                      "--samples", "25", "--seed", "5", "--keep-empty",
                      "--out", str(out)]) == 0
-        records = parse_records_csv(out.read_text())
+        records = read_sweep(out.read_text()).records
         assert len(records) == 25 * 4
 
     def test_gen_graph_rounds(self, tmp_path, capsys):
@@ -754,10 +784,9 @@ class TestCli:
         assert main(["sweep", "--distances", "5", "--probs", "0.001,1e-7",
                      "--samples", "300", "--seed", "3", "--methods", "cluster",
                      "--out", str(out)]) == 0
-        meta = parse_csv_metadata(out.read_text())
-        assert (meta["samples_per_cell"], meta["cells"], meta["methods"]) == (
-            "300", "2", "cluster")
-        records = parse_records_csv(out.read_text())
+        sweep = read_sweep(out.read_text())
+        assert (sweep.samples_per_cell, sweep.cells, sweep.methods) == (300, 2, ("cluster",))
+        records = sweep.records
         assert 0 < len(records) < 300
         assert {r.p for r in records} == {0.001}
         capsys.readouterr()
@@ -807,7 +836,7 @@ class TestCli:
         assert main(["sweep", "--distances", "3,5", "--probs", "0.02,0.2",
                      "--samples", "100", "--seed", "9", "--epsilon-max-db", "10",
                      "--out", str(out)]) == 0
-        records = parse_records_csv(out.read_text())
+        records = read_sweep(out.read_text()).records
         rates = {}
         for method in METHODS:
             capsys.readouterr()
@@ -830,11 +859,9 @@ class TestCli:
         assert main(["sweep", "--keep-empty", "--distances", "3,5", "--probs", "0.02",
                      "--samples", "30", "--seed", "4", "--out", str(out)]) == 0
         assert f"wrote 240 records to {out}" in capsys.readouterr().out
-        text = out.read_text()
-        meta = parse_csv_metadata(text)
-        assert (meta["samples_per_cell"], meta["cells"], meta["epsilon_max_db"],
-                meta["methods"]) == ("30", "2", "20.0", ",".join(METHODS))
-        records = parse_records_csv(text)
+        sweep = read_sweep(out.read_text())
+        assert sweep[:4] == (30, 2, 20.0, METHODS)
+        records = sweep.records
         assert len(records) == 4 * 60
         assert any(r.nodes_in_clusters == 0 for r in records)
         assert main(["switch-check", "--threshold", "1.0", "--in", str(out),
@@ -943,8 +970,12 @@ class TestCli:
         ("epsilon_max_db", "0", "a finite number > 0"),
         ("epsilon_max_db", "inf", "a finite number > 0"),
         ("epsilon_max_db", "nan", "a finite number > 0"),
+        ("methods", "", _METHOD_RULE),
+        ("methods", "cluster,mystery", _METHOD_RULE),
+        ("methods", "extra,extra", _METHOD_RULE),
     ], ids=["samples_per_cell=fifty", "samples_per_cell=0", "cells=2.5", "cells=-1",
-            "epsilon_max_db=", "epsilon_max_db=0", "epsilon_max_db=inf", "epsilon_max_db=nan"])
+            "epsilon_max_db=", "epsilon_max_db=0", "epsilon_max_db=inf", "epsilon_max_db=nan",
+            "methods=", "methods=cluster,mystery", "methods=extra,extra"])
     def test_bad_header_value_is_refused(self, tmp_path, command, key, value, rule):
         # one line naming the file and the header line, not a traceback
         from softgap.cli import main
@@ -953,7 +984,7 @@ class TestCli:
         metadata[key] = value
         path = tmp_path / "bad_header.csv"
         path.write_text(records_to_csv(run_sweep(cfg), metadata))
-        assert parse_csv_metadata(path.read_text())[key] == value
+        assert f"# {key}={value}" in path.read_text().splitlines()
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--in", str(path)])
         assert exit_info.value.code == f"{path}: # {key}={value}: must be {rule}"
@@ -964,7 +995,7 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--distances", "3", "--probs", "0.000001",
                      "--samples", "50", "--seed", "9", "--out", str(out)]) == 0
-        assert parse_records_csv(out.read_text()) == []
+        assert read_sweep(out.read_text()).records == []
         capsys.readouterr()
         assert main(["switch-check", "--threshold", "0.01", "--in", str(out),
                      "--method", "cluster"]) == 0
@@ -1015,7 +1046,7 @@ class TestCli:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--distances", "3,5", "--probs", "0.000001",
                      "--samples", "50", "--seed", "9", "--out", str(out)]) == 0
-        assert parse_records_csv(out.read_text()) == []
+        assert read_sweep(out.read_text()).records == []
         capsys.readouterr()
         fit_out = tmp_path / "fit.json"
         with pytest.raises(SystemExit) as exit_info:
@@ -1025,3 +1056,54 @@ class TestCli:
         assert err.startswith("usage: softgap fit")
         assert f"error: --method cluster: {out} holds no record of it" in err
         assert not fit_out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+        ["switch-check", "--threshold", "1.0"],
+    ])
+    @pytest.mark.parametrize("case", ["second-cell", "unlisted-method", "comment-row"])
+    def test_file_not_of_one_sweep_is_refused(self, tmp_path, command, case):
+        # the d = 5 rows of a second sweep appended to a d = 3 sweep's file
+        # make a cell its header does not count; a row of a method it does
+        # not list, or a '#' line among the rows, is not that sweep's either
+        from softgap.cli import main
+        cfg = SweepConfig(distances=(3,), probs=(0.05,), samples=50, master_seed=4)
+        text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
+        lines = text.splitlines(keepends=True)
+        if case == "second-cell":
+            second = records_to_csv(run_sweep(replace(cfg, distances=(5,))))
+            text += second.split("\n", 1)[1]
+            message = f"line {len(lines) + 1}: d=5 p=0.05 would be cell 2, but cells=1"
+        elif case == "unlisted-method":
+            text = text.replace(f"# methods={','.join(METHODS)}\n",
+                                "# methods=cluster,bounded,extra_cg\n")
+            row = next(i for i, line in enumerate(lines, 1)
+                       if line.split(",")[3:4] == ["extra"])
+            message = (f"line {row}: method 'extra' is not among "
+                       "# methods=cluster,bounded,extra_cg")
+        else:
+            text = "".join(lines[:-1] + ["# cells=2\n", lines[-1]])
+            message = f"line {len(lines)}: a '#' line after the CSV header"
+        with pytest.raises(ValueError) as err:
+            read_sweep(text)
+        assert str(err.value) == message
+        path = tmp_path / "not_one_sweep.csv"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--in", str(path)])
+        assert exit_info.value.code == f"{path}: {message}"
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
+        ["switch-check", "--threshold", "1.0"],
+    ])
+    def test_unreadable_file_is_refused(self, tmp_path, command):
+        # a missing file, or bytes that are not UTF-8: one line, not a traceback
+        from softgap.cli import main
+        missing, binary = tmp_path / "missing.csv", tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe")
+        for path, reason in [(missing, "[Errno 2] No such file or directory"),
+                             (binary, "'utf-8' codec can't decode byte 0xff")]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(command + ["--in", str(path)])
+            assert exit_info.value.code.startswith(f"{path}: {reason}")
