@@ -8,34 +8,26 @@ from .graphs import (InvalidParameterError, InvalidProbabilityError,
                      build_phenomenological, save_graph)
 from .fitting import InsufficientDataError, fit_power_law, fit_exponential
 from .harness import (ConfigError, ConsistencyError, SweepConfig, run_sweep,
-                      switch_check, aggregate, emit, read_sweep, METHODS)
-
-
-def _int_list(text):
-    return tuple(int(x) for x in text.split(","))
-
-
-def _float_list(text):
-    return tuple(float(x) for x in text.split(","))
+                      switch_check, aggregate, emit, read_sweep, list_parser, METHODS)
 
 
 def _read_sweep_csv(path, method):
     """The sweep CSV at ``path``, read by ``read_sweep``.  Empty samples
     the sweep skipped leave no record, and gaps beyond its threshold are
     undefined, so the records alone cannot give a rate: the header's
-    samples_per_cell, cells and epsilon_max_db do.  ``method`` must be one
-    the sweep ran: one with no record then has rate 0.  A file that
-    cannot be read as UTF-8 text, or that ``read_sweep`` refuses, ends the
-    command with one line, the path and the reason."""
+    config does.  ``method`` must be one the sweep ran: one with no record
+    then has rate 0.  A file that cannot be read as UTF-8 text, or that
+    ``read_sweep`` refuses, ends the command with one line, the path and
+    the reason."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            sweep = read_sweep(f.read())
+            cfg, records = read_sweep(f.read())
     except (OSError, ValueError) as err:
         raise SystemExit(f"{path}: {err}") from None
-    if method not in sweep.methods:
+    if method not in cfg.methods:
         raise ConfigError(f"--method {method} was not swept; {path} holds "
-                          f"{','.join(sweep.methods)}")
-    return sweep
+                          f"{','.join(cfg.methods)}")
+    return cfg, records
 
 
 def main(argv=None) -> int:
@@ -51,9 +43,9 @@ def main(argv=None) -> int:
     g.add_argument("--out", required=True)
 
     s = sub.add_parser("sweep", help="run a (d, p) sweep and write records")
-    s.add_argument("--distances", type=_int_list, required=True,
+    s.add_argument("--distances", type=list_parser(int), required=True,
                    help="comma-separated odd code distances, e.g. 3,5,7")
-    s.add_argument("--probs", type=_float_list, required=True,
+    s.add_argument("--probs", type=list_parser(float), required=True,
                    help="comma-separated physical error probabilities")
     s.add_argument("--samples", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
@@ -62,7 +54,7 @@ def main(argv=None) -> int:
                    help="measurement rounds (default: rounds = d)")
     s.add_argument("--workers", type=int, default=1)
     s.add_argument("--out", required=True)
-    s.add_argument("--methods", default=",".join(METHODS),
+    s.add_argument("--methods", type=list_parser(str), default=METHODS,
                    help="subset of cluster,bounded,extra,extra_cg")
     s.add_argument("--keep-empty", action="store_true",
                    help="emit records for empty-syndrome samples too")
@@ -106,7 +98,7 @@ def _run(args) -> int:
         cfg = SweepConfig(distances=args.distances, probs=args.probs,
                           samples=args.samples, master_seed=args.seed,
                           rounds=args.rounds, epsilon_max_db=args.epsilon_max_db,
-                          methods=tuple(args.methods.split(",")),
+                          methods=args.methods,
                           skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
         emit(records, args.format, args.out, cfg)
@@ -114,9 +106,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "fit":
-        sweep = _read_sweep_csv(args.infile, args.method)
-        rows = [r for r in aggregate(sweep.records, sweep.samples_per_cell,
-                                     sweep.epsilon_max_db)
+        cfg, records = _read_sweep_csv(args.infile, args.method)
+        rows = [r for r in aggregate(records, cfg.samples, cfg.epsilon_max_db)
                 if r.method == args.method]
         if not rows:
             raise ConfigError(f"--method {args.method}: {args.infile} holds no record "
@@ -142,9 +133,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "switch-check":
-        sweep = _read_sweep_csv(args.infile, args.method)
-        chk = switch_check(sweep.records, args.threshold, sweep.epsilon_max_db,
-                           attempted=sweep.samples_per_cell * sweep.cells,
+        cfg, records = _read_sweep_csv(args.infile, args.method)
+        chk = switch_check(records, args.threshold, cfg.epsilon_max_db,
+                           attempted=cfg.samples * len(cfg.distances) * len(cfg.probs),
                            method=args.method)
         print(f"measured_rate={chk.measured_rate!r} threshold={chk.user_threshold!r} "
               f"wilson=[{chk.wilson_low:.3g}, {chk.wilson_high:.3g}] "

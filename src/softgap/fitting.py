@@ -14,7 +14,7 @@ import numpy as np
 
 
 class InsufficientDataError(ValueError):
-    """Fewer than two usable points after filtering."""
+    """Usable points at fewer than two distances after filtering."""
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,10 @@ def _usable(points, d_min):
     if dropped:
         warnings.warn(f"dropped {dropped} non-positive y value(s); log undefined",
                       stacklevel=3)
-    if len(used) < 2:
+    distances = len({d for d, _ in used})
+    if distances < 2:
         raise InsufficientDataError(
-            f"need at least 2 usable points, got {len(used)}")
+            f"need usable points at 2 or more distances, got {distances}")
     return used
 
 

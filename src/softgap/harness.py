@@ -34,7 +34,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
@@ -59,13 +59,13 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    distances: tuple
-    probs: tuple
+    distances: tuple[int, ...]
+    probs: tuple[float, ...]
     samples: int
     master_seed: int = 0
     rounds: int | None = None          # None: rounds = d
     epsilon_max_db: float = 20.0
-    methods: tuple = METHODS
+    methods: tuple[str, ...] = METHODS
     skip_empty_syndromes: bool = True
 
     def validate(self):
@@ -274,8 +274,8 @@ def _below_threshold(r: SweepRecord, eps_scaled: int) -> bool:
 def aggregate(records, samples_per_cell: int, epsilon_max_db: float):
     """Single-pass aggregation of sweep records.
 
-    Pass the sweep's own ``samples_per_cell`` and ``epsilon_max_db`` (a
-    sweep CSV carries both in its header): the bounded and extra gaps are
+    Pass the sweep's own ``samples`` and ``epsilon_max_db`` (a sweep
+    CSV's header carries its config): the bounded and extra gaps are
     undefined beyond the threshold the sweep ran with, so no other
     threshold reads every method alike.
     Visited/extra statistics exclude empty-syndrome records (those with
@@ -396,17 +396,38 @@ class _FloatText(dict):
         return text
 
 
+def list_parser(kind):
+    """The parser of comma-separated ``kind`` values into a tuple, for a
+    tuple field of ``SweepConfig`` in a sweep header or an option."""
+    def parse(text):
+        return tuple(kind(x) for x in text.split(","))
+    parse.__name__ = f"{kind.__name__} list"     # argparse names it in errors
+    return parse
+
+
+def _int_or_none(text):
+    return None if text == "None" else int(text)
+
+
+def _true_or_false(text):
+    if text not in ("True", "False"):
+        raise ValueError("must be True or False")
+    return text == "True"
+
+
+# The parser of a header value, by the type of its SweepConfig field.
+_PARSE = {int: int, float: float, int | None: _int_or_none, bool: _true_or_false,
+          tuple[int, ...]: list_parser(int), tuple[float, ...]: list_parser(float),
+          tuple[str, ...]: list_parser(str)}
+
+
 def sweep_metadata(cfg: SweepConfig) -> dict:
-    """The ``# key=value`` header of a sweep's CSV.  Every rate read back
-    from the records takes its denominator (``samples_per_cell`` times
-    ``cells``) and its threshold (``epsilon_max_db``) from here, and
-    ``methods`` tells a method with no record from one not swept."""
-    return {"samples_per_cell": cfg.samples,
-            "cells": len(cfg.distances) * len(cfg.probs),
-            "master_seed": cfg.master_seed,
-            "epsilon_max_db": cfg.epsilon_max_db,
-            "methods": ",".join(cfg.methods),
-            "skip_empty_syndromes": cfg.skip_empty_syndromes}
+    """The ``# key=value`` header of a sweep's CSV: each ``SweepConfig``
+    field under its name, a tuple as comma-separated values.  Every rate
+    read back from the records takes its denominator and threshold from
+    it, and ``methods`` tells a method with no record from one not swept."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 class _CsvField(dict):
@@ -422,103 +443,87 @@ class _CsvField(dict):
 
 
 def records_to_csv(records, metadata: dict | None = None) -> str:
-    lines = []
-    if metadata:
-        for k in sorted(metadata):
-            lines.append(f"# {k}={metadata[k]}\n")
+    """The ``# key=value`` lines of ``metadata`` in key order, ``CSV_HEADER``,
+    one row per record and, after a header, the closing ``# records=<n>``.
+    With ``sweep_metadata(cfg)`` it is the sweep's file, which
+    ``read_sweep`` reads; with no ``metadata`` it writes the rows only,
+    which ``read_sweep`` refuses (``perfbench`` hashes that text)."""
+    lines = [f"# {k}={metadata[k]}\n" for k in sorted(metadata or ())]
     lines.append(CSV_HEADER + "\n")
     text = _FloatText({None: ""})
     field = _CsvField()
-    lines += [f"{d},{text[p]},{sample},{field[method]},{'true' if defined else 'false'},"
-              f"{text[gap_db]},{visited},{extra},{text[growth_db]},{n_clustered}\n"
-              for (d, p, sample, method, defined, gap_db, visited, extra, growth_db,
-                   n_clustered) in records]
+    rows = [f"{d},{text[p]},{sample},{field[method]},{'true' if defined else 'false'},"
+            f"{text[gap_db]},{visited},{extra},{text[growth_db]},{n_clustered}\n"
+            for (d, p, sample, method, defined, gap_db, visited, extra, growth_db,
+                 n_clustered) in records]
+    lines += rows
+    if metadata:
+        lines.append(f"# records={len(rows)}\n")
     return "".join(lines)
 
 
 class SweepFile(NamedTuple):
-    """A sweep's CSV read back by ``read_sweep``: the header values every
-    rate takes its denominator (``samples_per_cell`` times ``cells``) and
-    its threshold from, the swept methods, and the records."""
-    samples_per_cell: int
-    cells: int
-    epsilon_max_db: float
-    methods: tuple
+    """A sweep's CSV read back by ``read_sweep``: the sweep's config, which
+    every rate takes its denominator and threshold from, and its records."""
+    config: SweepConfig
     records: list
 
 
 def read_sweep(text: str) -> SweepFile:
-    """Inverse of ``emit(records, "csv", path, cfg)``: the header values
-    and records of CSV text, which must be one sweep's.  Read the file
-    first.
+    """Inverse of ``emit(records, "csv", path, cfg)``: the config and
+    records of the CSV text of one whole sweep.  Read the file first.
 
-    The ``#`` lines before the CSV header must give ``samples_per_cell``
-    and ``cells`` as integers >= 1, ``epsilon_max_db`` as a finite number
-    > 0 and ``methods`` as distinct names from ``METHODS``, each once.
-    Every row is checked against them and against the earlier rows.  A
-    row with the wrong number of fields, a field that does not parse, a
-    distance or probability no sweep runs, a method not in ``methods``, a
-    non-finite ``gap_db`` or ``max_growth_db``, a ``defined`` flag that
-    disagrees with its gap field, a sample index outside
-    ``range(samples_per_cell)``, a (d, p) beyond ``cells`` distinct ones,
-    or the (d, p, sample, method) of an earlier row is refused, and so is
-    a second header or a ``#`` line among the rows (as two sweeps
-    concatenated give).  Each refusal raises ValueError naming the header
-    line or the row's line.
+    The ``#`` lines before the CSV header give each ``SweepConfig`` field
+    once, and the config must pass ``validate``.  A row needs a (d, p) of
+    ``cfg.cells()``, a method of ``cfg.methods``, a sample in
+    ``range(cfg.samples)``, fields that parse, a ``defined`` flag that
+    agrees with its finite gap, a finite growth, and a (d, p, sample,
+    method) of no earlier row.  The last non-empty line must be
+    ``# records=<n>``, n the rows read, so a file cut at a line, short of
+    a row or joined to another is refused.  Each refusal raises
+    ValueError naming the line, or the header key it misses.
     """
-    lines = text.splitlines()
-    header = {}
+    lines = text.rstrip().splitlines()
+    types = {f.name: f.type for f in fields(SweepConfig)}
+    values = {}
     for lineno, line in enumerate(lines, 1):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
-            if key in header:
+            if key not in types:
+                raise ValueError(f"line {lineno}: '# {key}=' is not a SweepConfig field")
+            if key in values:
                 raise ValueError(f"line {lineno}: a second '# {key}=' line")
-            header[key] = value
+            try:
+                values[key] = _PARSE[types[key]](value)
+            except ValueError as err:
+                raise ValueError(f"line {lineno}: # {key}={value}: {err}") from None
         elif line:
             break
     else:
-        raise ValueError("missing CSV header")
+        raise ValueError(f"line {len(lines) + 1}: no CSV header")
     if line != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header: {line!r}")
-    for key in ("samples_per_cell", "cells", "epsilon_max_db", "methods"):
-        if key not in header:
+        raise ValueError(f"line {lineno}: unexpected CSV header: {line!r}")
+    for key in types:
+        if key not in values:
             raise ValueError(f"no '# {key}=' line; write it with `softgap sweep --format csv`")
+    cfg = SweepConfig(**values)
+    cfg.validate()
 
-    def number(key, kind):
-        try:
-            value = kind(header[key])
-        except ValueError:
-            value = 0
-        if not 0 < value < math.inf:
-            rule = "an integer >= 1" if kind is int else "a finite number > 0"
-            raise ValueError(f"# {key}={header[key]}: must be {rule}")
-        return value
-
-    samples_per_cell = number("samples_per_cell", int)
-    cells = number("cells", int)
-    epsilon_max_db = number("epsilon_max_db", float)
-    methods = tuple(header["methods"].split(","))
-    if not set(methods) <= set(METHODS) or len(set(methods)) < len(methods):
-        raise ValueError(f"# methods={header['methods']}: must be distinct names "
-                         f"from {','.join(METHODS)}")
-
+    cells = {(d, p) for _, d, p in cfg.cells()}
     records = []
-    rows_of = {}  # (d, p) -> the (sample, method) of its rows
-    for lineno, line in enumerate(lines[lineno:], lineno + 1):
+    seen = set()  # (d, p, sample, method) of the rows read
+    for lineno, line in enumerate(lines[lineno:-1], lineno + 1):
         if not line:
             continue
         if line.startswith("#"):
-            raise ValueError(f"line {lineno}: a '#' line after the CSV header")
-        if line == CSV_HEADER:
-            raise ValueError(f"line {lineno}: a second CSV header")
+            raise ValueError(f"line {lineno}: a '#' line that is not the last line")
         row = next(csv.reader([line]))
         if len(row) != len(SweepRecord._fields):
             raise ValueError(f"line {lineno}: {len(row)} fields, "
                              f"expected {len(SweepRecord._fields)}")
-        if row[3] not in methods:
-            problem = (f"method {row[3]!r} is not among # methods={header['methods']}"
-                       if row[3] in METHODS else f"unknown method {row[3]!r}")
-            raise ValueError(f"line {lineno}: {problem}")
+        if row[3] not in cfg.methods:
+            raise ValueError(f"line {lineno}: method {row[3]!r} is not among "
+                             f"# methods={','.join(cfg.methods)}")
         if row[4] not in ("true", "false"):
             raise ValueError(f"line {lineno}: defined must be true or false, got {row[4]!r}")
         defined = row[4] == "true"
@@ -533,30 +538,24 @@ def read_sweep(text: str) -> SweepFile:
                 max_growth_db=float(row[8]), nodes_in_clusters=int(row[9]))
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
-        if r.d < 3 or r.d % 2 == 0:
-            raise ValueError(f"line {lineno}: d must be odd and >= 3, got {r.d}")
-        if not 0.0 < r.p <= 0.5:
-            raise ValueError(f"line {lineno}: p must be in (0, 0.5], got {r.p!r}")
         for name in ("gap_db", "max_growth_db"):
             value = getattr(r, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"line {lineno}: {name} must be finite, got {value!r}")
-        if not 0 <= r.sample < samples_per_cell:
+        if (r.d, r.p) not in cells:
+            raise ValueError(f"line {lineno}: d={r.d} p={r.p!r} is not a cell of this sweep")
+        if r.sample not in range(cfg.samples):
             raise ValueError(f"line {lineno}: sample {r.sample} is outside "
-                             f"0..{samples_per_cell - 1} (samples_per_cell="
-                             f"{samples_per_cell})")
-        seen = rows_of.get((r.d, r.p))
-        if seen is None:
-            if len(rows_of) == cells:
-                raise ValueError(f"line {lineno}: d={r.d} p={r.p!r} would be cell "
-                                 f"{cells + 1}, but cells={cells}")
-            seen = rows_of[r.d, r.p] = set()
-        if (r.sample, r.method) in seen:
+                             f"0..{cfg.samples - 1} (samples={cfg.samples})")
+        if r[:4] in seen:
             raise ValueError(f"line {lineno}: repeats d={r.d} p={r.p!r} "
                              f"sample={r.sample} method={r.method} of an earlier row")
-        seen.add((r.sample, r.method))
+        seen.add(r[:4])
         records.append(r)
-    return SweepFile(samples_per_cell, cells, epsilon_max_db, methods, records)
+    if lines[-1] != f"# records={len(records)}":
+        raise ValueError(f"line {len(lines)}: the last line must be "
+                         f"'# records={len(records)}', got {lines[-1]!r}")
+    return SweepFile(cfg, records)
 
 
 def records_to_json(records, metadata: dict | None = None) -> str:

@@ -1,8 +1,10 @@
-"""Mutation check of ``harness.read_sweep``: does a test notice each of its
+"""Mutation check of the sweep reader, ``harness.read_sweep`` and the
+header value parsers it calls: does a test notice each of their
 comparisons changed?
 
-Swaps one comparison operator at a time inside ``read_sweep`` (``<`` with
-``<=``, ``>`` with ``>=``, ``==`` with ``!=``, each way round), writes the
+Swaps one comparison operator at a time inside those functions (``<`` with
+``<=``, ``>`` with ``>=``, ``==`` with ``!=``, ``in`` with ``not in`` and
+``is`` with ``is not``, each way round), writes the
 changed module into a copy of ``src`` and ``tests``, and runs the fast
 harness tests there in a child process capped at 2 GiB of address space
 and 120 s.  A mutant is killed when that run fails or hits a cap, and
@@ -27,23 +29,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULE = Path("src/softgap/harness.py")
-FUNCTION = "read_sweep"
+FUNCTIONS = ("read_sweep", "_int_or_none", "_true_or_false")
 COMMAND = [sys.executable, "-m", "pytest", "-m", "not slow", "-x", "-q",
            "-p", "no:cacheprovider", "tests/test_harness.py"]
 MEMORY_BYTES = 2 * 1024 ** 3
 TIMEOUT_S = 120
 SWAP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-        ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
+        ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
+        ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
-          ast.Eq: "==", ast.NotEq: "!="}
+          ast.Eq: "==", ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in",
+          ast.Is: "is", ast.IsNot: "is not"}
 
 
 def comparisons(tree):
     """(Compare node, operator index) of each swappable operator in
-    FUNCTION, in source order."""
-    func = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == FUNCTION)
-    found = [(node, i) for node in ast.walk(func) if isinstance(node, ast.Compare)
+    FUNCTIONS, in source order."""
+    funcs = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in FUNCTIONS]
+    found = [(node, i) for func in funcs for node in ast.walk(func)
+             if isinstance(node, ast.Compare)
              for i, op in enumerate(node.ops) if type(op) in SWAP]
     return sorted(found, key=lambda t: (t[0].lineno, t[0].col_offset, t[1]))
 
@@ -98,9 +103,9 @@ def main():
                     sys.exit(f"the unchanged {MODULE} fails {' '.join(COMMAND[1:])}")
                 continue
             killed.append(not ok)
-            print(f"{MODULE}:{line}  {swap:<9} {'killed' if not ok else 'SURVIVED'}",
+            print(f"{MODULE}:{line}  {swap:<16} {'killed' if not ok else 'SURVIVED'}",
                   flush=True)
-    print(f"{FUNCTION}: {sum(killed)} of {count} mutants killed")
+    print(f"{', '.join(FUNCTIONS)}: {sum(killed)} of {count} mutants killed")
     return 0 if all(killed) else 1
 
 

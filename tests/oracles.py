@@ -294,7 +294,8 @@ def oracle_syndrome(graph, flipped_edges):
 def oracle_records_csv(records, metadata=None):
     """``records_to_csv`` text, read field by field from each record's
     attributes: one row of strings per record, each float formatted on
-    its own, one ``writerow`` call per row."""
+    its own, one ``writerow`` call per row, and after a header the
+    closing line with the number of rows."""
     def fmt(x):
         return repr(float(x))
 
@@ -310,6 +311,8 @@ def oracle_records_csv(records, metadata=None):
                          "" if r.gap_db is None else fmt(r.gap_db),
                          str(r.visited_nodes), str(r.extra_nodes),
                          fmt(r.max_growth_db), str(r.nodes_in_clusters)])
+    if metadata:
+        buf.write(f"# records={len(records)}\n")
     return buf.getvalue()
 
 

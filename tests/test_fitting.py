@@ -45,6 +45,10 @@ class TestPowerLaw:
             fit_power_law([(7, 3.0)])
         with pytest.raises(InsufficientDataError):
             fit_power_law([(3, 1.0), (5, 2.0)], d_min=5)
+        # two points at one d: no slope to fit, not a NaN fit
+        with pytest.raises(InsufficientDataError, match="^need usable points at 2 or more "
+                           "distances, got 1$"):
+            fit_power_law([(5, 1.0), (5, 2.0)])
 
     def test_zero_values_dropped_with_warning(self):
         pts = [(3, 0.0), (5, 2.0 * 5**3), (7, 2.0 * 7**3), (9, 2.0 * 9**3)]
@@ -80,3 +84,5 @@ class TestExponential:
             fit_exponential([(5, 1.0)])
         with pytest.warns(UserWarning), pytest.raises(InsufficientDataError):
             fit_exponential([(5, 0.0), (7, 0.0)])
+        with pytest.raises(InsufficientDataError, match="got 1$"):
+            fit_exponential([(5, 1.0), (5, 2.0)])

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,15 +45,18 @@ def small_cfg(**overrides):
     return SweepConfig(**base)
 
 
+ONE_CELL = SweepConfig(distances=(3,), probs=(0.01,), samples=5)
+
+
 def one_cell_text(*rows, **header):
-    """CSV text of a one-cell sweep (d = 3, p = 1%, 5 samples, all four
-    methods) holding ``rows``, with ``header`` values in place of the
-    sweep's and a value of None dropping its line.  The full header takes
-    lines 1-7, so the first row is line 8."""
-    cfg = SweepConfig(distances=(3,), probs=(0.01,), samples=5)
-    metadata = {**sweep_metadata(cfg), **header}
-    metadata = {k: v for k, v in metadata.items() if v is not None}
-    return records_to_csv([], metadata) + "".join(f"{row}\n" for row in rows)
+    """CSV text of a one-cell sweep (``ONE_CELL``: d = 3, p = 1%, 5
+    samples, all four methods) holding ``rows`` and its closing line, with
+    ``header`` values in place of the sweep's and a value of None dropping
+    its line.  The header takes lines 1-9, so the first row is line 10."""
+    metadata = {k: v for k, v in {**sweep_metadata(ONE_CELL), **header}.items()
+                if k not in header or header[k] is not None}
+    head = records_to_csv([], metadata).splitlines(keepends=True)[:-1]
+    return "".join(head + [f"{row}\n" for row in rows] + [f"# records={len(rows)}\n"])
 
 
 class TestConfig:
@@ -295,8 +298,9 @@ class TestPinnedOutput:
         text = records_to_csv(run_sweep(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_CSV_SHA256
 
-    # sha256 of records_to_json for the same sweep, with its metadata
-    SWEEP_JSON_SHA256 = "f89cbbfb54f0a758901cd62e0d1ed445054f74afe1a6ec566357e8216884c1b5"
+    # sha256 of records_to_json for the same sweep, with its metadata (the
+    # config's fields)
+    SWEEP_JSON_SHA256 = "6976f5a798dc21fae980e85d204a9de3fd7c0c502c414501bf4a186da6fab8cc"
 
     def test_sweep_json_bytes(self):
         cfg = SweepConfig(distances=(5, 9), probs=(0.001, 0.01), samples=300,
@@ -360,16 +364,39 @@ class TestEmit:
     def test_empty_record_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit([], "csv", path, small_cfg())
-        assert path.read_text().endswith("\n" + CSV_HEADER + "\n")
-        assert read_sweep(path.read_text()) == SweepFile(40, 4, 20.0, METHODS, [])
+        assert path.read_text().endswith("\n" + CSV_HEADER + "\n# records=0\n")
+        assert read_sweep(path.read_text()) == SweepFile(small_cfg(), [])
 
     def test_csv_round_trip_identity(self, tmp_path):
         cfg = small_cfg()
         records = list(run_sweep(cfg))
         text = records_to_csv(records, sweep_metadata(cfg))
         sweep = read_sweep(text)
-        assert sweep == SweepFile(40, 4, 20.0, METHODS, records)
-        assert records_to_csv(sweep.records, sweep_metadata(cfg)) == text
+        assert sweep == SweepFile(cfg, records)
+        assert records_to_csv(sweep.records, sweep_metadata(sweep.config)) == text
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig((3,), (0.05,), 30, master_seed=4),
+        SweepConfig((3, 5), (0.02, 0.05), 20, master_seed=7, rounds=2, epsilon_max_db=12.5),
+        SweepConfig((5, 3), (0.05, 0.01, 0.5), 15, master_seed=2, rounds=1,
+                    methods=("extra_cg", "cluster"), skip_empty_syndromes=False),
+        SweepConfig((3,), (1e-7, 0.03), 25, master_seed=0, methods=("bounded",)),
+    ], ids=["defaults", "rounds-set", "keep-empty-methods-subset", "empty-cell"])
+    def test_sweep_round_trips_with_its_config(self, cfg):
+        # the header is the config: rounds set or None, a subset of the
+        # methods in any order, keep-empty and two or more probabilities
+        records = list(run_sweep(cfg))
+        assert read_sweep(records_to_csv(records, sweep_metadata(cfg))) == (cfg, records)
+
+    def test_header_is_the_config(self):
+        cfg = SweepConfig((3, 5), (0.001, 0.02), 10, master_seed=9, rounds=1,
+                          methods=("extra", "cluster"))
+        assert records_to_csv([], sweep_metadata(cfg)).splitlines() == [
+            "# distances=3,5", "# epsilon_max_db=20.0", "# master_seed=9",
+            "# methods=extra,cluster", "# probs=0.001,0.02", "# rounds=1", "# samples=10",
+            "# skip_empty_syndromes=True", CSV_HEADER, "# records=0"]
+        # rounds = d and rounds = 1 no longer write the same header
+        assert sweep_metadata(replace(cfg, rounds=None))["rounds"] is None
 
     # No explain phase: on a failing example of these ten-field records it
     # runs for minutes, after the shrink has already found the small case.
@@ -386,30 +413,36 @@ class TestEmit:
 
     def test_parse_header_only_text(self):
         # text, never a path: a header alone is a sweep with no records
-        assert read_sweep(one_cell_text()) == SweepFile(5, 1, 20.0, METHODS, [])
+        assert read_sweep(one_cell_text()) == SweepFile(ONE_CELL, [])
 
     @pytest.mark.parametrize("row, message", [
-        ("3,0.01,0,cluster,true,1.5,2,0,0.5", "line 8: 9 fields, expected 10"),
-        ("3,0.01,0,cluster,true,1.5,2,0,0.5,1,7", "line 8: 11 fields, expected 10"),
-        ("3,0.01,x,cluster,true,1.5,2,0,0.5,1", "line 8: invalid literal for int()"),
-        ("3,0.01,0,cluster,true,1.5dB,2,0,0.5,1", "line 8: could not convert string"),
-        ("3,0.01,0,cluster,yes,1.5,2,0,0.5,1", "line 8: defined must be true or false"),
-        ("3,0.01,0,extra-cg,true,1.5,2,0,0.5,1", "line 8: unknown method 'extra-cg'"),
-        ("3,0.01,0,cluster,true,nan,2,0,0.5,1", "line 8: gap_db must be finite, got nan"),
-        ("3,0.01,0,cluster,true,-inf,2,0,0.5,1", "line 8: gap_db must be finite, got -inf"),
+        ("3,0.01,0,cluster,true,1.5,2,0,0.5", "line 10: 9 fields, expected 10"),
+        ("3,0.01,0,cluster,true,1.5,2,0,0.5,1,7", "line 10: 11 fields, expected 10"),
+        ("3,0.01,x,cluster,true,1.5,2,0,0.5,1", "line 10: invalid literal for int()"),
+        ("3,0.01,0,cluster,true,1.5dB,2,0,0.5,1", "line 10: could not convert string"),
+        ("3,0.01,0,cluster,yes,1.5,2,0,0.5,1", "line 10: defined must be true or false"),
+        ("3,0.01,0,extra-cg,true,1.5,2,0,0.5,1",
+         "line 10: method 'extra-cg' is not among # methods=cluster,bounded,extra,extra_cg"),
+        ("3,0.01,0,cluster,true,nan,2,0,0.5,1", "line 10: gap_db must be finite, got nan"),
+        ("3,0.01,0,cluster,true,-inf,2,0,0.5,1", "line 10: gap_db must be finite, got -inf"),
         ("3,0.01,0,cluster,true,1.5,2,0,inf,1",
-         "line 8: max_growth_db must be finite, got inf"),
+         "line 10: max_growth_db must be finite, got inf"),
         ("3,0.01,0,cluster,true,1.5,2,0,nan,1",
-         "line 8: max_growth_db must be finite, got nan"),
-        ("3,0.01,0,cluster,true,,2,0,0.5,1", "line 8: defined is true but gap_db is empty"),
+         "line 10: max_growth_db must be finite, got nan"),
+        ("3,0.01,0,cluster,true,,2,0,0.5,1", "line 10: defined is true but gap_db is empty"),
         ("3,0.01,0,cluster,false,1.5,2,0,0.5,1",
-         "line 8: defined is false but gap_db is '1.5'"),
-        ("4,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 8: d must be odd and >= 3, got 4"),
-        ("-3,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 8: d must be odd and >= 3, got -3"),
-        ("3,nan,0,cluster,true,1.5,2,0,0.5,1", "line 8: p must be in (0, 0.5], got nan"),
-        ("3,0,0,cluster,true,1.5,2,0,0.5,1", "line 8: p must be in (0, 0.5], got 0.0"),
-        ("3,0.6,0,cluster,true,1.5,2,0,0.5,1", "line 8: p must be in (0, 0.5], got 0.6"),
-        (f"{CSV_HEADER}", "line 8: a second CSV header"),
+         "line 10: defined is false but gap_db is '1.5'"),
+        ("4,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 10: d=4 p=0.01 is not a cell of this sweep"),
+        ("-3,0.01,0,cluster,true,1.5,2,0,0.5,1",
+         "line 10: d=-3 p=0.01 is not a cell of this sweep"),
+        ("3,nan,0,cluster,true,1.5,2,0,0.5,1", "line 10: d=3 p=nan is not a cell of this sweep"),
+        ("3,0,0,cluster,true,1.5,2,0,0.5,1", "line 10: d=3 p=0.0 is not a cell of this sweep"),
+        ("3,0.6,0,cluster,true,1.5,2,0,0.5,1", "line 10: d=3 p=0.6 is not a cell of this sweep"),
+        # valid distances and probabilities, but not a cell this sweep ran
+        ("5,0.01,0,cluster,true,1.5,2,0,0.5,1", "line 10: d=5 p=0.01 is not a cell of this sweep"),
+        ("3,0.02,0,cluster,true,1.5,2,0,0.5,1", "line 10: d=3 p=0.02 is not a cell of this sweep"),
+        (f"{CSV_HEADER}", "line 10: method 'method' is not among # methods="),
+        ("# records=0", "line 10: a '#' line that is not the last line"),
     ])
     def test_malformed_row_names_its_line(self, row, message):
         with pytest.raises(ValueError) as err:
@@ -418,51 +451,80 @@ class TestEmit:
 
     def test_joined_sweeps_are_refused(self):
         # two sweeps joined, with none, one or all of the second one's
-        # header lines: each cell's rows would count twice against its samples
+        # header lines: each is refused at the first one's closing line,
+        # which is no longer the last
         cfg = SweepConfig(distances=(3,), probs=(0.05,), samples=50, master_seed=4)
         text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
         lines = text.splitlines(keepends=True)
         first = lines.index(CSV_HEADER + "\n") + 1
-        d, p, sample, method = lines[first].split(",")[:4]
-        at = f"line {len(lines) + 1}: "
-        for joined, message in [
-            (text + "".join(lines[first:]),
-             f"{at}repeats d={d} p={p} sample={sample} method={method} of an earlier row"),
-            (text + "".join(lines[first - 1:]), f"{at}a second CSV header"),
-            (text + text, f"{at}a '#' line after the CSV header"),
-        ]:
+        for joined in (text + "".join(lines[first:]), text + "".join(lines[first - 1:]),
+                       text + text):
             with pytest.raises(ValueError) as err:
                 read_sweep(joined)
-            assert str(err.value) == message
+            assert str(err.value) == f"line {len(lines)}: a '#' line that is not the last line"
+
+    def test_cut_short_or_edited_sweep_is_refused(self):
+        # every cut at a line boundary, one row dropped, a row repeated or
+        # moved to a cell never swept: each refused, naming a line
+        cfg = SweepConfig(distances=(3, 5), probs=(0.05,), samples=50, master_seed=4)
+        records = list(run_sweep(cfg))
+        text = records_to_csv(records, sweep_metadata(cfg))
+        assert read_sweep(text) == (cfg, records)
+        lines = text.splitlines(keepends=True)
+        n = len(records)
+        assert lines[-1] == f"# records={n}\n" and n > 100
+        for cut in range(len(lines)):
+            with pytest.raises(ValueError, match=r"^line \d+: "):
+                read_sweep("".join(lines[:cut]))
+        middle = len(lines) // 2
+        d, p, sample, method = lines[middle].split(",")[:4]
+        moved = ["7" + line[1:] if line.startswith("5,") else line for line in lines]
+        first_moved = next(i for i, line in enumerate(moved, 1) if line.startswith("7,"))
+        for edited, message in [
+            (lines[:middle] + lines[middle + 1:],
+             f"line {len(lines) - 1}: the last line must be '# records={n - 1}', "
+             f"got '# records={n}'"),
+            (lines[:middle + 1] + lines[middle:],
+             f"line {middle + 2}: repeats d={d} p={p} sample={sample} method={method} "
+             "of an earlier row"),
+            (moved, f"line {first_moved}: d=7 p=0.05 is not a cell of this sweep"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                read_sweep("".join(edited))
+            assert str(err.value).startswith(message)
 
     @pytest.mark.parametrize("header, sample, message", [
-        ("# samples_per_cell=5", 5, "line 8: sample 5 is outside 0..4 (samples_per_cell=5)"),
-        ("# samples_per_cell=5", -1, "line 8: sample -1 is outside 0..4 (samples_per_cell=5)"),
-        ("# samples_per_cell=0", 0, "# samples_per_cell=0: must be an integer >= 1"),
-        ("# samples_per_cell=fifty", 0, "# samples_per_cell=fifty: must be an integer >= 1"),
+        ("# samples=5", 5, "line 10: sample 5 is outside 0..4 (samples=5)"),
+        ("# samples=5", -1, "line 10: sample -1 is outside 0..4 (samples=5)"),
+        ("# samples=0", 0, "samples must be >= 1, got 0"),
+        ("# samples=fifty", 0,
+         "line 7: # samples=fifty: invalid literal for int() with base 10: 'fifty'"),
     ])
     def test_sample_index_bound_comes_from_the_text(self, header, sample, message):
         text = one_cell_text(f"3,0.01,{sample},cluster,true,1.5,2,0,0.5,1",
-                             samples_per_cell=header.partition("=")[2])
+                             samples=header.partition("=")[2])
         with pytest.raises(ValueError) as err:
             read_sweep(text)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("key", ["samples_per_cell", "cells", "epsilon_max_db", "methods"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(SweepConfig)])
     def test_header_without_a_rate_value_is_refused(self, key):
+        # every config field, not only those a rate reads
         with pytest.raises(ValueError) as err:
             read_sweep(one_cell_text(**{key: None}))
         assert str(err.value) == (f"no '# {key}=' line; "
                                   "write it with `softgap sweep --format csv`")
 
     @pytest.mark.parametrize("text, message", [
+        (one_cell_text().replace(CSV_HEADER, f"# samples=5\n{CSV_HEADER}"),
+         "line 9: a second '# samples=' line"),
         (one_cell_text().replace(CSV_HEADER, f"# cells=1\n{CSV_HEADER}"),
-         "line 7: a second '# cells=' line"),
+         "line 9: '# cells=' is not a SweepConfig field"),
         (one_cell_text().replace(CSV_HEADER, CSV_HEADER.replace(",", ";")),
-         f"unexpected CSV header: {CSV_HEADER.replace(',', ';')!r}"),
-        (one_cell_text().replace(CSV_HEADER, ""), "missing CSV header"),
-        ("", "missing CSV header"),
-    ], ids=["repeated-key", "other-header", "header-lines-only", "empty"])
+         f"line 9: unexpected CSV header: {CSV_HEADER.replace(',', ';')!r}"),
+        (one_cell_text().split(CSV_HEADER)[0], "line 9: no CSV header"),
+        ("", "line 1: no CSV header"),
+    ], ids=["repeated-key", "unknown-key", "other-header", "header-lines-only", "empty"])
     def test_malformed_header_is_refused(self, text, message):
         with pytest.raises(ValueError) as err:
             read_sweep(text)
@@ -471,8 +533,10 @@ class TestEmit:
     def test_rows_at_the_header_bounds_are_read(self):
         # d = 3, p = 0.5, the last sample index and the last of the cells
         rows = ["3,0.5,4,extra_cg,true,1.5,2,0,0.5,1", "5,0.01,0,extra_cg,false,,2,0,0.5,1"]
-        sweep = read_sweep(one_cell_text(*rows, cells=2, methods="extra_cg"))
-        assert sweep[:4] == (5, 2, 20.0, ("extra_cg",))
+        sweep = read_sweep(one_cell_text(*rows, distances="3,5", probs="0.01,0.5",
+                                         methods="extra_cg"))
+        assert sweep.config == replace(ONE_CELL, distances=(3, 5), probs=(0.01, 0.5),
+                                       methods=("extra_cg",))
         assert [r[:4] for r in sweep.records] == [(3, 0.5, 4, "extra_cg"),
                                                   (5, 0.01, 0, "extra_cg")]
 
@@ -676,7 +740,32 @@ class TestSwitchCheck:
         assert chk.measured_rate == 0.5
 
 
-_METHOD_RULE = "distinct names from cluster,bounded,extra,extra_cg"
+# (key, value, refusal) of a bad header line; {line} is the line's number
+_BAD_HEADER = [
+    ("samples", "fifty",
+     "line {line}: # samples=fifty: invalid literal for int() with base 10: 'fifty'"),
+    ("samples", "0", "samples must be >= 1, got 0"),
+    # the keys of the earlier header, which wrote a count of cells
+    ("cells", "2.5", "line {line}: '# cells=' is not a SweepConfig field"),
+    ("samples_per_cell", "0", "line {line}: '# samples_per_cell=' is not a SweepConfig field"),
+    ("epsilon_max_db", "", "line {line}: # epsilon_max_db=: could not convert string "
+     "to float: ''"),
+    ("epsilon_max_db", "0", "epsilon_max_db must be finite and > 0, got 0.0"),
+    ("epsilon_max_db", "inf", "epsilon_max_db must be finite and > 0, got inf"),
+    ("epsilon_max_db", "nan", "epsilon_max_db must be finite and > 0, got nan"),
+    ("methods", "", f"unknown method ''; choose from {METHODS}"),
+    ("methods", "cluster,mystery", f"unknown method 'mystery'; choose from {METHODS}"),
+    ("methods", "extra,extra", "method extra is given twice; each cell is swept once"),
+    ("distances", "3,4", "distances must be odd and >= 3, got 4"),
+    ("distances", "3,5,3", "distance 3 is given twice; each cell is swept once"),
+    ("probs", "0.01,0.7", "probabilities must be in (0, 0.5], got 0.7"),
+    ("rounds", "0", "rounds must be >= 1, got 0"),
+    ("rounds", "", "line {line}: # rounds=: invalid literal for int() with base 10: ''"),
+    ("master_seed", "1.5",
+     "line {line}: # master_seed=1.5: invalid literal for int() with base 10: '1.5'"),
+    ("skip_empty_syndromes", "true",
+     "line {line}: # skip_empty_syndromes=true: must be True or False"),
+]
 
 
 class TestCli:
@@ -785,7 +874,8 @@ class TestCli:
                      "--samples", "300", "--seed", "3", "--methods", "cluster",
                      "--out", str(out)]) == 0
         sweep = read_sweep(out.read_text())
-        assert (sweep.samples_per_cell, sweep.cells, sweep.methods) == (300, 2, ("cluster",))
+        assert sweep.config == SweepConfig((5,), (0.001, 1e-7), 300, master_seed=3,
+                                           methods=("cluster",))
         records = sweep.records
         assert 0 < len(records) < 300
         assert {r.p for r in records} == {0.001}
@@ -860,7 +950,8 @@ class TestCli:
                      "--samples", "30", "--seed", "4", "--out", str(out)]) == 0
         assert f"wrote 240 records to {out}" in capsys.readouterr().out
         sweep = read_sweep(out.read_text())
-        assert sweep[:4] == (30, 2, 20.0, METHODS)
+        assert sweep.config == SweepConfig((3, 5), (0.02,), 30, master_seed=4,
+                                           skip_empty_syndromes=False)
         records = sweep.records
         assert len(records) == 4 * 60
         assert any(r.nodes_in_clusters == 0 for r in records)
@@ -900,30 +991,32 @@ class TestCli:
         ["switch-check", "--threshold", "1.0"],
     ])
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda row: row[:row.rindex(",")], "9 fields, expected 10"),
-        (lambda row: row.replace(",extra_cg,", ",extra_rg,"), "unknown method 'extra_rg'"),
+        (lambda row: row[:row.rindex(",")] + "\n", "9 fields, expected 10"),
+        (lambda row: row.replace(",extra_cg,", ",extra_rg,"),
+         "method 'extra_rg' is not among # methods=cluster,bounded,extra,extra_cg"),
     ], ids=["truncated-last-row", "renamed-method"])
     def test_malformed_csv_is_refused(self, tmp_path, command, corrupt, message):
-        # one line naming the file and the row, not a traceback
+        # one line naming the file and the row, not a traceback; the last
+        # row is the line before the closing '# records=' line
         from softgap.cli import main
         cfg = small_cfg(samples=5)
         lines = records_to_csv(run_sweep(cfg), sweep_metadata(cfg)).splitlines(keepends=True)
-        assert lines[-1] != corrupt(lines[-1])
-        lines[-1] = corrupt(lines[-1])
+        assert lines[-2] != corrupt(lines[-2])
+        lines[-2] = corrupt(lines[-2])
         path = tmp_path / "bad.csv"
         path.write_text("".join(lines))
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--in", str(path)])
-        assert exit_info.value.code == f"{path}: line {len(lines)}: {message}"
+        assert exit_info.value.code == f"{path}: line {len(lines) - 1}: {message}"
 
     @pytest.mark.parametrize("command", [
         ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
         ["switch-check", "--threshold", "1.0"],
     ])
     def test_concatenated_sweeps_are_refused(self, tmp_path, command):
-        # the rows of a second sweep appended to the first repeat its
-        # (d, p, sample, method) rows; they would count twice against one
-        # cell's samples
+        # the rows of a second sweep appended to the first would count
+        # twice against one cell's samples; the first sweep's closing line
+        # is then not the last
         from softgap.cli import main
         cfg = SweepConfig(distances=(3, 5), probs=(0.05,), samples=200, master_seed=4)
         text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
@@ -931,12 +1024,10 @@ class TestCli:
         first = lines.index(CSV_HEADER + "\n") + 1
         path = tmp_path / "twice.csv"
         path.write_text(text + "".join(lines[first:]))
-        d, p, sample, method = lines[first].split(",")[:4]
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--in", str(path)])
         assert exit_info.value.code == (
-            f"{path}: line {len(lines) + 1}: repeats d={d} p={p} sample={sample} "
-            f"method={method} of an earlier row")
+            f"{path}: line {len(lines)}: a '#' line that is not the last line")
 
     @pytest.mark.parametrize("command", [
         ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
@@ -947,47 +1038,34 @@ class TestCli:
         from softgap.cli import main
         cfg = small_cfg(samples=5)
         lines = records_to_csv(run_sweep(cfg), sweep_metadata(cfg)).splitlines(keepends=True)
-        fields = lines[-1].split(",")
-        lines[-1] = ",".join(fields[:2] + [str(sample)] + fields[3:])
+        row = lines[-2].split(",")
+        lines[-2] = ",".join(row[:2] + [str(sample)] + row[3:])
         path = tmp_path / "beyond.csv"
         path.write_text("".join(lines))
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--in", str(path)])
         assert exit_info.value.code == (
-            f"{path}: line {len(lines)}: sample {sample} is outside 0..4 "
-            "(samples_per_cell=5)")
+            f"{path}: line {len(lines) - 1}: sample {sample} is outside 0..4 (samples=5)")
 
     @pytest.mark.parametrize("command", [
         ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],
         ["switch-check", "--threshold", "1.0"],
     ])
-    @pytest.mark.parametrize("key, value, rule", [
-        ("samples_per_cell", "fifty", "an integer >= 1"),
-        ("samples_per_cell", "0", "an integer >= 1"),
-        ("cells", "2.5", "an integer >= 1"),
-        ("cells", "-1", "an integer >= 1"),
-        ("epsilon_max_db", "", "a finite number > 0"),
-        ("epsilon_max_db", "0", "a finite number > 0"),
-        ("epsilon_max_db", "inf", "a finite number > 0"),
-        ("epsilon_max_db", "nan", "a finite number > 0"),
-        ("methods", "", _METHOD_RULE),
-        ("methods", "cluster,mystery", _METHOD_RULE),
-        ("methods", "extra,extra", _METHOD_RULE),
-    ], ids=["samples_per_cell=fifty", "samples_per_cell=0", "cells=2.5", "cells=-1",
-            "epsilon_max_db=", "epsilon_max_db=0", "epsilon_max_db=inf", "epsilon_max_db=nan",
-            "methods=", "methods=cluster,mystery", "methods=extra,extra"])
-    def test_bad_header_value_is_refused(self, tmp_path, command, key, value, rule):
-        # one line naming the file and the header line, not a traceback
+    @pytest.mark.parametrize("key, value, message", _BAD_HEADER,
+                             ids=[f"{key}={value}" for key, value, _ in _BAD_HEADER])
+    def test_bad_header_value_is_refused(self, tmp_path, command, key, value, message):
+        # one line naming the file and the header line or the config rule
+        # it breaks, not a traceback
         from softgap.cli import main
         cfg = small_cfg(samples=5)
         metadata = sweep_metadata(cfg)
         metadata[key] = value
         path = tmp_path / "bad_header.csv"
         path.write_text(records_to_csv(run_sweep(cfg), metadata))
-        assert f"# {key}={value}" in path.read_text().splitlines()
+        line = path.read_text().splitlines().index(f"# {key}={value}") + 1
         with pytest.raises(SystemExit) as exit_info:
             main(command + ["--in", str(path)])
-        assert exit_info.value.code == f"{path}: # {key}={value}: must be {rule}"
+        assert exit_info.value.code == f"{path}: {message.format(line=line)}"
 
     def test_switch_check_without_records_of_the_method(self, tmp_path, capsys):
         # every sample is empty and skipped: the rate is 0 over 50 samples
@@ -1035,7 +1113,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: softgap fit")
         assert ("error: --metric fraction_below --method cluster at p=0.02: "
-                "need at least 2 usable points, got 0") in err
+                "need usable points at 2 or more distances, got 0") in err
         assert not fit_out.exists()
 
     @pytest.mark.parametrize("model", [["power", "--dmin", "3"], ["exp"]])
@@ -1063,17 +1141,19 @@ class TestCli:
     ])
     @pytest.mark.parametrize("case", ["second-cell", "unlisted-method", "comment-row"])
     def test_file_not_of_one_sweep_is_refused(self, tmp_path, command, case):
-        # the d = 5 rows of a second sweep appended to a d = 3 sweep's file
-        # make a cell its header does not count; a row of a method it does
-        # not list, or a '#' line among the rows, is not that sweep's either
+        # the d = 5 rows of a second sweep put in a d = 3 sweep's file, with
+        # the closing count mended, make a cell its header never swept; a
+        # row of a method it does not list, or a '#' line among the rows,
+        # is not that sweep's either
         from softgap.cli import main
         cfg = SweepConfig(distances=(3,), probs=(0.05,), samples=50, master_seed=4)
         text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
         lines = text.splitlines(keepends=True)
         if case == "second-cell":
-            second = records_to_csv(run_sweep(replace(cfg, distances=(5,))))
-            text += second.split("\n", 1)[1]
-            message = f"line {len(lines) + 1}: d=5 p=0.05 would be cell 2, but cells=1"
+            second = records_to_csv(run_sweep(replace(cfg, distances=(5,)))).splitlines(True)
+            rows = len(lines) - 10 + len(second) - 1
+            text = "".join(lines[:-1] + second[1:] + [f"# records={rows}\n"])
+            message = f"line {len(lines)}: d=5 p=0.05 is not a cell of this sweep"
         elif case == "unlisted-method":
             text = text.replace(f"# methods={','.join(METHODS)}\n",
                                 "# methods=cluster,bounded,extra_cg\n")
@@ -1083,7 +1163,7 @@ class TestCli:
                        "# methods=cluster,bounded,extra_cg")
         else:
             text = "".join(lines[:-1] + ["# cells=2\n", lines[-1]])
-            message = f"line {len(lines)}: a '#' line after the CSV header"
+            message = f"line {len(lines)}: a '#' line that is not the last line"
         with pytest.raises(ValueError) as err:
             read_sweep(text)
         assert str(err.value) == message
