@@ -10,8 +10,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class InsufficientDataError(ValueError):
     """Usable points at fewer than two distances after filtering."""
@@ -46,15 +44,13 @@ def _usable(points, d_min):
 
 
 def _linear_fit(xs, ys):
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    n = len(x)
-    xm = x.mean()
-    ym = y.mean()
-    denom = ((x - xm) ** 2).sum()
-    slope = ((x - xm) * (y - ym)).sum() / denom
+    n = len(xs)
+    xm = math.fsum(xs) / n
+    ym = math.fsum(ys) / n
+    denom = math.fsum((x - xm) ** 2 for x in xs)
+    slope = math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys)) / denom
     intercept = ym - slope * xm
-    resid = float(((y - (intercept + slope * x)) ** 2).sum())
+    resid = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     return slope, intercept, resid, n
 
 

@@ -35,7 +35,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin
 
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
 from .sampling import SeedSpec, sample_syndrome, Syndrome
@@ -57,6 +57,19 @@ class ConsistencyError(RuntimeError):
     sample by (d, p, index in its cell) and the broken rules."""
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a ``kind``, the type of a ``SweepConfig`` field:
+    an int is a float, but a bool is neither an int nor a float."""
+    args = get_args(kind)
+    if type(None) in args:                     # int | None
+        return value is None or _is_a(value, args[0])
+    if get_origin(kind) is tuple:              # tuple[item, ...]
+        return isinstance(value, tuple) and all(_is_a(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     distances: tuple[int, ...]
@@ -69,6 +82,11 @@ class SweepConfig:
     skip_empty_syndromes: bool = True
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_a(value, f.type):
+                kind = f.type.__name__ if isinstance(f.type, type) else str(f.type)
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if not self.distances:
             raise ConfigError("no distances given")
         for d in self.distances:
@@ -143,7 +161,7 @@ def evaluate_sample(graph: DecodingGraph, events, eps_scaled: int, methods):
 
 # Per-process cache: one slot, the cell the last chunk belonged to.  It
 # holds the cell's key (d, rounds, p, eps_scaled), its graph, on
-# which the decoder scratch, bare distances and flip thresholds are
+# which the decoder scratch, bare distances and skip tables are
 # memoized, and its evaluations by syndrome (decode and all gap values are
 # pure functions of the graph and the syndrome).  A chunk of another cell
 # replaces it: a sweep visits each cell once, and a pool hands out chunks

@@ -2,18 +2,21 @@
 
 Each sample's random stream is a pure function of (master_seed,
 sample_index), so sweeps are reproducible regardless of execution order or
-worker count: it is the stream of ``Philox(key=master_seed,
-counter=sample_index << 128)``, so each sample owns a disjoint 2^128-step
-block of one keyed stream.  Building a Philox and its Generator costs
-more than twice the draws at d = 9, so the sampler keeps one bit
-generator per 64-bit key and, per sample, only resets its counter and
-clears its buffer and its uint32 carry, which is exactly the state a fresh
-construction starts in.  That rewind state is kept as plain Python ints,
-because the bit generator's state setter reads it word by word, and a
-word read from a numpy array is a new numpy scalar.  The sampler compares
-the stream's raw 64-bit draws with per-edge integer thresholds, which
-flips exactly the edges whose ``Generator.random`` draws fall below p,
-without making those floats.
+worker count.  Word j of sample i under master seed s is the j-th
+little-endian uint64 of the 64-byte blake2b digests of the messages
+``i (16 bytes LE) || b (8 bytes LE)`` for b = 0, 1, ..., each keyed by
+``s mod 2**64`` (8 bytes LE).  So every index in [0, 2**128) owns its own
+stream, and no state is carried from one sample to the next.
+
+The sampler draws flips, not edges.  It groups the edges by distinct
+p > 0, in order of first appearance, and walks each group by geometric
+skips: a word w skips the next ``bisect_right(F, w)`` edges of the group,
+where ``F[k - 1] = int((1 - (1-p)**k) * 2**64)``, and the edge after the
+skip flips.  So each edge flips with probability p, independently, and a
+sample costs one word per flip plus one per group, not one per edge.  The
+survival (1-p)**k is built by repeated float multiplication, and the table
+stops at the group's size or at its first entry that no word reaches;
+``_skip_plan`` memoizes the groups and tables on the graph.
 
 ``sample_syndrome`` goes from the flipped edges to the detection events
 without building an ``ErrorPattern``, and returns one shared empty
@@ -25,9 +28,11 @@ a ``SeedSpec`` and a ``Syndrome`` per sample, and a frozen dataclass sets
 each field with one ``object.__setattr__`` call.
 """
 
+import struct
+from bisect import bisect_right
+from hashlib import blake2b
+from itertools import count
 from typing import NamedTuple
-
-import numpy as np
 
 from .graphs import DecodingGraph
 
@@ -55,71 +60,66 @@ class Syndrome(NamedTuple):
     events: frozenset
 
 
-def _flip_thresholds(g: DecodingGraph) -> np.ndarray:
-    """Memoized per-edge uint64 thresholds: a raw draw below an edge's
-    threshold flips it.
+_TWO64 = 2**64
+_WORDS = struct.Struct("<8Q").unpack          # one digest -> its eight words
 
-    ``Generator.random`` turns a raw 64-bit draw into ``(raw >> 11) * 2**-53``,
-    so it lies below p exactly when ``raw >> 11 < ceil(p * 2**53)``, that is
-    when ``raw < ceil(p * 2**53) << 11``.  Scaling by a power of two is exact
-    and p <= 0.5 keeps the threshold within 2**63; p <= 0 never flips.
-    """
-    arr = getattr(g, "_flip_thresholds", None)
-    if arr is None:
-        raw = [e.prob for e in g.edges]
-        for i, p in enumerate(raw):
-            if p is None:
-                e = g.edges[i]
+
+def _words(seed: SeedSpec):
+    """The sample's stream of 64-bit words, one digest of eight at a time."""
+    key = (seed.master_seed % _TWO64).to_bytes(8, "little")
+    prefix = seed.sample_index.to_bytes(16, "little")
+    for block in count():
+        yield from _WORDS(blake2b(prefix + block.to_bytes(8, "little"), key=key).digest())
+
+
+def _skip_table(p: float, size: int) -> list:
+    """``F[k - 1] = int((1 - (1-p)**k) * 2**64)`` for k = 1, 2, ...: a word
+    w skips ``bisect_right(F, w)`` edges.  Stops after ``size`` entries, or
+    before the first entry of 2**64, which no word reaches."""
+    q = 1.0 - p
+    survival = 1.0
+    table = []
+    while len(table) < size:
+        survival *= q
+        f = int((1.0 - survival) * _TWO64)
+        if f >= _TWO64:
+            break
+        table.append(f)
+    return table
+
+
+def _skip_plan(g: DecodingGraph) -> tuple:
+    """Memoized (edge indices, skip table) of each distinct p > 0, in order
+    of first appearance; an edge with p <= 0 never flips."""
+    plan = getattr(g, "_skip_plan", None)
+    if plan is None:
+        groups = {}
+        for i, e in enumerate(g.edges):
+            if e.prob is None:
                 raise MissingProbabilityError(
                     f"edge {i} ({e.u},{e.v}) has no probability; sampling needs p on every edge")
-        steps = np.ceil(np.asarray(raw, dtype=np.float64) * 2.0**53)
-        arr = np.where(steps > 0, steps, 0).astype(np.uint64) << np.uint64(11)
-        object.__setattr__(g, "_flip_thresholds", arr)
-    return arr
-
-
-_MASK64 = 2**64 - 1
-
-
-class _Stream:
-    """One Philox bit generator, rewound per sample from a fresh state held
-    as plain Python ints."""
-
-    def __init__(self, key: int):
-        self.bits = np.random.Philox(key=key)
-        self.state = state = self.bits.state   # fresh: empty buffer, no carry
-        state["state"] = {k: words.tolist() for k, words in state["state"].items()}
-        state["buffer"] = state["buffer"].tolist()
-        self.counter = state["state"]["counter"]
-
-    def at(self, sample_index: int) -> np.random.Philox:
-        """The bit generator positioned at the start of the sample's block."""
-        if not 0 <= sample_index < 2**128:
-            raise ValueError(f"sample_index must be in [0, 2**128), got {sample_index}")
-        counter = self.counter
-        counter[2] = sample_index & _MASK64    # counter = sample_index << 128
-        counter[3] = sample_index >> 64
-        self.bits.state = self.state
-        return self.bits
-
-
-_streams = {}                                  # 64-bit key -> _Stream
+            if e.prob > 0:
+                groups.setdefault(e.prob, []).append(i)
+        plan = tuple((edges, _skip_table(p, len(edges))) for p, edges in groups.items())
+        object.__setattr__(g, "_skip_plan", plan)
+    return plan
 
 
 def _flipped(g: DecodingGraph, seed: SeedSpec) -> list:
-    """Indices of the edges the sample flips, ascending.
-
-    Edge i flips when the stream's i-th uniform draw is below its p; the
-    raw 64-bit draws are compared with ``_flip_thresholds`` instead, which
-    flips exactly the same edges without converting a draw to a float.
-    """
-    thresholds = _flip_thresholds(g)
-    key = seed.master_seed & _MASK64
-    stream = _streams.get(key)
-    if stream is None:
-        stream = _streams[key] = _Stream(key)
-    draws = stream.at(seed.sample_index).random_raw(g.num_edges)
-    return (draws < thresholds).nonzero()[0].tolist()
+    """Indices of the edges the sample flips, ascending."""
+    if not 0 <= seed.sample_index < 2**128:
+        raise ValueError(f"sample_index must be in [0, 2**128), got {seed.sample_index}")
+    plan = _skip_plan(g)
+    words = _words(seed)
+    flipped = []
+    for edges, table in plan:
+        n = len(edges)
+        pos = bisect_right(table, next(words))
+        while pos < n:
+            flipped.append(edges[pos])
+            pos += 1 + bisect_right(table, next(words))
+    flipped.sort()
+    return flipped
 
 
 def sample_errors(g: DecodingGraph, seed: SeedSpec) -> ErrorPattern:

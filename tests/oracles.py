@@ -4,20 +4,20 @@ Everything here deliberately avoids the library's search code: shortest
 paths come from plain Bellman-Ford relaxation (or exhaustive path
 enumeration on tiny graphs), bottleneck connectivity from threshold
 enumeration over all-pairs part distances, syndromes from a direct
-parity recount, each sample's random stream from a freshly built Philox,
-cluster roots from a tree union-find with path compression, the
-contraction from a scan over every node, and sweep CSV text from one
-list of strings per record, each float printed by ``repr(float(x))``.
+parity recount, each sample's flips from its own blake2b calls and a
+linear scan for each geometric skip, cluster roots from a tree
+union-find with path compression, the contraction from a scan over every
+node, and sweep CSV text from one list of strings per record, each float
+printed by ``repr(float(x))``.
 The per-node views of a ``ClusterState`` (``state_covered`` and the
 others) are rebuilt here from its per-root fields.
 """
 
 import csv
+import hashlib
 import heapq
 import io
 import random
-
-import numpy as np
 
 from softgap.graphs import DecodingGraph, Edge
 from softgap.harness import CSV_HEADER
@@ -109,15 +109,54 @@ def oracle_partition_roots(graph, groups):
     return [find(x) for x in range(graph.num_nodes)]
 
 
+def oracle_words(master_seed, sample_index, count):
+    """The first ``count`` words of a sample's stream: word j is the j-th
+    little-endian uint64 of the blake2b digests, keyed by the master seed
+    mod 2**64 as 8 bytes, of the index as 16 bytes and a block number as 8
+    bytes, block after block."""
+    if sample_index < 0 or sample_index >= 2**128:
+        raise ValueError(f"sample index {sample_index} is outside [0, 2**128)")
+    key = (master_seed % 2**64).to_bytes(8, "little")
+    stream = b""
+    block = 0
+    while len(stream) < 8 * count:
+        message = sample_index.to_bytes(16, "little") + block.to_bytes(8, "little")
+        stream += hashlib.blake2b(message, key=key, digest_size=64).digest()
+        block += 1
+    return [int.from_bytes(stream[8 * j:8 * j + 8], "little") for j in range(count)]
+
+
+def oracle_skip(p, size, word):
+    """Edges a word skips in a group of ``size`` edges of probability p: the
+    largest k <= size with int((1 - (1-p)**k) * 2**64) <= word, the
+    survival (1-p)**k built one multiplication at a time, by a linear
+    scan."""
+    survival = 1.0
+    k = 0
+    while k < size:
+        survival = survival * (1.0 - p)
+        if int((1.0 - survival) * 2**64) > word:
+            break
+        k += 1
+    return k
+
+
 def oracle_flipped_edges(graph, master_seed, sample_index):
-    """Edges flipped in one sample, drawn from a Philox built for that
-    sample alone: keyed by the 64-bit master seed, counter at
-    ``sample_index << 128``."""
-    bits = np.random.Philox(key=master_seed & (2**64 - 1),
-                            counter=sample_index << 128)
-    draws = np.random.Generator(bits).random(graph.num_edges)
-    probs = np.array([e.prob for e in graph.edges])
-    return frozenset(int(i) for i in np.flatnonzero(draws < probs))
+    """Edges flipped in one sample: the edges grouped by distinct p > 0 in
+    order of first appearance, each group walked by geometric skips, one
+    word of the sample's stream per skip."""
+    groups = {}
+    for i, e in enumerate(graph.edges):
+        if e.prob > 0:
+            groups.setdefault(e.prob, []).append(i)
+    words = iter(oracle_words(master_seed, sample_index, graph.num_edges + len(groups)))
+    flipped = set()
+    for p, edges in groups.items():
+        pos = oracle_skip(p, len(edges), next(words))
+        while pos < len(edges):
+            flipped.add(edges[pos])
+            pos = pos + 1 + oracle_skip(p, len(edges), next(words))
+    return frozenset(flipped)
 
 
 def bellman_ford(parts, qedges, source):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -95,6 +96,32 @@ class TestConfig:
         # method given twice would write each of its rows twice
         with pytest.raises(ConfigError, match=f"^{message}; each cell is swept once$"):
             small_cfg(**fields).validate()
+
+    @pytest.mark.parametrize("cfg, message", [
+        (SweepConfig((3,), (0.05,), 2.5), "samples must be int, got 2.5"),
+        (SweepConfig((3.0,), (0.05,), 5), r"distances must be tuple\[int, \.\.\.\], got \(3\.0,\)"),
+        (SweepConfig((3,), (0.05,), True), "samples must be int, got True"),
+        (SweepConfig((3, True), (0.05,), 5), r"distances must be tuple\[int, \.\.\.\]"),
+        (SweepConfig([3], (0.05,), 5), r"distances must be tuple\[int, \.\.\.\], got \[3\]"),
+        (SweepConfig((3,), ("0.05",), 5), r"probs must be tuple\[float, \.\.\.\]"),
+        (SweepConfig((3,), (0.05,), 5, master_seed=1.0), "master_seed must be int, got 1.0"),
+        (SweepConfig((3,), (0.05,), 5, rounds=2.0), r"rounds must be int \| None, got 2\.0"),
+        (SweepConfig((3,), (0.05,), 5, epsilon_max_db=False), "epsilon_max_db must be float"),
+        (SweepConfig((3,), (0.05,), 5, methods=("cluster", 3)), r"methods must be tuple\[str"),
+        (SweepConfig((3,), (0.05,), 5, skip_empty_syndromes=1), "skip_empty_syndromes must be bool"),
+    ], ids=["float-samples", "float-distance", "bool-samples", "bool-distance", "list",
+            "str-prob", "float-seed", "float-rounds", "bool-epsilon", "int-method", "int-flag"])
+    def test_wrong_type_rejected(self, cfg, message):
+        # checked against the field annotations, before the sweep draws a
+        # sample, where the value would raise a TypeError or round
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            next(run_sweep(cfg))
+
+    def test_ints_and_none_accepted_where_meant(self):
+        SweepConfig((3,), (0.05, 0.5), 5, master_seed=-2, rounds=None,
+                    epsilon_max_db=20, skip_empty_syndromes=False).validate()
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_nonpositive_rounds_rejected(self, rounds):
@@ -275,22 +302,31 @@ class TestCellSlot:
 
 
 class TestImport:
-    def test_import_does_not_load_multiprocessing(self):
-        # only a sweep with a worker pool needs it
+    @staticmethod
+    def loads(module):
+        """Whether ``import softgap`` in a fresh interpreter loads ``module``."""
         src = Path(harness.__file__).resolve().parents[1]
         code = ("import sys, softgap; "
-                "print(softgap.__file__); print('multiprocessing' in sys.modules)")
+                f"print(softgap.__file__); print({module!r} in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                              capture_output=True, text=True).stdout.splitlines()
         assert Path(out[0]).resolve().parent == src / "softgap"
-        assert out[1] == "False"
+        return out[1] == "True"
+
+    def test_import_does_not_load_multiprocessing(self):
+        # only a sweep with a worker pool needs it
+        assert not self.loads("multiprocessing")
+
+    def test_import_does_not_load_numpy(self):
+        # the sampler and the fits use the standard library alone
+        assert not self.loads("numpy")
 
 
 class TestPinnedOutput:
     # sha256 of records_to_csv for d in {5, 9} x p in {0.1%, 1%}, 300
     # samples per cell, seed 1, all four methods, empty samples skipped.
     # Any change to a value or counter of any method changes it.
-    SWEEP_CSV_SHA256 = "684c240028611b30013cc78817443537cceaebdd62588c3860c9640f73eda42a"
+    SWEEP_CSV_SHA256 = "f5dc218d58ebdd418a77e26635513fdfb196fd5a1e4be7b4b6fb8419bc8dc0c1"
 
     def test_sweep_csv_bytes(self):
         cfg = SweepConfig(distances=(5, 9), probs=(0.001, 0.01), samples=300,
@@ -300,7 +336,7 @@ class TestPinnedOutput:
 
     # sha256 of records_to_json for the same sweep, with its metadata (the
     # config's fields)
-    SWEEP_JSON_SHA256 = "6976f5a798dc21fae980e85d204a9de3fd7c0c502c414501bf4a186da6fab8cc"
+    SWEEP_JSON_SHA256 = "f9797044da41464dee9c7a57f10fc1f521b8a9559d951b98ebf7f1d45e66ed4a"
 
     def test_sweep_json_bytes(self):
         cfg = SweepConfig(distances=(5, 9), probs=(0.001, 0.01), samples=300,
@@ -963,15 +999,21 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["sweep"], ["sweep", "--keep-empty"]])
     def test_broken_rule_exits_1(self, tmp_path, capsys, monkeypatch, command):
-        # the message alone, no traceback, and nothing written
+        # the message alone, no traceback, and nothing written; the first
+        # sample evaluated breaks the rule, which is the first non-empty one
+        # unless empty samples are kept
         from softgap.cli import main
+        g = build_phenomenological(3, 3, 0.02)
+        nonempty = next(i for i in itertools.count() if sample_syndrome(g, SeedSpec(4, i)).events)
+        first = 0 if "--keep-empty" in command else nonempty
         monkeypatch.setattr(harness, *BREAKING["extra_not_above_cluster"])
         monkeypatch.setattr(harness, "_cell", None)
         out = tmp_path / "out.csv"
-        assert main(command + ["--distances", "3", "--probs", "0.02", "--samples", "5",
-                               "--seed", "4", "--out", str(out)]) == 1
+        assert main(command + ["--distances", "3", "--probs", "0.02",
+                               "--samples", str(nonempty + 1), "--seed", "4",
+                               "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"softgap {command[0]}: d=3 p=0.02 sample=0: extra_not_above_cluster\n"
+        assert err == f"softgap {command[0]}: d=3 p=0.02 sample={first}: extra_not_above_cluster\n"
         assert not out.exists()
 
     def test_csv_without_methods_is_refused(self, tmp_path):

@@ -1,6 +1,7 @@
+import itertools
+import math
 import random
 
-import numpy as np
 import pytest
 
 from softgap import sampling
@@ -14,7 +15,7 @@ from softgap.sampling import (
     syndrome_of,
 )
 
-from oracles import oracle_flipped_edges, oracle_syndrome, random_rough_graph
+from oracles import oracle_flipped_edges, oracle_syndrome, oracle_words, random_rough_graph
 
 
 def chain_graph(probs):
@@ -56,115 +57,163 @@ class TestSampleErrors:
             sample_errors(g, SeedSpec(0, 0))
 
 
+def rough_graph_with_probs(rng):
+    """A ``random_rough_graph`` (parallel, zero-weight and boundary-boundary
+    edges) with a probability on every edge: p = 0.5 where the weight is 0,
+    a random p with its own weight elsewhere, so most have several
+    distinct p."""
+    g = random_rough_graph(rng)
+    edges = []
+    for e in g.edges:
+        p = 0.5 if e.weight == 0 else rng.choice((0.05, 0.2, 0.4))
+        edges.append(Edge(e.u, e.v, weight_from_prob(p), p))
+    return DecodingGraph(g.num_nodes, g.boundaries, edges)
+
+
+def fixed_words(words):
+    """A stand-in for ``sampling._words`` that yields ``words``, then words
+    that skip every remaining edge."""
+    def stream(seed):
+        yield from words
+        while True:
+            yield 2**64 - 1
+    return stream
+
+
 class TestStream:
-    def test_matches_a_fresh_philox_per_sample(self):
-        # Philox makes four draws per counter step and no edge count here is
-        # a multiple of 4, so a buffer or carry left from the previous
-        # sample would shift the next one's draws; p = 0.5 shows the shift.
-        graphs = [chain_graph([0.5] * m) for m in (1, 2, 3, 5, 7)]
-        graphs += [build_phenomenological(3, 2, 0.3), build_phenomenological(5, 1, 0.1)]
-        assert all(g.num_edges % 4 for g in graphs)
+    def test_words_match_the_documented_stream(self):
+        # Past the first digest's eight words, at both ends of the index
+        # range, and with seeds that agree mod 2**64.
         rng = random.Random(4099)
-        indices = [0, 1, 2, 3, 2**64 - 1, 2**64, 2**64 + 1, 2**127, 2**128 - 1]
-        indices += [rng.randrange(2**64) for _ in range(60)]
-        indices += [rng.randrange(2**64, 2**128) for _ in range(60)]
-        seeds = (7, 2**63 + 11, 7 + 2**64, -1)        # 7 + 2**64 keys like 7
-        for i, idx in enumerate(indices):
-            for j, seed in enumerate(seeds):
-                g = graphs[(i + j) % len(graphs)]
-                got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
-                assert got == oracle_flipped_edges(g, seed, idx), (seed, idx, g.num_edges)
+        indices = [0, 1, 2**64 - 1, 2**64, 2**127, 2**128 - 1]
+        indices += [rng.randrange(2**128) for _ in range(20)]
+        for seed in (0, 7, 2**63 + 11, 2**64 - 1, -1, 7 + 2**64):
+            for idx in indices:
+                got = list(itertools.islice(sampling._words(SeedSpec(seed, idx)), 19))
+                assert got == oracle_words(seed, idx, 19), (seed, idx)
+        assert oracle_words(-1, 5, 9) == oracle_words(2**64 - 1, 5, 9)
+        assert oracle_words(7, 5, 9) != oracle_words(7, 6, 9)
 
-    def test_rewind_after_a_partial_draw(self):
-        # A partial draw leaves words in the buffer and a 32-bit carry; the
-        # rewind must clear both and set the counter to index << 128.
-        key = 2**64 - 5
-        stream = sampling._Stream(key)
-        for idx in (0, 3, 2**64 + 9, 2**128 - 1):
-            bits = stream.at(123)
-            bits.random_raw(5)
-            np.random.Generator(bits).integers(2**32, dtype=np.uint32)
-            state = bits.state
-            assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
-            got = stream.at(idx)
-            fresh = np.random.Philox(key=key, counter=idx << 128)
-            for name in ("buffer_pos", "has_uint32", "uinteger"):
-                assert got.state[name] == fresh.state[name]
-            assert got.random_raw(7).tolist() == fresh.random_raw(7).tolist()
-            ints = [np.random.Generator(b).integers(2**32, size=3, dtype=np.uint32)
-                    for b in (got, fresh)]
-            assert ints[0].tolist() == ints[1].tolist()
+    def test_flips_match_the_oracle_on_the_pinned_graphs(self):
+        graphs = [build_phenomenological(d, r, p)
+                  for d, r, p in ((3, 3, 0.02), (5, 5, 0.001), (5, 2, 0.3), (3, 1, 0.5))]
+        rng = random.Random(6151)
+        indices = [0, 1, 2, 2**64 - 1, 2**64, 2**127, 2**128 - 1]
+        indices += [rng.randrange(2**128) for _ in range(40)]
+        seen = 0
+        for seed in (7, 2**63 + 11, -1):
+            for idx in indices:
+                for g in graphs:
+                    got = sampling._flipped(g, SeedSpec(seed, idx))
+                    assert got == sorted(oracle_flipped_edges(g, seed, idx)), (seed, idx)
+                    assert sample_errors(g, SeedSpec(seed, idx)).flipped_edges == set(got)
+                    seen += len(got)
+        assert seen > 1000
 
-    def test_rejects_index_outside_the_counter(self):
-        g = chain_graph([0.5])
-        for idx in (-1, 2**128):
-            with pytest.raises(ValueError):
-                oracle_flipped_edges(g, 1, idx)
-            with pytest.raises(ValueError):
-                sample_errors(g, SeedSpec(1, idx))
-        assert sample_errors(g, SeedSpec(1, 5)).flipped_edges == oracle_flipped_edges(g, 1, 5)
+    def test_flips_match_the_oracle_with_several_probabilities(self):
+        rng = random.Random(5309)
+        graphs = [rough_graph_with_probs(rng) for _ in range(40)]
+        assert sum(len({e.prob for e in g.edges}) >= 3 for g in graphs) >= 20
+        for i, g in enumerate(graphs):
+            for idx in range(30):
+                seed = SeedSpec(i, rng.randrange(2**70))
+                got = sampling._flipped(g, seed)
+                assert got == sorted(oracle_flipped_edges(g, *seed)), (i, seed)
 
     def test_raw_draws_flip_the_oracle_edges_at_the_extremes(self):
-        # p from 1e-9 up to 0.5, the largest key and the last counter block:
-        # the integer thresholds flip what the float draws flip.
-        graphs = [chain_graph([1e-9, 2**-53, 0.001, 0.3, 0.5 - 2**-54, 0.5, 0.0]),
-                  chain_graph([0.5] * 9), build_phenomenological(5, 3, 0.01)]
+        # p from 1e-9 up to 0.5, the largest key and the last index.  p = 0
+        # and tiny p at the front: an edge that never flips takes no word,
+        # and a group that flips nothing takes exactly one.
+        graphs = [chain_graph([0.0, 1e-9, 2**-53, 0.001, 0.3, 0.5 - 2**-54, 0.5,
+                               0.0, 0.3, 1e-9, 0.5]),
+                  chain_graph([0.5] * 70 + [0.2] * 9), build_phenomenological(5, 3, 0.01)]
         rng = random.Random(6173)
         indices = [0, 1, 2**64 - 1, 2**64, 2**127, 2**128 - 1]
-        indices += [rng.randrange(2**128) for _ in range(250)]
+        indices += [rng.randrange(2**128) for _ in range(60)]
         for seed in (0, 2**64 - 1, -1, 12345):
             for idx in indices:
                 for g in graphs:
-                    got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
-                    assert got == oracle_flipped_edges(g, seed, idx), (seed, idx, g.num_edges)
+                    got = sampling._flipped(g, SeedSpec(seed, idx))
+                    assert got == sorted(oracle_flipped_edges(g, seed, idx)), (seed, idx)
 
-    def test_thresholds_match_the_float_draw(self):
-        # Generator.random makes (raw >> 11) * 2**-53 of a raw draw, so a raw
-        # draw must fall below an edge's threshold exactly when that float
-        # falls below p, on either side of every threshold.
-        probs = [1e-9, 2**-53, 2**-54, 1 / 3, 0.001, 0.5 - 2**-54, 0.5, 0.0]
-        thresholds = sampling._flip_thresholds(chain_graph(probs)).tolist()
-        rng = random.Random(2053)
-        for p, t in zip(probs, thresholds):
-            raws = {0, 2**64 - 1, t - 2048, t - 1, t, t + 1, t + 2047, t + 2048}
-            raws |= {rng.randrange(2**64) for _ in range(200)}
-            raws |= {t + rng.randrange(-2**20, 2**20) for _ in range(200)}
-            for raw in raws:
-                if 0 <= raw < 2**64:
-                    assert ((raw >> 11) * 2.0**-53 < p) == (raw < t), (p, raw)
+    def test_draw_at_its_threshold_does_not_flip(self, monkeypatch):
+        # bisect_right: a word equal to F_k skips k edges, so edge k - 1
+        # does not flip and edge k does; one less skips k - 1.  After a
+        # flip, the next skip starts at the edge after it; a skip past the
+        # group's end flips nothing more.
+        g = chain_graph([0.3] * 10)
+        (edges, table), = sampling._skip_plan(g)
+        assert edges == list(range(10)) and len(table) == 10
+        for k in range(1, 11):
+            for word, first in ((table[k - 1], k), (table[k - 1] - 1, k - 1)):
+                monkeypatch.setattr(sampling, "_words", fixed_words([word]))
+                expect = [first] if first < 10 else []
+                assert sampling._flipped(g, SeedSpec(0, 0)) == expect, (k, word)
+        for words, expect in (([0, 0, 0], [0, 1, 2]), ([0, table[0], table[5]], [0, 2, 9]),
+                              ([table[8]], [9]), ([table[8], 0], [9]), ([2**64 - 1], [])):
+            monkeypatch.setattr(sampling, "_words", fixed_words(words))
+            assert sampling._flipped(g, SeedSpec(0, 0)) == expect, words
 
-    def test_draw_at_its_threshold_does_not_flip(self):
-        # A raw draw whose low 11 bits are 0 equals the threshold of the p
-        # its float draw equals, and the float is not below that p: the
-        # edge must not flip.  One step of 2**-53 higher, it must.
-        seed, idx = 99, 5
-        raws = np.random.Philox(key=seed, counter=idx << 128).random_raw(20_000).tolist()
-        j = next(i for i, r in enumerate(raws) if r % 2048 == 0 and 0 < r < 2**63)
-        for step, flips in ((0, False), (1, True)):
-            probs = [0.0] * (j + 1)
-            probs[j] = ((raws[j] >> 11) + step) * 2.0**-53
-            g = chain_graph(probs)
-            assert sampling._flip_thresholds(g).tolist()[j] == raws[j] + step * 2048
-            got = sample_errors(g, SeedSpec(seed, idx)).flipped_edges
-            assert got == oracle_flipped_edges(g, seed, idx) == ({j} if flips else set())
+    def test_each_group_takes_its_own_words_in_order_of_first_appearance(self, monkeypatch):
+        # Groups p = 0.4 (edges 0, 2, 4), seen first, then p = 0.2 (edges 1,
+        # 3); the zero edge takes no word.
+        g = chain_graph([0.4, 0.2, 0.4, 0.2, 0.4, 0.0])
+        plan = sampling._skip_plan(g)
+        assert [edges for edges, _ in plan] == [[0, 2, 4], [1, 3]]
+        (_, t4), _ = plan
+        monkeypatch.setattr(sampling, "_words", fixed_words([t4[1], 2**64 - 1, 0, 0]))
+        assert sampling._flipped(g, SeedSpec(0, 0)) == [1, 3, 4]
+
+    def test_skip_table_stops_at_the_group_size_or_below_two_to_the_64(self):
+        # For p = 1/2 the survival 2**-k is exact to k = 53, and at k = 54
+        # 1 - 2**-54 rounds to 1: its entry would be 2**64, which no word
+        # reaches, so the table ends before it.
+        assert sampling._skip_table(0.5, 100) == [2**64 - 2**(64 - k) for k in range(1, 54)]
+        assert sampling._skip_table(0.5, 3) == [2**63, 3 * 2**62, 7 * 2**61]
+        table = sampling._skip_table(0.001, 5000)
+        assert len(table) == 5000 and table == sorted(table) and table[-1] < 2**64
+        assert table[0] == int((1.0 - (1.0 - 0.001)) * 2**64)
+
+    def test_rejects_index_outside_the_counter(self):
+        for g in (chain_graph([0.5]), chain_graph([0.0])):
+            for idx in (-1, 2**128, 2**130):
+                with pytest.raises(ValueError):
+                    oracle_flipped_edges(g, 1, idx)
+                with pytest.raises(ValueError):
+                    sample_errors(g, SeedSpec(1, idx))
+                with pytest.raises(ValueError):
+                    sample_syndrome(g, SeedSpec(1, idx))
+        g = chain_graph([0.5])
+        for idx in (0, 2**128 - 1):
+            assert sample_errors(g, SeedSpec(1, idx)).flipped_edges == \
+                oracle_flipped_edges(g, 1, idx)
+
+    def test_per_edge_flip_frequency(self):
+        # 10^4 samples of 24 edges, 2.4 * 10^5 edge draws: each edge's flip
+        # count, and the joint count of each pair of same-p edges eight
+        # apart, lies within five standard deviations of its binomial mean.
+        probs = [0.5, 0.01, 0.2, 0.05, 0.5, 0.01, 0.2, 0.05] * 3
+        g = chain_graph(probs)
+        n = 10_000
+        flips = [0] * len(probs)
+        pairs = [0] * len(probs)
+        for idx in range(n):
+            got = sample_errors(g, SeedSpec(2024, idx)).flipped_edges
+            for i in got:
+                flips[i] += 1
+                if i + 8 in got:
+                    pairs[i] += 1
+        for i, p in enumerate(probs):
+            assert abs(flips[i] - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1, (i, p, flips[i])
+            if i + 8 < len(probs):
+                q = p * p
+                assert abs(pairs[i] - n * q) <= 5 * math.sqrt(n * q * (1 - q)) + 1, (i, p)
 
 
 class TestSampleSyndrome:
-    @staticmethod
-    def rough_graph_with_probs(rng):
-        """A ``random_rough_graph`` (parallel, zero-weight and
-        boundary-boundary edges) with a probability on every edge: p = 0.5
-        where the weight is 0, a random p with its own weight elsewhere."""
-        g = random_rough_graph(rng)
-        edges = []
-        for e in g.edges:
-            p = 0.5 if e.weight == 0 else rng.choice((0.05, 0.2, 0.4))
-            edges.append(Edge(e.u, e.v, weight_from_prob(p), p))
-        return DecodingGraph(g.num_nodes, g.boundaries, edges)
-
     def test_is_the_syndrome_of_the_sampled_errors(self):
         rng = random.Random(5309)
-        graphs = [self.rough_graph_with_probs(rng) for _ in range(40)]
+        graphs = [rough_graph_with_probs(rng) for _ in range(40)]
         assert any(g.is_boundary[e.u] and g.is_boundary[e.v]
                    for g in graphs for e in g.edges)
         graphs += [build_phenomenological(d, 2, p)
