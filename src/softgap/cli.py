@@ -1,7 +1,9 @@
 """Command-line front end for graph generation, sweeps, fits, and checks."""
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .graphs import (InvalidParameterError, InvalidProbabilityError,
@@ -28,6 +30,26 @@ def _read_sweep_csv(path, method):
         raise ConfigError(f"--method {method} was not swept; {path} holds "
                           f"{','.join(cfg.methods)}")
     return cfg, records
+
+
+def _check_out(path):
+    """Refuse an ``--out`` that cannot be a new file: a directory, or a
+    path in a missing directory.  Checked before any work starts."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path} is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigError(f"--out {path}: no directory {folder}")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """End the command with one line, the path and the reason, when
+    writing ``path`` fails."""
+    try:
+        yield
+    except OSError as err:
+        raise SystemExit(f"{path}: {err.strerror or err}") from None
 
 
 def main(argv=None) -> int:
@@ -87,10 +109,14 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    if hasattr(args, "out"):
+        _check_out(args.out)
+
     if args.command == "gen-graph":
         d = args.distance
         graph = build_phenomenological(d, d if args.rounds is None else args.rounds, args.p)
-        save_graph(graph, args.out)
+        with _writing(args.out):
+            save_graph(graph, args.out)
         print(f"wrote {graph.num_nodes} nodes, {graph.num_edges} edges to {args.out}")
         return 0
 
@@ -101,7 +127,8 @@ def _run(args) -> int:
                           methods=args.methods,
                           skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
-        emit(records, args.format, args.out, cfg)
+        with _writing(args.out):
+            emit(records, args.format, args.out, cfg)
         print(f"wrote {len(records)} records to {args.out}")
         return 0
 
@@ -125,7 +152,7 @@ def _run(args) -> int:
                                   f"at p={p!r}: {err}") from None
             results[repr(p)] = {"A": fit.A, "B": fit.B, "residual": fit.residual,
                                 "points_used": fit.points_used}
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"model": args.model, "metric": args.metric,
                        "method": args.method, "fits": results}, fh, indent=1,
                       sort_keys=True)

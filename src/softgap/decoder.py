@@ -41,16 +41,20 @@ log2(n) times, O(n log n) in all.  Every label lookup is then one list
 read, and the contraction reads the labels instead of rebuilding them.
 
 Per-decode work is bounded by the syndrome, not by the graph.  The growth
-state (coverage flags, activity, frontiers, per-edge coverage) lives in
-per-graph scratch lists, allocated at the graph's first decode; each
-decode writes only the entries of the nodes it covers and the edges of
-their frontiers, and resets exactly those when it ends, also when it
-raises.  A new ``ClusterState`` copies one node-sized list, ``parent``:
-ranks and boundary flags are per-root dicts holding only the roots that
-have them.  So two decodes on one graph must not run at the same time
-(from two threads).  The event loop stops when a union leaves no cluster
-growing: with no growing side no edge can close, so the state is final
-and the predictions still queued are dropped unpopped.  Each queued prediction
+state (coverage flags, activity, per-edge coverage) lives in per-graph
+scratch lists, allocated at the graph's first decode; each decode writes
+only the entries of the detectors it covers and of their incident edges,
+and resets exactly those when it ends, also when it raises.  A cluster
+keeps one flag (``active``) and its member list, and no list of its open
+sides: a pause, a resume and the reset walk the ``(edge, side)`` template
+of each of its members and skip closed edges.  No boundary side is ever
+written, because a cluster that reaches a boundary never grows again.  A
+new ``ClusterState`` copies one node-sized list, ``parent``: ranks and
+boundary flags are per-root dicts holding only the roots that have them.
+So two decodes on one graph must not run at the same time (from two
+threads).  The event loop stops when a union leaves no cluster growing:
+with no growing side no edge can close, so the state is final and the
+predictions still queued are dropped unpopped.  Each queued prediction
 is an integer key ``t * num_edges + edge``, so the queue orders by
 (instant, edge) and a popped edge needs one prediction only.
 ``op_count`` is the number of heap pushes plus heap pops.  Seeding reads
@@ -80,17 +84,17 @@ class _Scratch:
 
     ``e_u``, ``e_v`` and ``w2`` are the edges as flat lists (endpoints and
     weight in h-units).  ``sides[x]`` lists node x's ``(edge, side)``
-    entries in edge order, side 1 when x is the edge's ``v`` end: a seed's
-    frontier copies it and an absorption walks it.  ``parent0`` is the
-    template a new ``ClusterState`` copies.  The other lists are
+    entries in edge order, side 1 when x is the edge's ``v`` end: seeding,
+    an absorption, a pause, a resume and the reset walk it.  ``parent0``
+    is the template a new ``ClusterState`` copies.  The other lists are
     ``decode``'s own: clean between decodes, because each decode resets
-    the entries it wrote.  Clean is False, 0 or None, except that
+    the entries it wrote.  Clean is False or 0, except that
     ``covered`` holds the graph's ``is_boundary``: boundaries are covered
     from the start.
     """
 
     __slots__ = ("e_u", "e_v", "w2", "sides", "parent0", "covered", "active",
-                 "frontier", "closed", "cov2u", "cov2v")
+                 "closed", "cov2u", "cov2v")
 
     def __init__(self, graph: DecodingGraph):
         n, m = graph.num_nodes, graph.num_edges
@@ -104,7 +108,6 @@ class _Scratch:
         self.parent0 = list(range(n))
         self.covered = graph.is_boundary[:]
         self.active = [False] * n       # valid at roots
-        self.frontier = [None] * n      # per-root list of (edge, side) entries
         self.closed = [False] * m
         self.cov2u = [0] * m            # per side: coverage, less the clock if growing
         self.cov2v = [0] * m
@@ -217,7 +220,7 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
     members = cs.members
 
     sc = _scratch(g)
-    covered, active, frontier, closed = sc.covered, sc.active, sc.frontier, sc.closed
+    covered, active, closed = sc.covered, sc.active, sc.closed
     cov2u, cov2v = sc.cov2u, sc.cov2v
     e_u, e_v, w2, sides = sc.e_u, sc.e_v, sc.w2, sc.sides
     m = g.num_edges
@@ -247,22 +250,23 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
         op_count += 1
 
     def set_activity(r, new_active):
-        # Pause (add the clock to each open side) or resume (subtract it).
+        # Pause (add the clock to each open side of r's members) or resume
+        # (subtract it).
         if active[r] == new_active:
             return
         active[r] = new_active
         shift = -clock if new_active else clock
-        for eidx, side in frontier[r]:
-            if not closed[eidx]:
-                (cov2v if side else cov2u)[eidx] += shift
-        if new_active:                 # once all are converted: an internal
-            for eidx, _ in frontier[r]:    # edge reads both its sides
+        for x in members[r]:
+            for eidx, side in sides[x]:
                 if not closed[eidx]:
-                    push(eidx)
+                    (cov2v if side else cov2u)[eidx] += shift
+        if new_active:                 # once all are converted: an internal
+            for x in members[r]:       # edge reads both its sides
+                for eidx, _ in sides[x]:
+                    if not closed[eidx]:
+                        push(eidx)
 
     try:
-        for b in g.boundaries:
-            frontier[b] = []
         # Seed: one active cluster per detection event.  Its sides start at
         # clock 0 with coverage 0, which the clean scratch already holds, so
         # each seed edge closes at w2, or at w2 / 2 when both its ends are
@@ -273,7 +277,6 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
             covered[x] = True
             members[x] = [x]
             active[x] = True
-            frontier[x] = list(sides[x])
             for eidx, side in sides[x]:
                 if (e_u if side else e_v)[eidx] in events:
                     heap.append((w2[eidx] >> 1) * m + eidx)
@@ -312,13 +315,8 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 new_active = a_u != a_v and not (ru in touches or rv in touches)
                 set_activity(ru, new_active)
                 set_activity(rv, new_active)
-                fa, fb = frontier[ru], frontier[rv]
                 winner = _union_meta(cs, ru, rv)
                 active[winner] = new_active
-                if len(fa) < len(fb):
-                    fa, fb = fb, fa
-                fa.extend(fb)
-                frontier[winner] = fa
                 cs.forest.append(eidx)
                 num_active += new_active - a_u - a_v
                 if not num_active:
@@ -329,33 +327,30 @@ def decode(g: DecodingGraph, s: Syndrome) -> ClusterState:
                 members[x] = [x]
                 winner = _union_meta(cs, r, x)
                 active[winner] = active[r]
-                lst = frontier[winner] = frontier[r]
-                for entry in sides[x]:
-                    e2, side = entry
+                for e2, side in sides[x]:
                     if not closed[e2]:    # r grows: a new side starts at -clock
                         (cov2v if side else cov2u)[e2] = -clock
-                        lst.append(entry)
                         push(e2)
                 cs.forest.append(eidx)
     finally:
-        # Every written edge is a frontier entry of a current root, and
-        # every written node is covered: copy the coverages out, then
-        # reset exactly those entries.  Boundaries stay covered.
+        # Every written node is a covered detector and every written edge
+        # is incident to one: copy the coverages out, then reset exactly
+        # those entries.  Boundaries stay covered.
         coverage2 = cs.coverage2
-        for r, lst in members.items():
-            for eidx, _ in frontier[r] or ():
-                if eidx in coverage2:
-                    continue              # the entry of the other side
-                coverage2[eidx] = cov2u[eidx] + cov2v[eidx]
-                closed[eidx] = False
-                cov2u[eidx] = 0
-                cov2v[eidx] = 0
+        is_boundary = g.is_boundary
+        for lst in members.values():
             for x in lst:
+                if is_boundary[x]:
+                    continue
                 covered[x] = False
                 active[x] = False
-                frontier[x] = None
-        for b in g.boundaries:
-            covered[b] = True
+                for eidx, _ in sides[x]:
+                    if eidx in coverage2:
+                        continue          # the entry of the other side
+                    coverage2[eidx] = cov2u[eidx] + cov2v[eidx]
+                    closed[eidx] = False
+                    cov2u[eidx] = 0
+                    cov2v[eidx] = 0
 
     cs.radius2_log = clock
     cs.op_count = op_count

@@ -383,8 +383,11 @@ def switch_check(records, threshold: float, epsilon_max_db: float,
     which a slow fallback decoder could no longer keep up.  ``attempted``
     is the denominator: the samples attempted for the checked method
     (samples per cell times cells), which counts the empty samples a sweep
-    skipped.  A method with no record has rate 0.
+    skipped.  A method with no record has rate 0.  A ``threshold`` outside
+    [0, 1], NaN included, raises ConfigError.
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must be a rate in [0, 1], got {threshold!r}")
     rows = [r for r in records if method is None or r.method == method]
     if attempted < max(len(rows), 1):
         raise ValueError(f"{len(rows)} records but only {attempted} samples attempted")

@@ -8,6 +8,8 @@ that should notice:
              against tests/test_harness.py
     sampler  ``sampling._skip_table``, ``_skip_plan`` and ``_flipped``,
              against tests/test_sampling.py
+    decoder  ``decoder.decode`` (its nested ``push`` and ``set_activity``
+             included) and ``_union_meta``, against tests/test_decoder.py
 
 Swaps one comparison operator at a time inside those functions (``<`` with
 ``<=``, ``>`` with ``>=``, ``==`` with ``!=``, ``in`` with ``not in`` and
@@ -21,7 +23,7 @@ The unchanged module, written the same way, must pass first.
 Run from anywhere, one child at a time, never as part of the test suite
 (it takes minutes, and pytest does not collect it):
 
-    python tests/mutants.py [reader|sampler]
+    python tests/mutants.py [reader|sampler|decoder]
 
 The copy goes in a temporary directory, under ``TMPDIR`` when it is set.
 """
@@ -52,6 +54,8 @@ TARGETS = {
                      ("read_sweep", "_int_or_none", "_true_or_false"), "tests/test_harness.py"),
     "sampler": Target(Path("src/softgap/sampling.py"),
                       ("_skip_table", "_skip_plan", "_flipped"), "tests/test_sampling.py"),
+    "decoder": Target(Path("src/softgap/decoder.py"),
+                      ("decode", "_union_meta"), "tests/test_decoder.py"),
 }
 MEMORY_BYTES = 2 * 1024 ** 3
 TIMEOUT_S = 120

@@ -150,6 +150,11 @@ class TestDecodeHandTraces:
         #   the cluster, so it joins no forest.
         # clock 200: node 2's side alone covers edge 3 and reaches boundary
         #   4; edge 2 stops at 1 + (200 - 9) = 192.
+        # op_count: 8 seed keys; 2 stale pops of edge 1 at clock 5, each
+        #   pushing it again; at the resume 3 pushes, edge 2 once and edge 4
+        #   once per side (an open internal edge is queued twice); 1 stale
+        #   pop of edge 2 at clock 200, pushing it again for 208, which stays
+        #   queued.  14 pushes and 12 pops.
         edges = [Edge(0, 1, 1), Edge(1, 2, 5), Edge(0, 3, 100), Edge(2, 4, 100),
                  Edge(0, 1, 3)]
         g = DecodingGraph(5, (3, 4), edges)
@@ -157,6 +162,7 @@ class TestDecodeHandTraces:
         assert cs.forest == [0, 1, 3]
         assert cs.radius2_log == 200
         assert cs.coverage2 == {0: 2, 1: 10, 2: 192, 3: 200, 4: 6}
+        assert cs.op_count == 26
         assert cs.find(0) == cs.find(2) == cs.find(4) and cs.find(0) in cs.boundary_roots
         assert cs.find(3) == 3
 
@@ -553,7 +559,7 @@ def assert_scratch_clean(g):
     sc = g._decode_scratch
     n, m = g.num_nodes, g.num_edges
     assert sc.covered == g.is_boundary
-    assert sc.active == [False] * n and sc.frontier == [None] * n
+    assert sc.active == [False] * n
     assert sc.closed == [False] * m
     assert sc.cov2u == [0] * m and sc.cov2v == [0] * m
 
@@ -583,9 +589,9 @@ class TestScratch:
     # decode keeps per-graph scratch and resets what it wrote; none of
     # that may show in a result.
     def test_side_templates_match_the_edges(self):
-        # Seeding copies a node's (edge, side) template and an absorption
-        # walks it: one entry per incident edge end, side 1 at its v end,
-        # unchanged by later decodes.
+        # Seeding, an absorption, a pause, a resume and the reset walk a
+        # node's (edge, side) template: one entry per incident edge end,
+        # side 1 at its v end, unchanged by later decodes.
         rnd = random.Random(3141)
         seen = Counter()
         for _ in range(200):

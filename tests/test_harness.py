@@ -769,6 +769,18 @@ class TestSwitchCheck:
             switch_check(self._records([True] * 3), 0.5, epsilon_max_db=20.0,
                          attempted=2)
 
+    @pytest.mark.parametrize("threshold", [math.nan, -0.1, 1.5, math.inf])
+    def test_threshold_outside_the_unit_interval_rejected(self, threshold):
+        # NaN compares false with every rate, so it would fail any sweep
+        with pytest.raises(ConfigError, match=r"threshold must be a rate in \[0, 1\]"):
+            switch_check(self._records([False] * 4), threshold, epsilon_max_db=20.0,
+                         attempted=4)
+
+    @pytest.mark.parametrize("threshold, flags", [(0.0, [False] * 4), (1.0, [True] * 4)])
+    def test_threshold_at_either_end_accepted(self, threshold, flags):
+        chk = switch_check(self._records(flags), threshold, epsilon_max_db=20.0, attempted=4)
+        assert chk.measured_rate == threshold and chk.verdict == "pass"
+
     def test_gap_exactly_at_threshold_counts(self):
         records = [r._replace(gap_db=scaled_to_db(db_to_scaled(25.5)))
                    for r in self._records([True, False])]
@@ -884,6 +896,68 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: softgap ") and message in err
         assert not out.exists()
+
+    @pytest.fixture
+    def sweep_csv(self, tmp_path):
+        cfg = small_cfg(samples=5)
+        out = tmp_path / "sweep.csv"
+        out.write_text(records_to_csv(run_sweep(cfg), sweep_metadata(cfg)))
+        return out
+
+    @pytest.mark.parametrize("command", [
+        ["gen-graph", "--distance", "3", "--p", "0.01"],
+        ["sweep", "--distances", "3", "--probs", "0.05", "--samples", "20"],
+        ["fit", "--model", "power", "--dmin", "3"],
+    ], ids=["gen-graph", "sweep", "fit"])
+    @pytest.mark.parametrize("out, message", [
+        ("nodir/out", "--out {tmp}/nodir/out: no directory {tmp}/nodir"),
+        ("", "--out {tmp}/ is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       sweep_csv, command, out, message):
+        # a usage line and exit status 2 before the sweep draws any sample
+        from softgap.cli import main
+
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(harness, "sample_syndrome", no_sample)
+        if command[0] == "fit":
+            command = command + ["--in", str(sweep_csv)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--out", f"{tmp_path}/{out}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: softgap ")
+        assert f"softgap {command[0]}: error: {message.format(tmp=tmp_path)}\n" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5", "inf"])
+    def test_switch_check_threshold_outside_the_unit_interval(self, capsys, sweep_csv,
+                                                             threshold):
+        from softgap.cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["switch-check", "--threshold", threshold, "--in", str(sweep_csv)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: softgap switch-check ")
+        assert (f"softgap switch-check: error: threshold must be a rate in [0, 1], "
+                f"got {float(threshold)!r}\n") in err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [
+        ["gen-graph", "--distance", "3", "--p", "0.01"],
+        ["sweep", "--distances", "3", "--probs", "0.05", "--samples", "20"],
+        ["fit", "--model", "power", "--dmin", "3"],
+    ], ids=["gen-graph", "sweep", "fit"])
+    def test_failed_write_is_one_line(self, sweep_csv, command):
+        # writing to /dev/full fails with ENOSPC: the path and the reason,
+        # not a traceback
+        from softgap.cli import main
+        if command[0] == "fit":
+            command = command + ["--in", str(sweep_csv)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--out", "/dev/full"])
+        assert exit_info.value.code == "/dev/full: No space left on device"
 
     def test_fit_and_switch_check(self, tmp_path):
         from softgap.cli import main
