@@ -8,15 +8,14 @@ Both models are fit linearly in base-10 log space:
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InsufficientDataError(ValueError):
     """Usable points at fewer than two distances after filtering."""
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     A: float            # positive prefactor
     B: float            # exponent (power law) or slope per unit d (exponential)
     residual: float     # sum of squared residuals in log10 space

@@ -5,11 +5,9 @@ more virtual boundary nodes, and whose edges are candidate physical errors.
 Edge weights are log-likelihood weights ln((1-p)/p) stored as scaled
 integers so that every comparison downstream is exact.
 
-``Edge`` is a ``NamedTuple``, not a frozen dataclass: a graph is built in
-every sweep, and a frozen dataclass sets each field with one
-``object.__setattr__`` call.  ``DecodingGraph`` takes ``Edge``s only; it
-checks them, works out the weight of each distinct probability once and
-fills its neighbour lists in one pass.
+``Edge`` is a ``NamedTuple`` (README, "Value types").  ``DecodingGraph``
+takes ``Edge``s only; it checks them, works out the weight of each
+distinct probability once and fills its neighbour lists in one pass.
 """
 
 import heapq

@@ -13,15 +13,12 @@ made, and stops at the first sample that breaks one with a
 ``ConsistencyError`` naming it; with ``skip_empty_syndromes=False`` that
 is every sample.
 
-``SweepRecord`` is a ``NamedTuple``, not a frozen dataclass: a sweep makes
-one per sample and method, and a frozen dataclass sets each field with
-one ``object.__setattr__`` call.  Built by keyword with timeit on Python
-3.11 and a 2-core x86-64 host, a record cost 3.1 µs as a dataclass,
-1.4 µs as a named tuple.  ``records_to_csv`` unpacks each record by
-position, in ``CSV_HEADER`` order, and writes it as one f-string row; it
-formats each distinct float, and quotes each distinct method name as
-``csv.writer`` would, once per call.  Importing the package does not
-import ``multiprocessing``; only a sweep with a worker pool does.
+Every value type here is a ``NamedTuple`` (README, "Value types").
+``records_to_csv`` unpacks each record by position, in ``CSV_HEADER``
+order, and writes it as one f-string row; it formats each distinct float,
+and quotes each distinct method name as ``csv.writer`` would, once per
+call.  Importing the package does not import ``multiprocessing``; only a
+sweep with a worker pool does.
 
 Each process of a sweep holds one cell at a time (see ``_cell``): the
 cell's graph, with the tables the decoder, the sampler and the search
@@ -34,7 +31,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
 from typing import NamedTuple, get_args, get_origin
 
 from .graphs import DecodingGraph, build_phenomenological, db_to_scaled, scaled_to_db
@@ -70,8 +66,7 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     distances: tuple[int, ...]
     probs: tuple[float, ...]
     samples: int
@@ -82,11 +77,10 @@ class SweepConfig:
     skip_empty_syndromes: bool = True
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _is_a(value, f.type):
-                kind = f.type.__name__ if isinstance(f.type, type) else str(f.type)
-                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        for (name, kind), value in zip(self.__annotations__.items(), self):
+            if not _is_a(value, kind):
+                text = kind.__name__ if isinstance(kind, type) else str(kind)
+                raise ConfigError(f"{name} must be {text}, got {value!r}")
         if not self.distances:
             raise ConfigError("no distances given")
         for d in self.distances:
@@ -250,11 +244,13 @@ def run_sweep(cfg: SweepConfig, workers: int = 1):
                               visited, extra, growth_db, n_clustered)
 
 
-@dataclass
 class _Welford:
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    __slots__ = ("n", "mean", "m2")
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self.m2 = 0.0
 
     def add(self, x: float):
         self.n += 1
@@ -267,8 +263,7 @@ class _Welford:
         return math.sqrt(self.m2 / self.n) if self.n else 0.0
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     d: int
     p: float
     method: str
@@ -353,8 +348,7 @@ def rule_violations(gaps, eps: int) -> list:
     return broken
 
 
-@dataclass(frozen=True)
-class SwitchCheck:
+class SwitchCheck(NamedTuple):
     measured_rate: float
     user_threshold: float
     verdict: str                 # "pass" | "fail"
@@ -447,8 +441,8 @@ def sweep_metadata(cfg: SweepConfig) -> dict:
     field under its name, a tuple as comma-separated values.  Every rate
     read back from the records takes its denominator and threshold from
     it, and ``methods`` tells a method with no record from one not swept."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    return {k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in values.items()}
+    return {k: ",".join(map(str, v)) if isinstance(v, tuple) else v
+            for k, v in cfg._asdict().items()}
 
 
 class _CsvField(dict):
@@ -505,7 +499,7 @@ def read_sweep(text: str) -> SweepFile:
     ValueError naming the line, or the header key it misses.
     """
     lines = text.rstrip().splitlines()
-    types = {f.name: f.type for f in fields(SweepConfig)}
+    types = SweepConfig.__annotations__
     values = {}
     for lineno, line in enumerate(lines, 1):
         if line.startswith("#"):
@@ -656,7 +650,7 @@ def emit(records, fmt: str, path, cfg: SweepConfig) -> None:
         rows = aggregate(records, cfg.samples, cfg.epsilon_max_db)
         series = {}
         for row in rows:
-            label = f"p={row.p:g} {row.method}"
+            label = f"p={row.p!r} {row.method}"
             series.setdefault(label, []).append((row.d, row.mean_visited))
         text = _svg_line_chart(series, title="mean_visited", x_label="code distance d",
                                y_label="mean_visited")

@@ -23,9 +23,7 @@ without building an ``ErrorPattern``, and returns one shared empty
 ``Syndrome`` when nothing flipped; it and ``syndrome_of`` share one parity
 helper.
 
-The value types are ``NamedTuple``s, not frozen dataclasses: a sweep makes
-a ``SeedSpec`` and a ``Syndrome`` per sample, and a frozen dataclass sets
-each field with one ``object.__setattr__`` call.
+The value types are ``NamedTuple``s (README, "Value types").
 """
 
 import struct

@@ -10,6 +10,11 @@ that should notice:
              against tests/test_sampling.py
     decoder  ``decoder.decode`` (its nested ``push`` and ``set_activity``
              included) and ``_union_meta``, against tests/test_decoder.py
+    softout  ``softout.cluster_gaps``, ``grow_clusters``, ``_bottleneck``,
+             ``_extra``, ``_covered_distance`` and ``extra_gaps``, against
+             tests/test_softout.py
+    config   ``harness._is_a`` and ``SweepConfig.validate``, against
+             tests/test_harness.py
 
 Swaps one comparison operator at a time inside those functions (``<`` with
 ``<=``, ``>`` with ``>=``, ``==`` with ``!=``, ``in`` with ``not in`` and
@@ -23,7 +28,7 @@ The unchanged module, written the same way, must pass first.
 Run from anywhere, one child at a time, never as part of the test suite
 (it takes minutes, and pytest does not collect it):
 
-    python tests/mutants.py [reader|sampler|decoder]
+    python tests/mutants.py [reader|sampler|decoder|softout|config]
 
 The copy goes in a temporary directory, under ``TMPDIR`` when it is set.
 """
@@ -56,6 +61,11 @@ TARGETS = {
                       ("_skip_table", "_skip_plan", "_flipped"), "tests/test_sampling.py"),
     "decoder": Target(Path("src/softgap/decoder.py"),
                       ("decode", "_union_meta"), "tests/test_decoder.py"),
+    "softout": Target(Path("src/softgap/softout.py"),
+                      ("cluster_gaps", "grow_clusters", "_bottleneck", "_extra",
+                       "_covered_distance", "extra_gaps"), "tests/test_softout.py"),
+    "config": Target(Path("src/softgap/harness.py"),
+                     ("_is_a", "validate"), "tests/test_harness.py"),
 }
 MEMORY_BYTES = 2 * 1024 ** 3
 TIMEOUT_S = 120

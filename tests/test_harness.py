@@ -8,7 +8,6 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -122,6 +121,18 @@ class TestConfig:
     def test_ints_and_none_accepted_where_meant(self):
         SweepConfig((3,), (0.05, 0.5), 5, master_seed=-2, rounds=None,
                     epsilon_max_db=20, skip_empty_syndromes=False).validate()
+
+    def test_least_values_accepted(self):
+        # each lower limit is inclusive where the message says >= and
+        # exclusive where it says (0, ...
+        SweepConfig((3,), (0.5,), 1, rounds=1).validate()
+        SweepConfig((3,), (5e-324,), 1, epsilon_max_db=5e-324).validate()
+
+    @pytest.mark.parametrize("p", [0.0, -0.0, -0.01, 0.5000000000000001])
+    def test_probability_outside_its_interval_rejected(self, p):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"probabilities must be in (0, 0.5], got {p}")):
+            small_cfg(probs=(p,)).validate()
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_nonpositive_rounds_rejected(self, rounds):
@@ -321,6 +332,11 @@ class TestImport:
         # the sampler and the fits use the standard library alone
         assert not self.loads("numpy")
 
+    def test_import_does_not_load_dataclasses(self):
+        # every value type is a NamedTuple; dataclasses would also load inspect
+        assert not self.loads("dataclasses")
+        assert not self.loads("inspect")
+
 
 class TestPinnedOutput:
     # sha256 of records_to_csv for d in {5, 9} x p in {0.1%, 1%}, 300
@@ -432,7 +448,7 @@ class TestEmit:
             "# methods=extra,cluster", "# probs=0.001,0.02", "# rounds=1", "# samples=10",
             "# skip_empty_syndromes=True", CSV_HEADER, "# records=0"]
         # rounds = d and rounds = 1 no longer write the same header
-        assert sweep_metadata(replace(cfg, rounds=None))["rounds"] is None
+        assert sweep_metadata(cfg._replace(rounds=None))["rounds"] is None
 
     # No explain phase: on a failing example of these ten-field records it
     # runs for minutes, after the shrink has already found the small case.
@@ -543,7 +559,7 @@ class TestEmit:
             read_sweep(text)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("key", [f.name for f in fields(SweepConfig)])
+    @pytest.mark.parametrize("key", SweepConfig._fields)
     def test_header_without_a_rate_value_is_refused(self, key):
         # every config field, not only those a rate reads
         with pytest.raises(ValueError) as err:
@@ -571,8 +587,8 @@ class TestEmit:
         rows = ["3,0.5,4,extra_cg,true,1.5,2,0,0.5,1", "5,0.01,0,extra_cg,false,,2,0,0.5,1"]
         sweep = read_sweep(one_cell_text(*rows, distances="3,5", probs="0.01,0.5",
                                          methods="extra_cg"))
-        assert sweep.config == replace(ONE_CELL, distances=(3, 5), probs=(0.01, 0.5),
-                                       methods=("extra_cg",))
+        assert sweep.config == ONE_CELL._replace(distances=(3, 5), probs=(0.01, 0.5),
+                                                 methods=("extra_cg",))
         assert [r[:4] for r in sweep.records] == [(3, 0.5, 4, "extra_cg"),
                                                   (5, 0.01, 0, "extra_cg")]
 
@@ -594,6 +610,19 @@ class TestEmit:
         assert text.startswith("<svg")
         # one polyline per probability value
         assert text.count("<polyline") == 2
+
+    def test_svg_plot_tells_close_probabilities_apart(self, tmp_path):
+        # equal to six significant digits: a p={p:g} label would merge each
+        # pair of series into one zig-zag polyline and draw 2, as 0.02 and
+        # 0.03 never do
+        for probs in ((0.02, 0.0200000001), (0.02, 0.03)):
+            cfg = SweepConfig(distances=(3, 5), probs=probs, samples=50)
+            path = tmp_path / "chart.svg"
+            emit(list(run_sweep(cfg)), "svg-plot", path, cfg)
+            text = path.read_text()
+            assert text.count("<polyline") == 4
+            for p in probs:
+                assert f">p={p!r} cluster</text>" in text
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -686,7 +715,7 @@ class TestConsistency:
         # a sweep of fewer methods is checked alike
         calls.clear()
         monkeypatch.setattr(harness, "_cell", None)
-        records = list(run_sweep(replace(cfg, methods=("cluster", "bounded"))))
+        records = list(run_sweep(cfg._replace(methods=("cluster", "bounded"))))
         assert len(records) == 2 * 600 and calls["evaluate_sample"] > 0
         assert calls["rule_violations"] == calls["evaluate_sample"]
 
@@ -1266,7 +1295,7 @@ class TestCli:
         text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
         lines = text.splitlines(keepends=True)
         if case == "second-cell":
-            second = records_to_csv(run_sweep(replace(cfg, distances=(5,)))).splitlines(True)
+            second = records_to_csv(run_sweep(cfg._replace(distances=(5,)))).splitlines(True)
             rows = len(lines) - 10 + len(second) - 1
             text = "".join(lines[:-1] + second[1:] + [f"# records={rows}\n"])
             message = f"line {len(lines)}: d=5 p=0.05 is not a cell of this sweep"
