@@ -1,9 +1,9 @@
-"""Scaling benchmarks: sweeps, aggregation, fits, and plots.
+"""Scaling benchmarks: sweeps, aggregation, fits, and the sweep file.
 
 Runs a small (d, p) sweep, aggregates per-cell statistics, fits the two
 scaling laws to the visited-node counts, performs a switching-rate check,
-and renders an SVG chart.  Sized to finish in well under a minute; raise
-``SAMPLES`` for smoother curves.
+and writes the sweep's CSV and reads it back.  Sized to finish in well
+under a minute; raise ``SAMPLES`` for smoother curves.
 """
 
 import tempfile
@@ -15,6 +15,7 @@ from softgap import (
     emit,
     fit_exponential,
     fit_power_law,
+    read_sweep,
     run_sweep,
     switch_check,
 )
@@ -69,7 +70,13 @@ checked = sum(1 for _ in run_sweep(SweepConfig(distances=(3, 5), probs=(0.01,),
                                                skip_empty_syndromes=False))) // 4
 print(f"\nconsistency: {checked} samples checked, every rule held")
 
+# The sweep's file is its config, as '# key=value' lines, then its rows:
+# `softgap fit` and `softgap switch-check` read their denominators and
+# threshold from it.
 with tempfile.TemporaryDirectory() as tmp:
-    chart = Path(tmp) / "visited.svg"
-    emit(records, "svg-plot", chart, cfg)
-    print(f"\nSVG chart written ({chart.stat().st_size} bytes)")
+    path = Path(tmp) / "sweep.csv"
+    emit(records, path, cfg)
+    config, read_back = read_sweep(path.read_text(encoding="utf-8"))
+    assert config == cfg and read_back == records
+    print(f"\nsweep file: {len(read_back)} records, "
+          f"{path.stat().st_size} bytes, config read back")

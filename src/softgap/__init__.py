@@ -67,7 +67,6 @@ from .harness import (
     emit,
     read_sweep,
     records_to_csv,
-    records_to_json,
     run_sweep,
     sweep_metadata,
     switch_check,

@@ -80,7 +80,6 @@ def main(argv=None) -> int:
                    help="subset of cluster,bounded,extra,extra_cg")
     s.add_argument("--keep-empty", action="store_true",
                    help="emit records for empty-syndrome samples too")
-    s.add_argument("--format", choices=("csv", "json", "svg-plot"), default="csv")
 
     f = sub.add_parser("fit", help="fit a scaling law to aggregated sweep records")
     f.add_argument("--model", choices=("power", "exp"), required=True)
@@ -128,7 +127,7 @@ def _run(args) -> int:
                           skip_empty_syndromes=not args.keep_empty)
         records = list(run_sweep(cfg, workers=args.workers))
         with _writing(args.out):
-            emit(records, args.format, args.out, cfg)
+            emit(records, args.out, cfg)
         print(f"wrote {len(records)} records to {args.out}")
         return 0
 

@@ -149,9 +149,6 @@ class ClusterState:
         self.forest = []               # edge ids that closed causing merge/absorb
         self.op_count = 0              # heap pushes plus heap pops
 
-    def find(self, x: int) -> int:
-        return self.parent[x]
-
     @classmethod
     def from_partition(cls, graph: DecodingGraph, groups) -> "ClusterState":
         """Build a state with the given clusters, for externally supplied

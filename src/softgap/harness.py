@@ -29,7 +29,6 @@ replaces it, so memory stays that of the largest cell, not of the grid.
 
 import csv
 import io
-import json
 import math
 from typing import NamedTuple, get_args, get_origin
 
@@ -88,6 +87,8 @@ class SweepConfig(NamedTuple):
                 raise ConfigError(f"distances must be odd and >= 3, got {d}")
         if not self.probs:
             raise ConfigError("no probabilities given")
+        if not self.methods:
+            raise ConfigError("no methods given")
         for p in self.probs:
             if not (0.0 < p <= 0.5):
                 raise ConfigError(f"probabilities must be in (0, 0.5], got {p}")
@@ -103,6 +104,11 @@ class SweepConfig(NamedTuple):
         if not 0.0 < self.epsilon_max_db < math.inf:
             raise ConfigError("epsilon_max_db must be finite and > 0, "
                               f"got {self.epsilon_max_db}")
+        try:
+            db_to_scaled(self.epsilon_max_db)
+        except OverflowError:
+            raise ConfigError(f"epsilon_max_db {self.epsilon_max_db} is too large: "
+                              "its scaled value is not finite") from None
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
@@ -485,7 +491,7 @@ class SweepFile(NamedTuple):
 
 
 def read_sweep(text: str) -> SweepFile:
-    """Inverse of ``emit(records, "csv", path, cfg)``: the config and
+    """Inverse of ``emit(records, path, cfg)``: the config and
     records of the CSV text of one whole sweep.  Read the file first.
 
     The ``#`` lines before the CSV header give each ``SweepConfig`` field
@@ -520,7 +526,7 @@ def read_sweep(text: str) -> SweepFile:
         raise ValueError(f"line {lineno}: unexpected CSV header: {line!r}")
     for key in types:
         if key not in values:
-            raise ValueError(f"no '# {key}=' line; write it with `softgap sweep --format csv`")
+            raise ValueError(f"no '# {key}=' line; write it with `softgap sweep`")
     cfg = SweepConfig(**values)
     cfg.validate()
 
@@ -573,88 +579,10 @@ def read_sweep(text: str) -> SweepFile:
     return SweepFile(cfg, records)
 
 
-def records_to_json(records, metadata: dict | None = None) -> str:
-    payload = {"metadata": metadata or {}, "records": [r._asdict() for r in records]}
-    return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def _svg_line_chart(series: dict, title: str, x_label: str, y_label: str,
-                    width=640, height=440) -> str:
-    """Minimal hand-rolled SVG: one polyline per series, log-scale y."""
-    pad_l, pad_r, pad_t, pad_b = 60, 16, 30, 40
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
-              "#8c564b", "#e377c2", "#17becf"]
-    pts_all = [(x, y) for pts in series.values() for x, y in pts if y > 0]
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-           f'font-family="sans-serif" font-size="11">',
-           f'<text x="{width/2:.0f}" y="16" text-anchor="middle">{title}</text>']
-    if pts_all:
-        xs = [x for x, _ in pts_all]
-        logy = [math.log10(y) for _, y in pts_all]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(logy), max(logy)
-        if x1 == x0:
-            x1 = x0 + 1
-        if y1 == y0:
-            y1 = y0 + 1
-
-        def sx(x):
-            return pad_l + (x - x0) / (x1 - x0) * (width - pad_l - pad_r)
-
-        def sy(y):
-            return height - pad_b - (math.log10(y) - y0) / (y1 - y0) * (height - pad_t - pad_b)
-
-        out.append(f'<rect x="{pad_l}" y="{pad_t}" width="{width-pad_l-pad_r}" '
-                   f'height="{height-pad_t-pad_b}" fill="none" stroke="#888"/>')
-        for exp in range(math.floor(y0), math.ceil(y1) + 1):
-            yy = sy(10.0 ** exp)
-            if pad_t <= yy <= height - pad_b:
-                out.append(f'<line x1="{pad_l}" y1="{yy:.1f}" x2="{width-pad_r}" '
-                           f'y2="{yy:.1f}" stroke="#ddd"/>')
-                out.append(f'<text x="{pad_l-6}" y="{yy+4:.1f}" text-anchor="end">1e{exp}</text>')
-        for x in sorted(set(xs)):
-            out.append(f'<text x="{sx(x):.1f}" y="{height-pad_b+16}" '
-                       f'text-anchor="middle">{x:g}</text>')
-        for i, (label, pts) in enumerate(sorted(series.items())):
-            pts = [(x, y) for x, y in pts if y > 0]
-            if not pts:
-                continue
-            color = colors[i % len(colors)]
-            path = " ".join(f"{sx(x):.1f},{sy(y):.1f}" for x, y in sorted(pts))
-            out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                       f'points="{path}"/>')
-            out.append(f'<text x="{width-pad_r-4}" y="{pad_t+14+i*14}" text-anchor="end" '
-                       f'fill="{color}">{label}</text>')
-    out.append(f'<text x="{width/2:.0f}" y="{height-8}" text-anchor="middle">{x_label}</text>')
-    out.append(f'<text x="14" y="{height/2:.0f}" text-anchor="middle" '
-               f'transform="rotate(-90 14 {height/2:.0f})">{y_label}</text>')
-    out.append("</svg>")
-    return "\n".join(out)
-
-
-def emit(records, fmt: str, path, cfg: SweepConfig) -> None:
-    """Write the records of the sweep ``cfg`` ran as csv or json, each with
-    the sweep's header (``sweep_metadata``), or as an svg-plot of the
-    aggregates.
-
-    The svg plot draws one series per (p, method) with x = d and a log y
-    axis over the mean visited nodes, aggregated at the sweep's samples per
-    cell and threshold.
-    """
-    records = list(records)
-    if fmt == "csv":
-        text = records_to_csv(records, sweep_metadata(cfg))
-    elif fmt == "json":
-        text = records_to_json(records, sweep_metadata(cfg))
-    elif fmt == "svg-plot":
-        rows = aggregate(records, cfg.samples, cfg.epsilon_max_db)
-        series = {}
-        for row in rows:
-            label = f"p={row.p!r} {row.method}"
-            series.setdefault(label, []).append((row.d, row.mean_visited))
-        text = _svg_line_chart(series, title="mean_visited", x_label="code distance d",
-                               y_label="mean_visited")
-    else:
-        raise ValueError(f"unknown format {fmt!r}; choose csv, json, or svg-plot")
+def emit(records, path, cfg: SweepConfig) -> None:
+    """Write the records of the sweep ``cfg`` ran to ``path`` as its CSV,
+    with the sweep's header (``sweep_metadata``), which ``read_sweep``
+    reads back."""
+    text = records_to_csv(records, sweep_metadata(cfg))
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)

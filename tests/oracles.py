@@ -34,7 +34,7 @@ def quotient_edges(graph, rep):
 
 
 def rep_map(graph, cs):
-    return [cs.find(x) for x in range(graph.num_nodes)]
+    return [cs.parent[x] for x in range(graph.num_nodes)]
 
 
 # Per-node views of a ClusterState, rebuilt from its per-root fields.

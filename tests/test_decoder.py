@@ -95,8 +95,8 @@ class TestDecodeHandTraces:
         eidx = interior_edge(g)
         e = g.edges[eidx]
         cs = decode(g, Syndrome(frozenset({e.u, e.v})))
-        root = cs.find(e.u)
-        assert cs.find(e.v) == root
+        root = cs.parent[e.u]
+        assert cs.parent[e.v] == root
         assert sum(x in cs.events for x in cs.members[root]) == 2
         # both frontiers grow, so they meet at half the edge weight
         assert cs.radius2_log == e.weight
@@ -107,9 +107,9 @@ class TestDecodeHandTraces:
         b1 = g.boundaries[0]
         det = next(x for x, _, _ in [(e.u, 0, 0) for e in g.edges if e.v == b1])
         cs = decode(g, Syndrome(frozenset({det})))
-        root = cs.find(det)
+        root = cs.parent[det]
         assert root in cs.boundary_roots
-        assert cs.find(b1) == root
+        assert cs.parent[b1] == root
         # boundary is passive, so the event side covers the full half-edge
         w = g.edges[half_edge_of(g, det, b1)].weight
         assert cs.radius2_log <= 2 * w
@@ -122,7 +122,7 @@ class TestDecodeHandTraces:
         g = DecodingGraph(4, (2, 3), edges)
         cs = decode(g, Syndrome(frozenset({0})))
         assert cs.radius2_log == 2 * 3 * S
-        assert cs.find(0) == cs.find(2)
+        assert cs.parent[0] == cs.parent[2]
         assert not state_covered(cs)[1]
 
     def test_two_events_with_unequal_arms(self):
@@ -133,8 +133,8 @@ class TestDecodeHandTraces:
                  Edge(0, 3, 50 * S), Edge(2, 4, 50 * S)]
         g = DecodingGraph(5, (3, 4), edges)
         cs = decode(g, Syndrome(frozenset({0, 2})))
-        root = cs.find(0)
-        assert cs.find(2) == root and cs.find(1) == root
+        root = cs.parent[0]
+        assert cs.parent[2] == root and cs.parent[1] == root
         # meeting radius r solves (r - 2) + r = 6 inside the long edge
         assert cs.radius2_log == 2 * 4 * S
         assert sorted(cs.forest) == [0, 1]
@@ -163,8 +163,9 @@ class TestDecodeHandTraces:
         assert cs.radius2_log == 200
         assert cs.coverage2 == {0: 2, 1: 10, 2: 192, 3: 200, 4: 6}
         assert cs.op_count == 26
-        assert cs.find(0) == cs.find(2) == cs.find(4) and cs.find(0) in cs.boundary_roots
-        assert cs.find(3) == 3
+        assert cs.parent[0] == cs.parent[2] == cs.parent[4]
+        assert cs.parent[0] in cs.boundary_roots
+        assert cs.parent[3] == 3
 
 
 class TestPeel:
@@ -251,7 +252,7 @@ class TestDecodeInvariants:
         for idx in range(300):
             cs = decode(g, sample_syndrome(g, SeedSpec(5, idx)))
             for root in state_clusters(cs):
-                r = cs.find(root)
+                r = cs.parent[root]
                 events = sum(x in cs.events for x in cs.members[r])
                 assert events % 2 == 0 or r in cs.boundary_roots
 

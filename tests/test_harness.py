@@ -28,7 +28,6 @@ from softgap.harness import (
     emit,
     read_sweep,
     records_to_csv,
-    records_to_json,
     run_sweep,
     sweep_metadata,
     switch_check,
@@ -133,6 +132,42 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 f"probabilities must be in (0, 0.5], got {p}")):
             small_cfg(probs=(p,)).validate()
+
+    def test_no_methods_rejected(self, monkeypatch):
+        # such a sweep would write '# methods=', which read_sweep refuses;
+        # refused before any sample is drawn
+        drawn = []
+        monkeypatch.setattr(harness, "sample_syndrome", lambda *args: drawn.append(args))
+        cfg = small_cfg(methods=())
+        with pytest.raises(ConfigError, match="^no methods given$"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="^no methods given$"):
+            next(run_sweep(cfg))
+        assert drawn == []
+
+    def test_threshold_with_no_finite_scaled_value_rejected(self):
+        # the bound is db_to_scaled's own: the largest threshold it scales
+        # is accepted and the next float is refused
+        def scales(x):
+            try:
+                db_to_scaled(x)
+            except OverflowError:
+                return False
+            return True
+        lo, hi = 1.0, 1e303
+        assert scales(lo) and not scales(hi)
+        while math.nextafter(lo, math.inf) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if scales(mid) else (lo, mid)
+        assert 3.8e302 < lo < 4e302
+        SweepConfig((3,), (0.05,), 5, epsilon_max_db=lo).validate()
+        for eps in (hi, 1e303, sys.float_info.max):
+            cfg = SweepConfig((3,), (0.05,), 5, epsilon_max_db=eps)
+            message = f"epsilon_max_db {eps} is too large: its scaled value is not finite"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                cfg.validate()
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                next(run_sweep(cfg))
 
     @pytest.mark.parametrize("rounds", [0, -1])
     def test_nonpositive_rounds_rejected(self, rounds):
@@ -337,6 +372,10 @@ class TestImport:
         assert not self.loads("dataclasses")
         assert not self.loads("inspect")
 
+    def test_import_does_not_load_json(self):
+        # a sweep writes its CSV alone; only the command line's fit writes JSON
+        assert not self.loads("json")
+
 
 class TestPinnedOutput:
     # sha256 of records_to_csv for d in {5, 9} x p in {0.1%, 1%}, 300
@@ -350,15 +389,15 @@ class TestPinnedOutput:
         text = records_to_csv(run_sweep(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_CSV_SHA256
 
-    # sha256 of records_to_json for the same sweep, with its metadata (the
-    # config's fields)
-    SWEEP_JSON_SHA256 = "f9797044da41464dee9c7a57f10fc1f521b8a9559d951b98ebf7f1d45e66ed4a"
+    # sha256 of the same sweep's file, its header (the config's fields),
+    # rows and closing line
+    SWEEP_FILE_SHA256 = "49698a0d81af6287d678c31f117cd180ebc4e58f9933c9dcf61ace71fdc1ff1d"
 
-    def test_sweep_json_bytes(self):
+    def test_sweep_file_bytes(self):
         cfg = SweepConfig(distances=(5, 9), probs=(0.001, 0.01), samples=300,
                           master_seed=1)
-        text = records_to_json(list(run_sweep(cfg)), sweep_metadata(cfg))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_JSON_SHA256
+        text = records_to_csv(run_sweep(cfg), sweep_metadata(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SWEEP_FILE_SHA256
 
     def test_one_search_and_one_growth_per_sample(self, monkeypatch):
         calls = Counter()
@@ -415,7 +454,7 @@ class TestEmit:
 
     def test_empty_record_stream(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit([], "csv", path, small_cfg())
+        emit([], path, small_cfg())
         assert path.read_text().endswith("\n" + CSV_HEADER + "\n# records=0\n")
         assert read_sweep(path.read_text()) == SweepFile(small_cfg(), [])
 
@@ -565,7 +604,7 @@ class TestEmit:
         with pytest.raises(ValueError) as err:
             read_sweep(one_cell_text(**{key: None}))
         assert str(err.value) == (f"no '# {key}=' line; "
-                                  "write it with `softgap sweep --format csv`")
+                                  "write it with `softgap sweep`")
 
     @pytest.mark.parametrize("text, message", [
         (one_cell_text().replace(CSV_HEADER, f"# samples=5\n{CSV_HEADER}"),
@@ -576,7 +615,11 @@ class TestEmit:
          f"line 9: unexpected CSV header: {CSV_HEADER.replace(',', ';')!r}"),
         (one_cell_text().split(CSV_HEADER)[0], "line 9: no CSV header"),
         ("", "line 1: no CSV header"),
-    ], ids=["repeated-key", "unknown-key", "other-header", "header-lines-only", "empty"])
+        # parses, but aggregate and switch_check could not scale it
+        (one_cell_text(epsilon_max_db="1e303"),
+         "epsilon_max_db 1e+303 is too large: its scaled value is not finite"),
+    ], ids=["repeated-key", "unknown-key", "other-header", "header-lines-only", "empty",
+            "threshold-overflows"])
     def test_malformed_header_is_refused(self, text, message):
         with pytest.raises(ValueError) as err:
             read_sweep(text)
@@ -592,41 +635,14 @@ class TestEmit:
         assert [r[:4] for r in sweep.records] == [(3, 0.5, 4, "extra_cg"),
                                                   (5, 0.01, 0, "extra_cg")]
 
-    def test_json_emission(self, tmp_path):
+    def test_emit_writes_the_sweep_file(self, tmp_path):
+        # records from the sweep's generator, written as read_sweep reads them
         cfg = small_cfg(samples=10)
+        path = tmp_path / "sweep.csv"
+        emit(run_sweep(cfg), path, cfg)
         records = list(run_sweep(cfg))
-        path = tmp_path / "r.json"
-        emit(records, "json", path, cfg)
-        payload = json.loads(path.read_text())
-        assert payload["metadata"] == sweep_metadata(cfg)
-        assert len(payload["records"]) == len(records)
-
-    def test_svg_plot_one_polyline_per_series(self, tmp_path):
-        cfg = small_cfg(methods=("cluster",))
-        records = list(run_sweep(cfg))
-        path = tmp_path / "chart.svg"
-        emit(records, "svg-plot", path, cfg)
-        text = path.read_text()
-        assert text.startswith("<svg")
-        # one polyline per probability value
-        assert text.count("<polyline") == 2
-
-    def test_svg_plot_tells_close_probabilities_apart(self, tmp_path):
-        # equal to six significant digits: a p={p:g} label would merge each
-        # pair of series into one zig-zag polyline and draw 2, as 0.02 and
-        # 0.03 never do
-        for probs in ((0.02, 0.0200000001), (0.02, 0.03)):
-            cfg = SweepConfig(distances=(3, 5), probs=probs, samples=50)
-            path = tmp_path / "chart.svg"
-            emit(list(run_sweep(cfg)), "svg-plot", path, cfg)
-            text = path.read_text()
-            assert text.count("<polyline") == 4
-            for p in probs:
-                assert f">p={p!r} cluster</text>" in text
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit([], "yaml", tmp_path / "x", small_cfg())
+        assert path.read_text() == records_to_csv(records, sweep_metadata(cfg))
+        assert read_sweep(path.read_text()) == SweepFile(cfg, records)
 
 
 class TestAggregate:
@@ -830,6 +846,8 @@ _BAD_HEADER = [
     ("epsilon_max_db", "0", "epsilon_max_db must be finite and > 0, got 0.0"),
     ("epsilon_max_db", "inf", "epsilon_max_db must be finite and > 0, got inf"),
     ("epsilon_max_db", "nan", "epsilon_max_db must be finite and > 0, got nan"),
+    ("epsilon_max_db", "1e303",
+     "epsilon_max_db 1e+303 is too large: its scaled value is not finite"),
     ("methods", "", f"unknown method ''; choose from {METHODS}"),
     ("methods", "cluster,mystery", f"unknown method 'mystery'; choose from {METHODS}"),
     ("methods", "extra,extra", "method extra is given twice; each cell is swept once"),
@@ -908,12 +926,15 @@ class TestCli:
         (["sweep", "--distances", "3,3", "--probs", "0.05", "--samples", "200",
           "--seed", "4"],
          "softgap sweep: error: distance 3 is given twice; each cell is swept once"),
-        (["sweep", "--distances", "3", "--probs", "0.05,0.02,0.05", "--samples", "5",
-          "--format", "svg-plot"],
+        (["sweep", "--distances", "3", "--probs", "0.05,0.02,0.05", "--samples", "5"],
          "softgap sweep: error: probability 0.05 is given twice; each cell is swept once"),
         (["sweep", "--distances", "3", "--probs", "0.05", "--samples", "5",
           "--methods", "extra,extra"],
          "softgap sweep: error: method extra is given twice; each cell is swept once"),
+        (["sweep", "--distances", "3", "--probs", "0.01", "--samples", "5",
+          "--epsilon-max-db", "1e303"],
+         "softgap sweep: error: epsilon_max_db 1e+303 is too large: "
+         "its scaled value is not finite"),
     ])
     def test_bad_configuration_is_a_usage_error(self, tmp_path, capsys, argv, message):
         # a usage line and exit status 2, not a traceback; nothing is written
@@ -1046,7 +1067,7 @@ class TestCli:
             main(command + ["--in", str(path)])
         assert exit_info.value.code == (
             f"{path}: no '# epsilon_max_db=' line; "
-            "write it with `softgap sweep --format csv`")
+            "write it with `softgap sweep`")
 
     @pytest.mark.parametrize("command", ["fit", "switch-check"])
     def test_threshold_is_not_an_option(self, capsys, command):
@@ -1129,7 +1150,7 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main(["switch-check", "--threshold", "1.0", "--in", str(path)])
         assert exit_info.value.code == (
-            f"{path}: no '# methods=' line; write it with `softgap sweep --format csv`")
+            f"{path}: no '# methods=' line; write it with `softgap sweep`")
 
     @pytest.mark.parametrize("command", [
         ["fit", "--model", "power", "--dmin", "3", "--out", "fit.json"],

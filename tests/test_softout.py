@@ -271,6 +271,49 @@ class TestVisitedNodes:
             seen["lightest edge 0"] += w_min == 0
         assert len(seen) == 4 and min(seen.values()) >= 100, seen
 
+    def test_search_stops_at_the_first_key_that_lowers_nothing(self, monkeypatch):
+        # b1 = 1, b2 = 2, unit weights, n = 7; bare distances 1:0, 3:1,
+        # 2:2, 0:2, 4:3, 5:4.  Parts A = {0, 4} at 2 and B = {5, 6} at 4
+        # are heapified as keys 2*7 + 0 = 14 and 4*7 + 5 = 33.  The gap is
+        # b2's bare 2, so stop = (2 - 1 + 1) * 7 = 14: the first pop meets
+        # it and the search ends, with B never popped.
+        edges = [Edge(1, 3, 1), Edge(3, 2, 1), Edge(3, 0, 1), Edge(0, 4, 1),
+                 Edge(4, 5, 1), Edge(5, 6, 1)]
+        g = DecodingGraph(7, (1, 2), edges)
+        view = contract(g, ClusterState.from_partition(g, [[0, 4], [5, 6]]))
+        counter = CountingHeapq()
+        monkeypatch.setattr(softout, "heapq", counter)
+        assert cluster_gaps(view, 0)[0] == GapResult("cluster", 2, visited_nodes=4)
+        assert (counter.pushes, counter.pops) == (2, 1)
+
+    def test_search_expands_only_members_beyond_their_bare_distance(self, monkeypatch):
+        # b1 = 1, b2 = 2, n = 5; bare distances 1:0, 3:1, 0:2, 4:7, 2:8.
+        # Part A = {0, 4} starts at 2, node 0's bare distance, so of its
+        # members only 4 is expanded: its unit edge lowers b2 to 3 (one
+        # push), the gap becomes 3 and stop (3 - 1 + 1) * 5 = 15, which
+        # the next pop, b2's key 3*5 + 2 = 17, passes.  Node 0's edges
+        # already hold their bare distances, so reading them would push
+        # nothing; only its neighbour list is not read.
+        edges = [Edge(1, 3, 1), Edge(3, 0, 1), Edge(0, 4, 5), Edge(4, 2, 1),
+                 Edge(1, 2, 10)]
+        g = DecodingGraph(5, (1, 2), edges)
+        g.bare_distances()                       # memoized before the count
+        read = []
+
+        class Recorded(tuple):
+            def __getitem__(self, node):
+                read.append(node)
+                return tuple.__getitem__(self, node)
+
+        g.neighbors = Recorded(g.neighbors)
+        view = contract(g, ClusterState.from_partition(g, [[0, 4]]))
+        counter = CountingHeapq()
+        monkeypatch.setattr(softout, "heapq", counter)
+        full, _ = cluster_gaps(view, 0)
+        assert full.value == 3
+        assert read == [4]
+        assert (counter.pushes, counter.pops) == (2, 2)
+
     def test_tie_at_gap_counts_lower_part_ids_only(self):
         # b1 = 0, b2 = 1.  Detectors 3 and 5 are at the gap's distance with
         # ids above b2's, so they are not counted, although b2 is reached
@@ -347,6 +390,22 @@ class TestExtraClusterGapCg:
         # even though it exceeds the budget
         assert r.value == nat(6)
         assert r.cluster_graph_invoked
+
+    def test_covered_search_queues_a_part_once_per_decrease(self, monkeypatch):
+        # b1 = 0, b2 = 1 and a diamond of unit edges 0-2-4, 0-3-4, then
+        # 4-1.  The search pops b1 (pushes 2 and 3 at 1), 2 (pushes 4 at
+        # 2), 3 (reaches 4 at 2 again: no push), 4 (pushes b2 at 3) and
+        # b2: 4 pushes, 5 pops.
+        edges = [Edge(0, 2, 1), Edge(0, 3, 1), Edge(2, 4, 1), Edge(3, 4, 1),
+                 Edge(4, 1, 1)]
+        g = DecodingGraph(5, (0, 1), edges)
+        view = contract(g, ClusterState(g))
+        radius = grow_clusters(view, 10)
+        assert radius == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}
+        counter = CountingHeapq()
+        monkeypatch.setattr(softout, "heapq", counter)
+        assert softout._covered_distance(view, radius, 10) == 3
+        assert (counter.pushes, counter.pops) == (4, 5)
 
     def test_undefined_without_connection(self):
         g = build_phenomenological(3, 1, 0.0001)
@@ -769,5 +828,5 @@ class TestContractedView:
         g = build_phenomenological(3, 1, 0.001)
         cs = ClusterState.from_partition(g, [[0, 1]])
         view = contract(g, cs)
-        root = cs.find(0)
+        root = cs.parent[0]
         assert set(view.sources) == {root} | set(g.boundaries)
